@@ -23,11 +23,6 @@ class SnapshotParseError(ValueError):
         self.line_no = line_no
 
 
-def _format_weight(w: float) -> str:
-    # 17 significant digits round-trip any float64 exactly.
-    return f"{w:.17g}"
-
-
 class GraphSnapshot:
     """One weighted directed graph; edges stored as a (u, v) -> w mapping."""
 
@@ -253,5 +248,5 @@ def save_snapshots(seq: SnapshotSequence, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{len(seq)} {seq.n}\n")
         for t, g in enumerate(seq):
-            for u, v, w in g.edges():
-                fh.write(f"{t} {u} {v} {_format_weight(w)}\n")
+            # 17 significant digits round-trip any float64 exactly
+            fh.write("".join(["%d %d %d %.17g\n" % (t, u, v, w) for u, v, w in g.edges()]))

@@ -7,6 +7,10 @@ Scoring conventions per method family:
   * d2v_ae scores snapshot t from the decoded prediction of the window
     ending at t-1, so it needs t >= lookback.
 
+Labels and migration records read from files are checked against the
+sequence and against each other. A run first deletes the outputs an earlier
+run left in its outdir.
+
 Static link prediction replaces G_t with the train split inside the prefix
 and re-embeds; temporal link prediction re-embeds on the prefix ending at t
 so no method sees G_{t+1}. The manifest records the resolved config, the
@@ -16,6 +20,7 @@ contains no timestamps, so identical runs produce identical bytes.
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +40,12 @@ from .sbm import diminish_series, load_labels, load_migrations, save_labels, \
 from .series import EmbeddingSeries, save_embedding_series
 from .svd_embed import incremental_svd_series, optimal_svd_series, rerun_svd_series, \
     save_restart_log
+
+
+# Names of the files a run writes, other than the generated data.
+OWNED_OUTPUT = re.compile(
+    r"emb_t\d+\.(src|tgt)|report_[a-z_]+\.json|projection_t\d+\.txt"
+    r"|restart_log\.txt|model\.txt|manifest\.json")
 
 
 class PipelineError(RuntimeError):
@@ -63,9 +74,30 @@ def prepare_data(cfg: ExperimentConfig, outdir: Path | None = None, files: dict 
     labels = load_labels(cfg.data.labels_path) if cfg.data.labels_path else None
     migrations = (load_migrations(cfg.data.migrations_path, len(seq))
                   if cfg.data.migrations_path else None)
-    if labels is not None and len(labels) != len(seq):
-        raise PipelineError(f"labels cover {len(labels)} snapshots, sequence has {len(seq)}")
+    _check_against_sequence(seq, labels, migrations)
     return seq, labels, migrations
+
+
+def _check_against_sequence(seq: SnapshotSequence, labels, migrations) -> None:
+    """Reject labels and migration records that do not fit seq, or each other."""
+    if labels is not None:
+        if len(labels) != len(seq):
+            raise PipelineError(f"labels cover {len(labels)} snapshots, sequence has {len(seq)}")
+        if len(labels[0]) != seq.n:
+            raise PipelineError(f"labels cover {len(labels[0])} nodes, sequence has {seq.n}")
+    for t, step in enumerate(migrations or ()):
+        for node, old, new in step:
+            where = f"migration `{t} {node} {old} {new}`"
+            if t == 0:
+                raise PipelineError(f"{where}: a migration at t=0 has no previous snapshot")
+            if not 0 <= node < seq.n:
+                raise PipelineError(f"{where}: node {node} outside [0,{seq.n})")
+            if labels is None:
+                continue
+            for s, want in ((t - 1, old), (t, new)):
+                if labels[s][node] != want:
+                    raise PipelineError(
+                        f"{where}: node {node} has community {labels[s][node]} at t={s}")
 
 
 def embed_series(cfg: ExperimentConfig, seq: SnapshotSequence):
@@ -198,6 +230,15 @@ def task_projection(cfg, seq, series, labels, migrations, spec, outdir: Path, fi
     return name
 
 
+def _clear_outputs(outdir: Path) -> None:
+    """Delete what an earlier run may have left in outdir, so that no file of
+    it is read as part of this run. Data files are kept: a run may read its
+    input from there."""
+    for path in outdir.iterdir():
+        if OWNED_OUTPUT.fullmatch(path.name) and path.is_file():
+            path.unlink()
+
+
 def _write(files: dict | None, outdir: Path, name: str, writer) -> Path:
     path = outdir / name
     writer(path)
@@ -235,6 +276,7 @@ def run_experiment(cfg: ExperimentConfig, stage: str = "run") -> dict:
         raise PipelineError(f"unknown stage {stage!r}")
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    _clear_outputs(outdir)
     files: dict = {}
 
     seq, labels, migrations = prepare_data(cfg, outdir, files)

@@ -59,10 +59,10 @@ class EmbeddingSeries:
 
 
 def _write_matrix(path, m: np.ndarray) -> None:
+    row_format = " ".join(["%.17g"] * m.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{m.shape[0]} {m.shape[1]}\n")
-        for row in m:
-            fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
+        fh.write("".join([row_format % tuple(row) for row in m.tolist()]))
 
 
 def _read_matrix(path) -> np.ndarray:

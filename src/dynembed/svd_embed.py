@@ -11,6 +11,13 @@ otherwise discard; without it the tracking error grows a few percent per
 update. Embeddings, reconstruction losses, and the restart log always come
 from the top-d view, so reported numbers describe the rank-d embedding.
 
+Each update factors the change between snapshots exactly as P Q^T, one
+column per vertex of a minimum row/column cover of the changed entries, and
+costs O(n (r + k)^2) for a factor of width k. The cover is never larger than
+the set of touched rows or of touched columns; for the SBM drift, where each
+migrant's out-row and in-column are resampled, it is one row and one column
+per migrant, so k = 20 for 10 migrants, which is the rank of the change.
+
 The restart rule maintains a lower bound on the optimal rank-d loss without
 recomputing a decomposition. By Weyl's inequality, each singular value of the
 current adjacency is at most the corresponding value at the last restart plus
@@ -110,22 +117,110 @@ def optimal_svd_embed(g: GraphSnapshot, d: int, t: int = 0):
     return y_src, y_tgt, state
 
 
+def _changed_entries(delta: EdgeDelta) -> dict:
+    """(u, v) -> new weight minus old weight, for every entry the delta changes."""
+    entries = {(u, v): w for u, v, w in delta.added}
+    entries.update(((u, v), -w_old) for u, v, w_old in delta.removed)
+    entries.update(((u, v), w_new - w_old) for u, v, w_old, w_new in delta.reweighted)
+    return entries
+
+
+def _augment(root, adj: dict, match_row: dict, match_col: dict, seen: set) -> bool:
+    """Look for an alternating path from the free row root to a free column
+    and flip it. Columns in seen are skipped and new ones are added to it."""
+    stack = [(root, iter(adj[root]))]
+    path = []  # path[i] is the column taken from stack[i]'s row
+    while stack:
+        for v in stack[-1][1]:
+            if v in seen:
+                continue
+            seen.add(v)
+            w = match_col.get(v)
+            if w is None:
+                for (u, _), c in zip(stack, path + [v]):
+                    match_row[u] = c
+                    match_col[c] = u
+                return True
+            path.append(v)
+            stack.append((w, iter(adj[w])))
+            break
+        else:
+            stack.pop()
+            if path:
+                path.pop()
+    return False
+
+
+def _min_vertex_cover(edges):
+    """Minimum vertex cover (rows, columns), each sorted, of the bipartite
+    graph whose edges are the (row, column) pairs in edges.
+
+    A greedy matching is grown to a maximum one with augmenting paths; the
+    cover is then read off by Koenig's theorem: rows not reachable from a
+    free row by an alternating path, plus columns that are. Everything runs
+    in sorted order, so the cover is deterministic.
+    """
+    adj: dict = {}
+    for u, v in sorted(edges):
+        adj.setdefault(u, []).append(v)
+    match_row: dict = {}
+    match_col: dict = {}
+    for u, vs in adj.items():
+        for v in vs:
+            if v not in match_col:
+                match_row[u] = v
+                match_col[v] = u
+                break
+    # Kuhn's algorithm, one pass. Columns seen by a failed search cannot lie
+    # on an augmenting path until the matching changes, so seen is only
+    # cleared after a success.
+    seen: set = set()
+    for u in adj:
+        if u not in match_row and _augment(u, adj, match_row, match_col, seen):
+            seen = set()
+
+    reached_rows = {u for u in adj if u not in match_row}
+    reached_cols: set = set()
+    stack = list(reached_rows)
+    while stack:
+        for v in adj[stack.pop()]:
+            if v not in reached_cols:
+                reached_cols.add(v)
+                w = match_col[v]  # a free column here would mean the matching is not maximum
+                if w not in reached_rows:
+                    reached_rows.add(w)
+                    stack.append(w)
+    return [u for u in adj if u not in reached_rows], sorted(reached_cols)
+
+
 def delta_factor(delta: EdgeDelta, n: int):
-    """Factor the perturbation as P Q^T with P columns the touched-row
-    indicators and Q columns the corresponding row differences."""
-    rows = sorted(delta.touched_rows)
-    k = len(rows)
+    """Factor the perturbation exactly as P Q^T over a minimum vertex cover
+    of its changed entries (row u -- column v).
+
+    Column j of the factor belongs to one cover vertex. A cover row u gives
+    P[:, j] = e_u and Q[:, j] = Delta[u, :]; a cover column v gives
+    Q[:, j] = e_v and P[:, j] = the entries of Delta[:, v] that no cover row
+    took. Cover rows come first, then cover columns, each ascending. Every
+    changed entry lands in exactly one term, so P Q^T equals the dense delta
+    exactly. The width is the cover size, which by Koenig's theorem is the
+    size of a maximum matching of the entries: at most the number of touched
+    rows and of touched columns, and at least the rank of the delta.
+    """
+    entries = _changed_entries(delta)
+    rows, cols = _min_vertex_cover(entries)
+    k = len(rows) + len(cols)
     p = np.zeros((n, k))
     q = np.zeros((n, k))
-    col = {u: j for j, u in enumerate(rows)}
-    for j, u in enumerate(rows):
-        p[u, j] = 1.0
-    for u, v, w in delta.added:
-        q[v, col[u]] += w
-    for u, v, w_old in delta.removed:
-        q[v, col[u]] -= w_old
-    for u, v, w_old, w_new in delta.reweighted:
-        q[v, col[u]] += w_new - w_old
+    p[rows, range(len(rows))] = 1.0
+    q[cols, range(len(rows), k)] = 1.0
+    row_slot = {u: j for j, u in enumerate(rows)}
+    col_slot = {v: j for j, v in enumerate(cols, start=len(rows))}
+    for (u, v), x in entries.items():
+        j = row_slot.get(u)
+        if j is None:
+            p[u, col_slot[v]] = x
+        else:
+            q[v, j] = x
     return p, q
 
 

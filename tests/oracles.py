@@ -4,6 +4,8 @@ Everything here is written the dumb, obvious way (pure Python loops, the
 textbook formula) and deliberately shares no code with the package.
 """
 
+import itertools
+
 import numpy as np
 
 MASK64 = (1 << 64) - 1
@@ -93,3 +95,51 @@ def random_orthogonal(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-ish random orthogonal matrix from the QR of a Gaussian draw."""
     q, r = np.linalg.qr(rng.normal(size=(d, d)))
     return q * np.sign(np.diag(r))
+
+
+def write_matrix_ref(path, m) -> None:
+    """The embedding text format written one float at a time."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"{m.shape[0]} {m.shape[1]}\n")
+        for row in m:
+            fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
+
+
+def save_snapshots_ref(seq, path) -> None:
+    """The snapshot text format written one edge line at a time."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"{len(seq)} {seq.n}\n")
+        for t, g in enumerate(seq):
+            for u, v, w in g.edges():
+                fh.write(f"{t} {u} {v} {w:.17g}\n")
+
+
+def row_indicator_factor(delta, n: int):
+    """Delta as P Q^T with one column per touched row: P[:, j] = e_u and
+    Q[:, j] = the change of row u."""
+    rows = sorted(delta.touched_rows)
+    p = np.zeros((n, len(rows)))
+    q = np.zeros((n, len(rows)))
+    col = {u: j for j, u in enumerate(rows)}
+    for j, u in enumerate(rows):
+        p[u, j] = 1.0
+    for u, v, w in delta.added:
+        q[v, col[u]] += w
+    for u, v, w_old in delta.removed:
+        q[v, col[u]] -= w_old
+    for u, v, w_old, w_new in delta.reweighted:
+        q[v, col[u]] += w_new - w_old
+    return p, q
+
+
+def brute_min_cover_size(edges) -> int:
+    """Size of a minimum vertex cover of a bipartite graph given as (row, col)
+    edges, by trying every subset of rows and columns from the smallest up."""
+    edges = set(edges)
+    vertices = sorted({("r", u) for u, _ in edges} | {("c", v) for _, v in edges})
+    for size in range(len(vertices) + 1):
+        for chosen in itertools.combinations(vertices, size):
+            chosen = set(chosen)
+            if all(("r", u) in chosen or ("c", v) in chosen for u, v in edges):
+                return size
+    raise AssertionError("unreachable: all vertices always cover")

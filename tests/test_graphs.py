@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from dynembed.graphs import (EdgeDelta, GraphSnapshot, SnapshotParseError,
                              SnapshotSequence, apply_delta, dense_adjacency,
                              edge_delta, load_snapshots, save_snapshots)
+from oracles import save_snapshots_ref
 
 
 def _snapshot(n, edges):
@@ -244,3 +245,23 @@ def test_parse_errors_carry_kind_and_line(tmp_path, text, kind, line_no):
     assert exc.value.kind == kind
     assert exc.value.line_no == line_no
     assert f"line {line_no}" in str(exc.value)
+
+
+@settings(max_examples=40, deadline=None)
+@given(snapshot_pairs())
+def test_save_matches_per_edge_oracle(tmp_path_factory, pair):
+    d = tmp_path_factory.mktemp("fmt")
+    seq = SnapshotSequence(pair)
+    save_snapshots(seq, d / "new.txt")
+    save_snapshots_ref(seq, d / "ref.txt")
+    assert (d / "new.txt").read_bytes() == (d / "ref.txt").read_bytes()
+
+
+def test_save_matches_per_edge_oracle_on_edge_weights(tmp_path):
+    weights = [5e-324, 1e300, 1.7976931348623157e308, 3.0, 1e16, 0.1, 1 / 3]
+    seq = SnapshotSequence([_snapshot(12, [(i, 11 - i, w) for i, w in enumerate(weights)]),
+                            _snapshot(12, [(0, 0, 2.0)])])
+    save_snapshots(seq, tmp_path / "new.txt")
+    save_snapshots_ref(seq, tmp_path / "ref.txt")
+    assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
+    assert load_snapshots(tmp_path / "new.txt") == seq

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from dynembed.series import (EmbeddingSeries, load_embedding_series,
-                             save_embedding_series)
+from dynembed.series import (EmbeddingSeries, _write_matrix,
+                             load_embedding_series, save_embedding_series)
+from oracles import write_matrix_ref
 
 
 def _series(t_start=0, n=4, d=3, count=3, method="optsvd"):
@@ -92,3 +93,26 @@ def test_header_body_mismatch_detected(tmp_path):
     (tmp_path / "q_t0.tgt").write_text("1 2\n1 2\n")
     with pytest.raises(ValueError, match="header"):
         load_embedding_series(tmp_path, "q")
+
+
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1.0, -3.0, 1e16, 2.0**53 + 2,
+               0.1, 1 / 3, 2.2250738585072014e-308, 1.7976931348623157e308]
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (7, 3), (50, 32), (3, 0), (0, 4)])
+def test_writer_matches_per_float_oracle_on_random(tmp_path, shape):
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    m = rng.normal(size=shape) * 10.0 ** rng.integers(-20, 20, size=shape)
+    _write_matrix(tmp_path / "new.src", m)
+    write_matrix_ref(tmp_path / "ref.src", m)
+    assert (tmp_path / "new.src").read_bytes() == (tmp_path / "ref.src").read_bytes()
+
+
+def test_writer_matches_per_float_oracle_on_edge_values(tmp_path):
+    m = np.array(EDGE_VALUES).reshape(2, -1)
+    _write_matrix(tmp_path / "new.src", m)
+    write_matrix_ref(tmp_path / "ref.src", m)
+    new = (tmp_path / "new.src").read_bytes()
+    assert new == (tmp_path / "ref.src").read_bytes()
+    assert new.split(b"\n")[1].split()[:4] == [b"0", b"-0", b"4.9406564584124654e-324",
+                                               b"-4.9406564584124654e-324"]

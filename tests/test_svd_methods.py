@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynembed.graphs import (GraphSnapshot, SnapshotSequence, dense_adjacency,
                              edge_delta)
@@ -21,6 +23,7 @@ from dynembed.svd_embed import (RestartLogEntry, delta_factor,
                                 optimal_svd_embed, optimal_svd_series,
                                 rerun_svd_series, save_restart_log,
                                 svd_link_scores)
+from oracles import brute_min_cover_size, row_indicator_factor
 
 
 def _snapshot_from_dense(a):
@@ -110,6 +113,85 @@ def test_delta_factor_densify_oracle():
     ga, gb = _snapshot_from_dense(a), _snapshot_from_dense(b)
     p, q = delta_factor(edge_delta(ga, gb), 30)
     assert np.array_equal(p @ q.T, dense_adjacency(gb) - dense_adjacency(ga))
+
+
+@st.composite
+def sparse_snapshot_pairs(draw, max_n=12):
+    """Two snapshots over one node set; a small weight pool invites reweights."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    weights = st.sampled_from([0.5, 1.0, 2.0, 0.1, 1e-300, 1e300])
+    prev = draw(st.dictionaries(pair, weights, max_size=3 * n))
+    nxt = draw(st.dictionaries(pair, weights, max_size=3 * n))
+    return (GraphSnapshot(n, [(u, v, w) for (u, v), w in prev.items()]),
+            GraphSnapshot(n, [(u, v, w) for (u, v), w in nxt.items()]))
+
+
+def _changed(prev, nxt):
+    diff = dense_adjacency(nxt) - dense_adjacency(prev)
+    return list(zip(*(x.tolist() for x in np.nonzero(diff))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_snapshot_pairs())
+def test_delta_factor_is_exact_and_no_wider_than_either_side(pair):
+    prev, nxt = pair
+    p, q = delta_factor(edge_delta(prev, nxt), prev.n)
+    want = dense_adjacency(nxt) - dense_adjacency(prev)
+    # + 0.0 maps -0.0 to 0.0, so the bytes compare values
+    assert (p @ q.T + 0.0).tobytes() == (want + 0.0).tobytes()
+    entries = _changed(prev, nxt)
+    assert p.shape[1] <= min(len({u for u, _ in entries}), len({v for _, v in entries}))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_snapshot_pairs(max_n=6))
+def test_delta_factor_width_is_minimum_cover(pair):
+    prev, nxt = pair
+    p, _ = delta_factor(edge_delta(prev, nxt), prev.n)
+    assert p.shape[1] == brute_min_cover_size(_changed(prev, nxt))
+
+
+def test_delta_factor_cover_layout():
+    # a row with three changes and a column with two: cover is {row 1, col 4}
+    prev = GraphSnapshot(6, [(1, 0, 1.0), (3, 4, 2.0)])
+    nxt = GraphSnapshot(6, [(1, 2, 1.0), (1, 4, 1.0), (5, 4, 0.5), (3, 4, 1.0)])
+    p, q = delta_factor(edge_delta(prev, nxt), 6)
+    assert p.shape == (6, 2)
+    assert np.array_equal(p[:, 0], np.eye(6)[1])
+    assert np.array_equal(q[:, 0], [-1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
+    assert np.array_equal(q[:, 1], np.eye(6)[4])
+    assert np.array_equal(p[:, 1], [0.0, 0.0, 0.0, -1.0, 0.0, 0.5])
+
+
+def test_delta_factor_migrant_width(drift_sbm_50):
+    # each migrant's out-row and in-column change: one cover vertex each
+    seq = drift_sbm_50.sequence
+    for t in range(1, len(seq)):
+        delta = edge_delta(seq[t - 1], seq[t])
+        p, q = delta_factor(delta, seq.n)
+        rank = np.linalg.matrix_rank(dense_adjacency(seq[t]) - dense_adjacency(seq[t - 1]))
+        assert p.shape[1] == rank <= 2 * len(drift_sbm_50.migrations[t])
+        assert p.shape[1] < len(delta.touched_rows)
+
+
+def _scores(state):
+    """Y_src Y_tgt^T of the rank-d view."""
+    view = state.truncated()
+    root = np.sqrt(view.S)
+    return (view.U * root) @ (view.V * root).T
+
+
+def test_cover_and_row_factor_give_the_same_series(drift_sbm_50):
+    seq = drift_sbm_50.sequence
+    _, _, cover = optimal_svd_embed(seq[0], 6)
+    rows = cover
+    for t in range(1, len(seq)):
+        delta = edge_delta(seq[t - 1], seq[t])
+        cover = incremental_update(cover, *delta_factor(delta, seq.n), 6)
+        rows = incremental_update(rows, *row_indicator_factor(delta, seq.n), 6)
+        assert cover.cur_loss == pytest.approx(rows.cur_loss, rel=1e-9)
+        assert np.max(np.abs(_scores(cover) - _scores(rows))) <= 1e-9
 
 
 # --- incremental updates --------------------------------------------------
