@@ -18,7 +18,6 @@ from .ae import (
     d2v_ae_series,
     dyngem_series,
     static_ae_series,
-    train_static_ae,
 )
 from .config import ExperimentConfig, from_dict, from_file
 from .evaluation import (
@@ -48,7 +47,6 @@ from .sbm import DynamicSbmSeries, SbmParams, diminish_series, generate_sbm_snap
 from .series import EmbeddingSeries, load_embedding_series, save_embedding_series
 from .svd_embed import (
     SvdFactorState,
-    incremental_svd_series,
     incremental_update,
     loss_lower_bound,
     optimal_svd_embed,
@@ -59,7 +57,7 @@ from .svd_embed import (
 __all__ = [
     "AeConfig", "MlpParams", "TrainResult", "ae_forward", "ae_gradient", "ae_loss",
     "aealign_series", "d2v_ae_series", "dyngem_series", "static_ae_series",
-    "train_static_ae", "ExperimentConfig", "from_dict", "from_file", "EvalReport",
+    "ExperimentConfig", "from_dict", "from_file", "EvalReport",
     "ScoredPairs", "mean_average_precision", "migration_proximity_stat",
     "node_classification", "precision_at_k", "static_lp_split", "temporal_lp_eval",
     "EdgeDelta", "GraphSnapshot", "SnapshotSequence", "apply_delta", "dense_adjacency",
@@ -67,7 +65,7 @@ __all__ = [
     "procrustes_rotation", "truncated_svd", "run_experiment", "Rng",
     "DynamicSbmSeries", "SbmParams", "diminish_series", "generate_sbm_snapshot",
     "EmbeddingSeries", "load_embedding_series", "save_embedding_series",
-    "SvdFactorState", "incremental_svd_series", "incremental_update",
+    "SvdFactorState", "incremental_update",
     "loss_lower_bound", "optimal_svd_embed", "optimal_svd_series", "rerun_svd_series",
     "__version__",
 ]

@@ -17,12 +17,12 @@ Methods built on top:
 """
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernels
-from .graphs import GraphSnapshot, SnapshotSequence, dense_adjacency
+from .graphs import SnapshotSequence, dense_adjacency
 from .numerics import procrustes_rotation
 from .rng import Rng
 from .series import EmbeddingSeries
@@ -258,24 +258,19 @@ def train_dense(x: np.ndarray, targets: np.ndarray, cfg: AeConfig, init: MlpPara
     return TrainResult(params=params, epoch_losses=losses)
 
 
-def train_static_ae(g: GraphSnapshot, cfg: AeConfig, init: MlpParams | None = None) -> TrainResult:
-    """Autoencode the snapshot's adjacency rows (input dim = node count)."""
-    adj = dense_adjacency(g)
-    return train_dense(adj, adj, cfg, init, Rng(cfg.seed))
+def fit_snapshot(adj: np.ndarray, cfg: AeConfig, t: int, init: MlpParams | None = None) -> MlpParams:
+    """Model of snapshot t: its adjacency rows autoencoded with Rng(cfg.seed + t),
+    from init's weights, or from fresh ones when init is None."""
+    return train_dense(adj, adj, cfg, init, Rng(cfg.seed + t)).params
 
 
-def _snapshot_embedding(params: MlpParams, adj: np.ndarray) -> np.ndarray:
-    return encode(params, adj)
-
-
-def static_ae_series(seq: SnapshotSequence, cfg: AeConfig, per_step_seeds: bool = True):
+def static_ae_series(seq: SnapshotSequence, cfg: AeConfig):
     """Independent static AE per snapshot; returns (series, params per t)."""
     ys, models = [], []
     for t in range(len(seq)):
-        cfg_t = replace(cfg, seed=cfg.seed + t) if per_step_seeds else cfg
-        result = train_static_ae(seq[t], cfg_t)
-        models.append(result.params)
-        ys.append(_snapshot_embedding(result.params, dense_adjacency(seq[t])))
+        adj = dense_adjacency(seq[t])
+        models.append(fit_snapshot(adj, cfg, t))
+        ys.append(encode(models[-1], adj))
     series = EmbeddingSeries(
         y_src=ys, y_tgt=[y.copy() for y in ys], method="ae_static", config=_cfg_dict(cfg)
     )
@@ -291,9 +286,9 @@ def chain_align(ys: list, proper: bool = False) -> list:
     return out
 
 
-def aealign_series(seq: SnapshotSequence, cfg: AeConfig, per_step_seeds: bool = True):
+def aealign_series(seq: SnapshotSequence, cfg: AeConfig):
     """Static AE per snapshot, then Procrustes-align each step to the last."""
-    raw, models = static_ae_series(seq, cfg, per_step_seeds=per_step_seeds)
+    raw, models = static_ae_series(seq, cfg)
     aligned = chain_align(raw.y_src)
     series = EmbeddingSeries(
         y_src=aligned, y_tgt=[y.copy() for y in aligned], method="aealign",
@@ -302,18 +297,14 @@ def aealign_series(seq: SnapshotSequence, cfg: AeConfig, per_step_seeds: bool = 
     return series, models
 
 
-def dyngem_series(seq: SnapshotSequence, cfg: AeConfig, warm_n_iter: int | None = None):
+def dyngem_series(seq: SnapshotSequence, cfg: AeConfig):
     """Train t=0 from scratch, then carry weights forward as the init of each
-    following snapshot. warm_n_iter overrides n_iter for the t>0 fits."""
+    following snapshot."""
     ys, models = [], []
-    params = None
     for t in range(len(seq)):
-        cfg_t = cfg if t == 0 or warm_n_iter is None else replace(cfg, n_iter=warm_n_iter)
         adj = dense_adjacency(seq[t])
-        result = train_dense(adj, adj, cfg_t, params, Rng(cfg.seed + t))
-        params = result.params
-        models.append(params)
-        ys.append(_snapshot_embedding(params, adj))
+        models.append(fit_snapshot(adj, cfg, t, models[-1] if models else None))
+        ys.append(encode(models[-1], adj))
     series = EmbeddingSeries(
         y_src=ys, y_tgt=[y.copy() for y in ys], method="dyngem", config=_cfg_dict(cfg)
     )
@@ -372,11 +363,6 @@ def d2v_ae_series(seq: SnapshotSequence, cfg: AeConfig):
         config=_cfg_dict(cfg), t_start=cfg.lookback - 1,
     )
     return series, LookbackPredictor(params=result.params, lookback=cfg.lookback), result
-
-
-def ae_reconstruction_scores(params: MlpParams, adj: np.ndarray) -> np.ndarray:
-    """Score matrix: entry (u, v) is the decoded reconstruction of row u at v."""
-    return reconstruct(params, adj)
 
 
 def _cfg_dict(cfg: AeConfig) -> dict:

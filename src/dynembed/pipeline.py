@@ -1,34 +1,38 @@
 """End-to-end experiment pipeline: data, embeddings, task reports, manifest.
 
-Scoring conventions per method family:
-  * SVD methods score pair (u, v) as Y_src[u] . Y_tgt[v].
-  * Static AE methods (ae_static, aealign, dyngem) score via the decoded
-    reconstruction of the adjacency rows at the evaluated step.
-  * d2v_ae scores snapshot t from the decoded prediction of the window
-    ending at t-1, so it needs t >= lookback.
+METHOD_TABLE, one record per method, is the only place that reads the method
+name. SVD methods score pair (u, v) as Y_src[u] . Y_tgt[v], static AE methods
+by the decoded adjacency rows, and d2v_ae by the decoded prediction of the
+window ending at t-1, so it needs t >= lookback.
+
+Every task reads the method's one run. All methods but d2v_ae are causal
+folds, whose state at t has seen nothing after t: temporal link prediction
+scores snapshot t from the run, and static link prediction takes one step
+from the run's state at t-1 onto the train split of G_t (at t = 0, a fresh
+start). d2v_ae trains on windows from the whole sequence, so it alone
+retrains on the prefix ending at t for both tasks.
 
 Labels and migration records read from files are checked against the
 sequence and against each other. A run first deletes the outputs an earlier
-run left in its outdir.
-
-Static link prediction replaces G_t with the train split inside the prefix
-and re-embeds; temporal link prediction re-embeds on the prefix ending at t
-so no method sees G_{t+1}. The manifest records the resolved config, the
+run left in its outdir. The manifest records the resolved config, the
 kernel backend, package versions, and a sha256 digest per output file; it
 contains no timestamps, so identical runs produce identical bytes.
 """
 
 import hashlib
 import json
+import math
 import re
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from . import __version__, kernels
-from .ae import AeConfig, aealign_series, d2v_ae_series, dyngem_series, reconstruct, \
+from . import __version__, kernels, svd_embed
+from .ae import aealign_series, d2v_ae_series, dyngem_series, fit_snapshot, reconstruct, \
     save_mlp_params, static_ae_series
-from .config import AE_METHODS, SVD_METHODS, ExperimentConfig
+from .config import ExperimentConfig
 from .evaluation import EvalError, export_projection, migration_proximity_stat, \
     node_classification, reconstruction_eval, save_report, static_lp_eval, \
     static_lp_split, temporal_lp_eval, EvalReport
@@ -37,8 +41,8 @@ from .graphs import GraphSnapshot, SnapshotSequence, dense_adjacency, load_snaps
 from .rng import Rng
 from .sbm import diminish_series, load_labels, load_migrations, save_labels, \
     save_migrations
-from .series import EmbeddingSeries, save_embedding_series
-from .svd_embed import incremental_svd_series, optimal_svd_series, rerun_svd_series, \
+from .series import save_embedding_series
+from .svd_embed import optimal_svd_series, rerun_svd_series, rerun_svd_step, \
     save_restart_log
 
 
@@ -46,6 +50,8 @@ from .svd_embed import incremental_svd_series, optimal_svd_series, rerun_svd_ser
 OWNED_OUTPUT = re.compile(
     r"emb_t\d+\.(src|tgt)|report_[a-z_]+\.json|projection_t\d+\.txt"
     r"|restart_log\.txt|model\.txt|manifest\.json")
+# Names of the data files a run generates from SBM parameters.
+DATA_FILES = ("snapshots.txt", "labels.txt", "migrations.txt")
 
 
 class PipelineError(RuntimeError):
@@ -100,34 +106,118 @@ def _check_against_sequence(seq: SnapshotSequence, labels, migrations) -> None:
                         f"{where}: node {node} has community {labels[s][node]} at t={s}")
 
 
-def embed_series(cfg: ExperimentConfig, seq: SnapshotSequence):
-    """Run the configured method; returns (series, extras).
+@dataclass(frozen=True)
+class Method:
+    """scores, refit and forecast read the (series, extras) embed returned
+    and give n x n scores: of snapshot t; of g in place of snapshot t, from
+    the run's state at t - 1; of snapshot t + 1, from snapshots through t."""
 
-    extras may hold 'restart_log' (incsvd/rerunsvd), 'models' (static AE
-    families, one per snapshot) or 'predictor' (d2v_ae).
-    """
-    method = cfg.method
-    if method == "optsvd":
-        return optimal_svd_series(seq, cfg.d), {}
-    if method == "incsvd":
-        series, log = incremental_svd_series(seq, cfg.d)
-        return series, {"restart_log": log}
-    if method == "rerunsvd":
-        series, log = rerun_svd_series(seq, cfg.d, cfg.theta)
-        return series, {"restart_log": log}
-    if method == "ae_static":
-        series, models = static_ae_series(seq, cfg.ae)
+    embed: Callable  # (cfg, seq)
+    scores: Callable  # (cfg, seq, series, extras, t)
+    refit: Callable  # (cfg, seq, series, extras, t, g)
+    forecast: Callable  # (cfg, seq, series, extras, t)
+    first_t: Callable = lambda cfg: 0  # the first snapshot it can score
+
+
+def _svd_scores(cfg, seq, series, extras, t):
+    return series.src_at(t) @ series.tgt_at(t).T
+
+
+def _optsvd_refit(cfg, seq, series, extras, t, g):
+    y_src, y_tgt, _ = svd_embed.optimal_svd_embed(g, cfg.d, t)
+    return y_src @ y_tgt.T
+
+
+def _static_lp_branch(cfg, seq) -> int | None:
+    """The step static LP refits from, the one before its t, when configured."""
+    spec = cfg.tasks.get("static_lp")
+    if spec is None:
+        return None
+    return (len(seq) + spec["t"] if spec["t"] < 0 else spec["t"]) - 1
+
+
+def _svd_fold_record(theta) -> Method:
+    """The incremental SVD fold; theta(cfg) is its restart tolerance. The run
+    keeps one factor state, the one static LP branches from."""
+    def embed(cfg, seq):
+        series, log, state = rerun_svd_series(seq, cfg.d, theta(cfg),
+                                              keep=_static_lp_branch(cfg, seq))
+        return series, {"restart_log": log, "state": state}
+
+    def refit(cfg, seq, series, extras, t, g):
+        if t == 0:
+            return _optsvd_refit(cfg, seq, series, extras, t, g)
+        state = extras["state"]
+        if state is None or state.t_cur != t - 1:  # a step the run did not keep
+            state = rerun_svd_series(_prefix(seq, t - 1), cfg.d, theta(cfg), keep=t - 1)[2]
+        state, _ = rerun_svd_step(state, seq[t - 1], g, theta(cfg))
+        y_src, y_tgt = state.embedding()
+        return y_src @ y_tgt.T
+
+    return Method(embed=embed, scores=_svd_scores, refit=refit, forecast=_svd_scores)
+
+
+def _ae_scores(cfg, seq, series, extras, t):
+    return reconstruct(extras["models"][t], dense_adjacency(seq[t]))
+
+
+def _ae_record(series_fn, warm: bool = False) -> Method:
+    """A static AE family; with warm, a refit starts from the run's model of
+    t - 1 (dynGEM), else from fresh weights."""
+    def embed(cfg, seq):
+        series, models = series_fn(seq, cfg.ae)
         return series, {"models": models}
-    if method == "aealign":
-        series, models = aealign_series(seq, cfg.ae)
-        return series, {"models": models}
-    if method == "dyngem":
-        series, models = dyngem_series(seq, cfg.ae)
-        return series, {"models": models}
-    if method == "d2v_ae":
-        series, predictor, result = d2v_ae_series(seq, cfg.ae)
-        return series, {"predictor": predictor, "train_result": result}
-    raise PipelineError(f"unknown method {method!r}")
+
+    def refit(cfg, seq, series, extras, t, g):
+        adj = dense_adjacency(g)
+        init = extras["models"][t - 1] if warm and t else None
+        return reconstruct(fit_snapshot(adj, cfg.ae, t, init), adj)
+
+    return Method(embed=embed, scores=_ae_scores, refit=refit, forecast=_ae_scores)
+
+
+def _d2v_embed(cfg, seq):
+    series, predictor, _ = d2v_ae_series(seq, cfg.ae)
+    return series, {"predictor": predictor}
+
+
+def _d2v_scores(cfg, seq, series, extras, t):
+    return extras["predictor"].predict_next(seq, t - 1)
+
+
+def _d2v_refit(cfg, seq, series, extras, t, g):
+    # the run's model trained on windows after t, so retrain on the prefix
+    prefix = _prefix(seq, t, g)
+    return _d2v_scores(cfg, prefix, *embed_series(cfg, prefix), t)
+
+
+def _d2v_forecast(cfg, seq, series, extras, t):
+    prefix = _prefix(seq, t)  # scores of t + 1 read the window ending at t
+    return _d2v_scores(cfg, prefix, *embed_series(cfg, prefix), t + 1)
+
+
+# rerun_svd_series, reconstruct and dense_adjacency are called by name on
+# this module, and optimal_svd_embed on svd_embed, so a wrapper set where the
+# library's own callers look them up (bench/tracing.py) sees every call.
+METHOD_TABLE = {
+    "optsvd": Method(embed=lambda cfg, seq: (optimal_svd_series(seq, cfg.d), {}),
+                     scores=_svd_scores, refit=_optsvd_refit, forecast=_svd_scores),
+    "incsvd": _svd_fold_record(lambda cfg: math.inf),
+    "rerunsvd": _svd_fold_record(lambda cfg: cfg.theta),
+    "ae_static": _ae_record(static_ae_series),
+    "aealign": _ae_record(aealign_series),
+    "dyngem": _ae_record(dyngem_series, warm=True),
+    "d2v_ae": Method(embed=_d2v_embed, scores=_d2v_scores, refit=_d2v_refit,
+                     forecast=_d2v_forecast, first_t=lambda cfg: cfg.ae.lookback),
+}
+
+
+def embed_series(cfg: ExperimentConfig, seq: SnapshotSequence):
+    """Run the configured method; returns (series, extras). extras may hold
+    'restart_log' and 'state', the factor state static LP branches from
+    (incsvd/rerunsvd), 'models' (static AE families, one per snapshot) or
+    'predictor' (d2v_ae)."""
+    return METHOD_TABLE[cfg.method].embed(cfg, seq)
 
 
 def _resolve_t(spec_t: int, lo: int, hi: int, what: str) -> int:
@@ -138,20 +228,14 @@ def _resolve_t(spec_t: int, lo: int, hi: int, what: str) -> int:
     return t
 
 
-def current_scores(cfg: ExperimentConfig, seq: SnapshotSequence, series: EmbeddingSeries,
-                   extras: dict, t: int) -> np.ndarray:
-    """n x n score matrix for snapshot t from artifacts trained on seq."""
-    if cfg.method in SVD_METHODS:
-        return series.src_at(t) @ series.tgt_at(t).T
-    if cfg.method == "d2v_ae":
-        if t < cfg.ae.lookback:
-            raise PipelineError(f"d2v_ae scores need t >= lookback={cfg.ae.lookback}, got {t}")
-        return extras["predictor"].predict_next(seq, t - 1)
-    return reconstruct(extras["models"][t], dense_adjacency(seq[t]))
+def _task_t(cfg: ExperimentConfig, spec: dict, what: str, last: int) -> int:
+    return _resolve_t(spec["t"], METHOD_TABLE[cfg.method].first_t(cfg), last, what)
 
 
-def _prefix(seq: SnapshotSequence, t: int) -> SnapshotSequence:
-    return SnapshotSequence(tuple(seq[i] for i in range(t + 1)))
+def _prefix(seq: SnapshotSequence, t: int, last: GraphSnapshot | None = None) -> SnapshotSequence:
+    """Snapshots 0..t, with last in place of snapshot t when given."""
+    snaps = [seq[i] for i in range(t)] + [seq[t] if last is None else last]
+    return SnapshotSequence(tuple(snaps))
 
 
 def _eval_meta(cfg: ExperimentConfig) -> dict:
@@ -159,34 +243,21 @@ def _eval_meta(cfg: ExperimentConfig) -> dict:
 
 
 def task_reconstruction(cfg, seq, series, extras, spec) -> EvalReport:
-    lo = max(series.t_start, cfg.ae.lookback) if cfg.method == "d2v_ae" else series.t_start
-    t = _resolve_t(spec["t"], lo, len(seq) - 1, "reconstruction")
-    scores = current_scores(cfg, seq, series, extras, t)
+    t = _task_t(cfg, spec, "reconstruction", len(seq) - 1)
+    scores = METHOD_TABLE[cfg.method].scores(cfg, seq, series, extras, t)
     return reconstruction_eval(scores, seq[t], spec["k_grid"], **_eval_meta(cfg))
 
 
-def task_static_lp(cfg, seq, spec) -> EvalReport:
-    lo = cfg.ae.lookback if cfg.method == "d2v_ae" else 0
-    t = _resolve_t(spec["t"], lo, len(seq) - 1, "static_lp")
+def task_static_lp(cfg, seq, series, extras, spec) -> EvalReport:
+    t = _task_t(cfg, spec, "static_lp", len(seq) - 1)
     train, hidden = static_lp_split(seq[t], spec["hide_fraction"], Rng(cfg.seed + 101))
-    snaps = [seq[i] for i in range(t + 1)]
-    snaps[t] = train
-    series2, extras2 = embed_series(cfg, SnapshotSequence(tuple(snaps)))
-    scores = current_scores(cfg, SnapshotSequence(tuple(snaps)), series2, extras2, t)
+    scores = METHOD_TABLE[cfg.method].refit(cfg, seq, series, extras, t, train)
     return static_lp_eval(scores, train, hidden, spec["k_grid"], **_eval_meta(cfg))
 
 
-def task_temporal_lp(cfg, seq, spec) -> EvalReport:
-    lo = cfg.ae.lookback if cfg.method == "d2v_ae" else 0
-    t = _resolve_t(spec["t"], lo, len(seq) - 2, "temporal_lp")
-    prefix = _prefix(seq, t)
-    series2, extras2 = embed_series(cfg, prefix)
-    if cfg.method == "d2v_ae":
-        scores = extras2["predictor"].predict_next(prefix, t)
-    elif cfg.method in SVD_METHODS:
-        scores = series2.src_at(t) @ series2.tgt_at(t).T
-    else:
-        scores = reconstruct(extras2["models"][t], dense_adjacency(seq[t]))
+def task_temporal_lp(cfg, seq, series, extras, spec) -> EvalReport:
+    t = _task_t(cfg, spec, "temporal_lp", len(seq) - 2)
+    scores = METHOD_TABLE[cfg.method].forecast(cfg, seq, series, extras, t)
     return temporal_lp_eval(scores, seq, t, spec["k_grid"], mode=spec["mode"],
                             **_eval_meta(cfg))
 
@@ -230,12 +301,25 @@ def task_projection(cfg, seq, series, labels, migrations, spec, outdir: Path, fi
     return name
 
 
-def _clear_outputs(outdir: Path) -> None:
-    """Delete what an earlier run may have left in outdir, so that no file of
-    it is read as part of this run. Data files are kept: a run may read its
-    input from there."""
+def _clear_outputs(outdir: Path, cfg: ExperimentConfig) -> None:
+    """Delete what an earlier run left in outdir, so that no file of it is
+    read as part of this run. A data file goes only when that run's manifest
+    lists it with its digest, so it was generated there, and cfg does not
+    read it."""
+    data = cfg.data
+    inputs = {Path(p).resolve() for p in (data.snapshots_path, data.labels_path,
+                                          data.migrations_path) if p is not None}
+    try:  # name -> sha256 of what the earlier run wrote
+        generated = dict(json.loads((outdir / "manifest.json").read_bytes())["files"])
+    except (OSError, ValueError, KeyError, TypeError):
+        generated = {}
     for path in outdir.iterdir():
-        if OWNED_OUTPUT.fullmatch(path.name) and path.is_file():
+        if not path.is_file():
+            continue
+        if OWNED_OUTPUT.fullmatch(path.name) or (
+                path.name in DATA_FILES and path.name in generated
+                and path.resolve() not in inputs
+                and _sha256(path) == generated[path.name]):
             path.unlink()
 
 
@@ -276,7 +360,7 @@ def run_experiment(cfg: ExperimentConfig, stage: str = "run") -> dict:
         raise PipelineError(f"unknown stage {stage!r}")
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    _clear_outputs(outdir)
+    _clear_outputs(outdir, cfg)
     files: dict = {}
 
     seq, labels, migrations = prepare_data(cfg, outdir, files)
@@ -307,9 +391,9 @@ def run_experiment(cfg: ExperimentConfig, stage: str = "run") -> dict:
         if name == "reconstruction":
             report = task_reconstruction(cfg, seq, series, extras, spec)
         elif name == "static_lp":
-            report = task_static_lp(cfg, seq, spec)
+            report = task_static_lp(cfg, seq, series, extras, spec)
         elif name == "temporal_lp":
-            report = task_temporal_lp(cfg, seq, spec)
+            report = task_temporal_lp(cfg, seq, series, extras, spec)
         elif name == "classification":
             report = task_classification(cfg, seq, series, labels, spec)
         else:

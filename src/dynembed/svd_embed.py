@@ -69,6 +69,12 @@ class SvdFactorState:
     def truncated(self) -> TruncatedSvd:
         return _top_view(self.factor, self.d)
 
+    def embedding(self):
+        """(Y_src, Y_tgt) of the rank-d view."""
+        view = self.truncated()
+        root = np.sqrt(view.S)
+        return view.U * root, view.V * root
+
 
 @dataclass(frozen=True)
 class RestartLogEntry:
@@ -85,11 +91,6 @@ def _top_view(factor: TruncatedSvd, d: int) -> TruncatedSvd:
 def _exact_loss(adj: np.ndarray, factor: TruncatedSvd) -> float:
     resid = adj - factor.reconstruct()
     return float(np.sum(resid * resid))
-
-
-def _embed_from_factor(factor: TruncatedSvd):
-    root = np.sqrt(factor.S)
-    return factor.U * root, factor.V * root
 
 
 def optimal_svd_embed(g: GraphSnapshot, d: int, t: int = 0):
@@ -113,8 +114,7 @@ def optimal_svd_embed(g: GraphSnapshot, d: int, t: int = 0):
         cur_loss=_exact_loss(adj, view),
         adj=adj,
     )
-    y_src, y_tgt = _embed_from_factor(view)
-    return y_src, y_tgt, state
+    return (*state.embedding(), state)
 
 
 def _changed_entries(delta: EdgeDelta) -> dict:
@@ -326,41 +326,49 @@ def loss_lower_bound(state: SvdFactorState) -> float:
     return max(0.0, total - float(np.sum(shifted * shifted)))
 
 
-def rerun_svd_series(seq: SnapshotSequence, d: int, theta: float):
+def rerun_svd_step(state: SvdFactorState, prev: GraphSnapshot, cur: GraphSnapshot,
+                   theta: float):
+    """One step of the rerun fold from state, which tracks prev, onto cur;
+    returns (state, log entry)."""
+    t = state.t_cur + 1
+    p, q = delta_factor(edge_delta(prev, cur), cur.n)
+    state = incremental_update(state, p, q, state.d)
+    bound = loss_lower_bound(state)
+    restarted = (
+        math.isfinite(theta) and bound > 0.0 and state.cur_loss / bound - 1.0 > theta
+    )
+    if restarted:
+        _, _, state = optimal_svd_embed(cur, state.d, t=t)
+        bound = loss_lower_bound(state)
+    return state, RestartLogEntry(t, restarted, state.cur_loss, bound)
+
+
+def rerun_svd_series(seq: SnapshotSequence, d: int, theta: float, keep: int | None = None):
     """Embed every snapshot, restarting the batch SVD when the incremental
     loss exceeds (1 + theta) times the lower bound. theta=inf never restarts
-    and is exactly the pure incremental method."""
+    and is exactly the pure incremental method. Returns (series, log, state),
+    state being the factor state after step keep, or None when no step is
+    keep."""
     if not theta > 0:
         raise ValueError("theta must be positive (use math.inf for no restarts)")
     y_src, y_tgt, state = optimal_svd_embed(seq[0], d, t=0)
-    srcs, tgts = [y_src], [y_tgt]
     log = [RestartLogEntry(0, False, state.cur_loss, loss_lower_bound(state))]
-
-    for t in range(1, len(seq)):
-        p, q = delta_factor(edge_delta(seq[t - 1], seq[t]), seq.n)
-        state = incremental_update(state, p, q, d)
-        bound = loss_lower_bound(state)
-        restarted = (
-            math.isfinite(theta) and bound > 0.0 and state.cur_loss / bound - 1.0 > theta
-        )
-        if restarted:
-            _, _, state = optimal_svd_embed(seq[t], d, t=t)
-            bound = loss_lower_bound(state)
-        y_src, y_tgt = _embed_from_factor(state.truncated())
+    srcs, tgts, kept = [], [], None
+    for t in range(len(seq)):
+        if t:
+            state, entry = rerun_svd_step(state, seq[t - 1], seq[t], theta)
+            log.append(entry)
+            y_src, y_tgt = state.embedding()
+        if t == keep:
+            kept = state
         srcs.append(y_src)
         tgts.append(y_tgt)
-        log.append(RestartLogEntry(t, restarted, state.cur_loss, bound))
 
     series = EmbeddingSeries(
         y_src=srcs, y_tgt=tgts, method="rerunsvd" if math.isfinite(theta) else "incsvd",
         config={"d": d, "theta": theta},
     )
-    return series, log
-
-
-def incremental_svd_series(seq: SnapshotSequence, d: int):
-    """Pure incremental method: initial batch SVD plus additive updates."""
-    return rerun_svd_series(seq, d, math.inf)
+    return series, log, kept
 
 
 def optimal_svd_series(seq: SnapshotSequence, d: int) -> EmbeddingSeries:
@@ -371,18 +379,6 @@ def optimal_svd_series(seq: SnapshotSequence, d: int) -> EmbeddingSeries:
         srcs.append(y_src)
         tgts.append(y_tgt)
     return EmbeddingSeries(y_src=srcs, y_tgt=tgts, method="optsvd", config={"d": d})
-
-
-def svd_link_scores(series: EmbeddingSeries, t: int, pairs) -> np.ndarray:
-    """score(u, v) = Y_src(t)_u . Y_tgt(t)_v for each requested pair."""
-    y_src, y_tgt = series.src_at(t), series.tgt_at(t)
-    pairs = np.asarray(pairs, dtype=np.int64)
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise ValueError("pairs must be m x 2")
-    n = y_src.shape[0]
-    if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
-        raise IndexError("pair index outside node range")
-    return np.einsum("ij,ij->i", y_src[pairs[:, 0]], y_tgt[pairs[:, 1]])
 
 
 def save_restart_log(log, path) -> None:

@@ -1,12 +1,22 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is written the dumb, obvious way (pure Python loops, the
-textbook formula) and deliberately shares no code with the package.
+textbook formula) and deliberately shares no code with the package. The two
+exceptions are at the end: the plain incremental SVD fold, built from the
+package's update step with no restart test, and the prefix re-embed, which
+runs the package's methods on a prefix of the sequence, as link prediction
+once did.
 """
 
 import itertools
+import math
 
 import numpy as np
+
+from dynembed import ae, svd_embed
+from dynembed.evaluation import static_lp_split
+from dynembed.graphs import SnapshotSequence, dense_adjacency, edge_delta
+from dynembed.rng import Rng
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -143,3 +153,79 @@ def brute_min_cover_size(edges) -> int:
             if all(("r", u) in chosen or ("c", v) in chosen for u, v in edges):
                 return size
     raise AssertionError("unreachable: all vertices always cover")
+
+
+# --- the incremental SVD with no restart test ------------------------------
+
+
+def plain_incremental_fold(seq, d: int):
+    """([(Y_src, Y_tgt) per t], restart log) of a batch SVD of snapshot 0
+    followed by one additive update per step, never restarting."""
+    _, _, state = svd_embed.optimal_svd_embed(seq[0], d, t=0)
+    states = [state]
+    for t in range(1, len(seq)):
+        p, q = svd_embed.delta_factor(edge_delta(seq[t - 1], seq[t]), seq.n)
+        states.append(svd_embed.incremental_update(states[-1], p, q, d))
+    log = [svd_embed.RestartLogEntry(t, False, s.cur_loss, svd_embed.loss_lower_bound(s))
+           for t, s in enumerate(states)]
+    return [s.embedding() for s in states], log
+
+
+# --- link prediction by re-embedding the prefix --------------------------
+
+
+def _prefix_embed(cfg, seq):
+    """(series, extras) of cfg's method run on seq, picked by name."""
+    m = cfg.method
+    if m == "optsvd":
+        return svd_embed.optimal_svd_series(seq, cfg.d), {}
+    if m in ("incsvd", "rerunsvd"):
+        theta = cfg.theta if m == "rerunsvd" else math.inf
+        series, log, _ = svd_embed.rerun_svd_series(seq, cfg.d, theta)
+        return series, {"restart_log": log}
+    if m == "d2v_ae":
+        series, predictor, _ = ae.d2v_ae_series(seq, cfg.ae)
+        return series, {"predictor": predictor}
+    series_fn = {"ae_static": ae.static_ae_series, "aealign": ae.aealign_series,
+                 "dyngem": ae.dyngem_series}[m]
+    series, models = series_fn(seq, cfg.ae)
+    return series, {"models": models}
+
+
+def _prefix_scores(cfg, seq, series, extras, t):
+    """n x n scores of snapshot t from a run on seq."""
+    if cfg.method in ("optsvd", "incsvd", "rerunsvd"):
+        return series.src_at(t) @ series.tgt_at(t).T
+    if cfg.method == "d2v_ae":
+        return extras["predictor"].predict_next(seq, t - 1)
+    return ae.reconstruct(extras["models"][t], dense_adjacency(seq[t]))
+
+
+def _resolve_t(cfg, spec, hi):
+    t = hi + 1 + spec["t"] if spec["t"] < 0 else spec["t"]
+    assert (cfg.ae.lookback if cfg.method == "d2v_ae" else 0) <= t <= hi
+    return t
+
+
+def prefix_static_lp_scores(cfg, seq, spec):
+    """Static link prediction scores from the method re-run on snapshots
+    0..t with G_t replaced by its train split."""
+    t = _resolve_t(cfg, spec, len(seq) - 1)
+    train, _ = static_lp_split(seq[t], spec["hide_fraction"], Rng(cfg.seed + 101))
+    snaps = [seq[i] for i in range(t + 1)]
+    snaps[t] = train
+    prefix = SnapshotSequence(tuple(snaps))
+    return _prefix_scores(cfg, prefix, *_prefix_embed(cfg, prefix), t)
+
+
+def prefix_temporal_lp_scores(cfg, seq, spec):
+    """Temporal link prediction scores (for snapshot t+1) from the method
+    re-run on snapshots 0..t."""
+    t = _resolve_t(cfg, spec, len(seq) - 2)
+    prefix = SnapshotSequence(tuple(seq[i] for i in range(t + 1)))
+    series, extras = _prefix_embed(cfg, prefix)
+    if cfg.method == "d2v_ae":
+        return extras["predictor"].predict_next(prefix, t)
+    if cfg.method in ("optsvd", "incsvd", "rerunsvd"):
+        return series.src_at(t) @ series.tgt_at(t).T
+    return ae.reconstruct(extras["models"][t], dense_adjacency(seq[t]))

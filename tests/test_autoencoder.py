@@ -7,18 +7,20 @@ two-sided limit there.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dynembed.ae import (AeConfig, AeForwardError, AeTrainingError, MlpParams,
                          LookbackPredictor, ae_forward, ae_gradient, ae_loss,
-                         ae_reconstruction_scores, aealign_series,
-                         build_lookback_pairs, chain_align, d2v_ae_series,
-                         dyngem_series, encode, fresh_params, load_mlp_params,
-                         reconstruct, save_mlp_params, static_ae_series,
-                         train_dense, train_static_ae, window_inputs)
+                         aealign_series, build_lookback_pairs, chain_align,
+                         d2v_ae_series, dyngem_series, encode, fit_snapshot,
+                         fresh_params, load_mlp_params, reconstruct,
+                         save_mlp_params, static_ae_series, train_dense,
+                         window_inputs)
 from dynembed.graphs import GraphSnapshot, SnapshotSequence, dense_adjacency
+from dynembed.pipeline import METHOD_TABLE
 from dynembed.rng import Rng
 from dynembed.sbm import generate_sbm_snapshot
 
@@ -263,7 +265,7 @@ def test_training_halves_the_loss():
                        nu1=1e-6, nu2=1e-6, n_iter=150, xeta=1e-2, n_batch=8,
                        seed=seed)
         init_loss = ae_loss(fresh_params(16, cfg, Rng(seed)), adj, adj, cfg)
-        result = train_static_ae(g, cfg)
+        result = train_dense(adj, adj, cfg, None, Rng(seed))
         assert len(result.epoch_losses) == cfg.n_iter
         assert result.epoch_losses[-1] < 0.5 * init_loss
 
@@ -272,7 +274,8 @@ def test_loss_trend_is_downward():
     g = _two_block_graph()
     cfg = AeConfig(d=4, enc_units=(16,), dec_units=(16,), beta=5.0,
                    nu1=1e-6, nu2=1e-6, n_iter=60, xeta=1e-2, n_batch=8, seed=1)
-    losses = train_static_ae(g, cfg).epoch_losses
+    adj = dense_adjacency(g)
+    losses = train_dense(adj, adj, cfg, None, Rng(cfg.seed)).epoch_losses
     for i in range(len(losses) - 10):
         assert losses[i + 10] <= losses[i] + 1e-6
 
@@ -283,7 +286,7 @@ def test_divergent_step_size_raises():
     cfg = AeConfig(d=2, enc_units=(4,), dec_units=(4,), nu1=0.0, nu2=1e8,
                    n_iter=200, xeta=1e8, n_batch=8, seed=0)
     with pytest.raises(AeTrainingError) as exc:
-        train_static_ae(g, cfg)
+        fit_snapshot(dense_adjacency(g), cfg, 0)
     assert exc.value.epoch >= 0
     assert exc.value.batch >= -1
 
@@ -306,17 +309,28 @@ def test_static_series_shapes_and_seeding(small_sbm):
     for t in range(len(seq)):
         assert series.src_at(t).shape == (seq.n, 4)
         assert np.array_equal(series.src_at(t), series.tgt_at(t))
-    shared, _ = static_ae_series(seq, _small_cfg(n_iter=3), per_step_seeds=False)
-    assert not np.array_equal(series.src_at(1), shared.src_at(1))
+    # step t is trained with seed cfg.seed + t, not with one seed for all
+    for t in range(len(seq)):
+        adj = dense_adjacency(seq[t])
+        assert np.array_equal(series.src_at(t),
+                              encode(fit_snapshot(adj, _small_cfg(n_iter=3), t), adj))
+    adj = dense_adjacency(seq[1])
+    shared = encode(fit_snapshot(adj, _small_cfg(n_iter=3), 0), adj)
+    assert not np.array_equal(series.src_at(1), shared)
 
 
 def test_aealign_identical_snapshots_collapse():
     g = _two_block_graph()
     seq = SnapshotSequence([g, g, g])
-    series, _ = aealign_series(seq, _small_cfg(n_iter=5), per_step_seeds=False)
+    series, _ = aealign_series(seq, _small_cfg(n_iter=5))
+    raw, _ = static_ae_series(seq, _small_cfg(n_iter=5))
     assert series.method == "aealign"
-    for t in (1, 2):
-        assert np.allclose(series.src_at(t), series.src_at(0), atol=1e-8)
+    assert all(np.array_equal(a, b) for a, b in zip(series.y_src, chain_align(raw.y_src)))
+    # twin snapshots trained with one seed have equal embeddings, which
+    # alignment leaves in place
+    twin = raw.src_at(0)
+    for y in chain_align([twin, twin, twin])[1:]:
+        assert np.allclose(y, twin, atol=1e-8)
 
 
 def test_chain_align_keeps_first_and_undoes_planted_rotation():
@@ -341,12 +355,18 @@ def test_alignment_is_non_expansive():
 def test_dyngem_zero_warm_iters_freezes_model():
     g = _two_block_graph()
     seq = SnapshotSequence([g, g, g])
-    series, models = dyngem_series(seq, _small_cfg(n_iter=10), warm_n_iter=0)
+    cfg = _small_cfg(n_iter=10)
+    series, models = dyngem_series(seq, cfg)
     assert series.method == "dyngem"
-    assert np.array_equal(series.src_at(1), series.src_at(0))
-    assert np.array_equal(series.src_at(2), series.src_at(0))
-    assert all(np.array_equal(a, b) for a, b in
-               zip(models[0].weights, models[2].weights))
+    adj = dense_adjacency(g)
+    # each step is trained from the previous step's model ...
+    for t in (1, 2):
+        again = fit_snapshot(adj, cfg, t, models[t - 1])
+        assert all(np.array_equal(a, b) for a, b in zip(again.weights, models[t].weights))
+    # ... so zero warm iterations keep that model as it is
+    frozen = fit_snapshot(adj, replace(cfg, n_iter=0), 1, models[0])
+    assert all(np.array_equal(a, b) for a, b in zip(frozen.weights, models[0].weights))
+    assert np.array_equal(encode(frozen, adj), series.src_at(0))
 
 
 def test_warm_start_reaches_fresh_loss_faster(small_sbm):
@@ -355,10 +375,10 @@ def test_warm_start_reaches_fresh_loss_faster(small_sbm):
     ratios = []
     for seed in range(5):
         cfg = _small_cfg(n_iter=n_iter, seed=seed)
-        base = train_static_ae(seq[0], cfg)
-        cfg1 = _small_cfg(n_iter=n_iter, seed=seed + 1)
-        fresh = train_static_ae(seq[1], cfg1)
-        warm = train_static_ae(seq[1], cfg1, init=base.params)
+        adj0, adj1 = dense_adjacency(seq[0]), dense_adjacency(seq[1])
+        base = fit_snapshot(adj0, cfg, 0)
+        fresh = train_dense(adj1, adj1, cfg, None, Rng(seed + 1))
+        warm = train_dense(adj1, adj1, cfg, base, Rng(seed + 1))
         target = fresh.epoch_losses[-1]
         hit = next(i for i, l in enumerate(warm.epoch_losses) if l <= target)
         ratios.append((hit + 1) / n_iter)
@@ -434,8 +454,10 @@ def test_reconstruction_scores_are_decoded_rows():
     g = _two_block_graph()
     adj = dense_adjacency(g)
     params = fresh_params(16, _small_cfg(), Rng(2))
-    assert np.array_equal(ae_reconstruction_scores(params, adj),
-                          reconstruct(params, adj))
+    for name in ("ae_static", "aealign", "dyngem"):
+        scores = METHOD_TABLE[name].scores(None, SnapshotSequence([g]), None,
+                                           {"models": [params]}, 0)
+        assert np.array_equal(scores, reconstruct(params, adj))
 
 
 # --- persistence ------------------------------------------------------------

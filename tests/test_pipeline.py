@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from dynembed.cli import main
 from dynembed.config import from_dict
 from dynembed.pipeline import PipelineError, prepare_data, run_experiment
 from dynembed.series import load_embedding_series
@@ -110,3 +111,56 @@ def test_files_the_run_does_not_own_are_kept(tmp_path):
     run_experiment(_sbm_run(out, 3))
     assert (out / "notes.txt").read_text() == "keep me\n"
     assert (out / "emb_final.csv").exists()
+
+
+def test_file_data_run_drops_generated_data_of_an_earlier_run(tmp_path):
+    out = tmp_path / "out"
+    run_experiment(_sbm_run(out, 3))
+    assert (out / "labels.txt").exists()
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    cfg = _file_config(inputs)
+    run_experiment(from_dict({**cfg.resolved(), "outdir": str(out)}))
+    names = {p.name for p in out.iterdir()}
+    assert not names & {"snapshots.txt", "labels.txt", "migrations.txt"}
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert names - {"manifest.json"} == set(manifest["files"])
+
+
+def test_data_files_the_run_reads_are_kept(tmp_path):
+    out = tmp_path / "out"
+    run_experiment(_sbm_run(out, 3))
+    before = {name: (out / name).read_bytes() for name in ("snapshots.txt", "labels.txt")}
+    # read two of the generated files back; the third is no input, so it goes
+    cfg = from_dict({"outdir": str(out), "method": {"name": "optsvd", "d": 2},
+                     "data": {"snapshots": str(out / "snapshots.txt"),
+                              "labels": str(out / "labels.txt")},
+                     "tasks": {"classification": {}}})
+    run_experiment(cfg)
+    assert {name: (out / name).read_bytes() for name in before} == before
+    assert not (out / "migrations.txt").exists()
+
+
+def test_a_generated_dataset_outlives_runs_in_its_directory(tmp_path):
+    data = tmp_path / "data"
+    assert main(["generate", "--nodes", "30", "--communities", "2", "--length", "3",
+                 "--migrate", "1", "--outdir", str(data)]) == 0
+    before = {p.name: p.read_bytes() for p in data.iterdir()}
+    # the run reads only snapshots.txt; no manifest says dynembed made the rest
+    cfg = from_dict({"outdir": str(data), "method": {"name": "optsvd", "d": 2},
+                     "data": {"snapshots": str(data / "snapshots.txt")},
+                     "tasks": {"reconstruction": {}}})
+    run_experiment(cfg)
+    run_experiment(cfg)
+    assert {name: (data / name).read_bytes() for name in before} == before
+
+
+def test_a_generated_data_file_changed_since_is_kept(tmp_path):
+    out = tmp_path / "out"
+    run_experiment(_sbm_run(out, 3))
+    (out / "labels.txt").write_text(LABELS)  # no longer what the manifest lists
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    run_experiment(from_dict({**_file_config(inputs).resolved(), "outdir": str(out)}))
+    assert (out / "labels.txt").read_text() == LABELS
+    assert not (out / "snapshots.txt").exists() and not (out / "migrations.txt").exists()

@@ -19,11 +19,10 @@ from dynembed.numerics import truncated_svd
 from dynembed.rng import Rng
 from dynembed.sbm import generate_sbm_snapshot
 from dynembed.svd_embed import (RestartLogEntry, delta_factor,
-                                incremental_svd_series, incremental_update,
+                                incremental_update,
                                 optimal_svd_embed, optimal_svd_series,
-                                rerun_svd_series, save_restart_log,
-                                svd_link_scores)
-from oracles import brute_min_cover_size, row_indicator_factor
+                                rerun_svd_series, save_restart_log)
+from oracles import brute_min_cover_size, plain_incremental_fold, row_indicator_factor
 
 
 def _snapshot_from_dense(a):
@@ -237,7 +236,7 @@ def test_update_exact_when_d_covers_rank():
 
 def test_incremental_tracks_batch_loss_on_drift(drift_sbm_50):
     seq = SnapshotSequence(drift_sbm_50.sequence[:3])
-    series, log = incremental_svd_series(seq, 6)
+    series, log, _ = rerun_svd_series(seq, 6, math.inf)
     for t in range(len(seq)):
         a = dense_adjacency(seq[t])
         opt = float(np.sum((a - truncated_svd(a, 6).reconstruct()) ** 2))
@@ -266,7 +265,7 @@ def test_cur_loss_is_exact_after_updates(drift_sbm_50):
 
 def test_restart_fires_on_slow_bound_decay():
     seq = _restart_fixture()
-    series, log = rerun_svd_series(seq, 4, theta=0.08)
+    series, log, _ = rerun_svd_series(seq, 4, theta=0.08)
     assert not log[0].restarted
     assert any(e.restarted for e in log[1:])
     for e in log:
@@ -282,7 +281,7 @@ def test_restart_fires_on_slow_bound_decay():
 
 def test_tiny_theta_restarts_every_step():
     seq = _restart_fixture()
-    _, log = rerun_svd_series(seq, 4, theta=1e-9)
+    _, log, _ = rerun_svd_series(seq, 4, theta=1e-9)
     assert all(e.restarted for e in log[1:])
     for e in log[1:]:
         a = dense_adjacency(seq[e.t])
@@ -292,8 +291,8 @@ def test_tiny_theta_restarts_every_step():
 
 def test_monotone_loss_dominance():
     seq = _restart_fixture()
-    _, log_inc = incremental_svd_series(seq, 4)
-    _, log_rerun = rerun_svd_series(seq, 4, theta=0.08)
+    _, log_inc, _ = rerun_svd_series(seq, 4, math.inf)
+    _, log_rerun, _ = rerun_svd_series(seq, 4, theta=0.08)
     for t in range(len(seq)):
         a = dense_adjacency(seq[t])
         opt = float(np.sum((a - truncated_svd(a, 4).reconstruct()) ** 2))
@@ -303,14 +302,29 @@ def test_monotone_loss_dominance():
 
 def test_infinite_theta_is_bitwise_incremental(drift_sbm_50):
     seq = SnapshotSequence(drift_sbm_50.sequence[:4])
-    inc_series, inc_log = incremental_svd_series(seq, 6)
-    inf_series, inf_log = rerun_svd_series(seq, 6, math.inf)
-    assert inc_series.method == inf_series.method == "incsvd"
-    for t in range(len(seq)):
-        assert np.array_equal(inc_series.src_at(t), inf_series.src_at(t))
-        assert np.array_equal(inc_series.tgt_at(t), inf_series.tgt_at(t))
+    inc_embeddings, inc_log = plain_incremental_fold(seq, 6)
+    inf_series, inf_log, _ = rerun_svd_series(seq, 6, math.inf)
+    assert inf_series.method == "incsvd"
+    for t, (y_src, y_tgt) in enumerate(inc_embeddings):
+        assert np.array_equal(y_src, inf_series.src_at(t))
+        assert np.array_equal(y_tgt, inf_series.tgt_at(t))
     assert inc_log == inf_log
     assert not any(e.restarted for e in inf_log)
+
+
+@pytest.mark.parametrize("keep", [0, 2, 4])
+def test_kept_state_is_that_steps_state(keep):
+    seq = _restart_fixture()
+    series, log, state = rerun_svd_series(seq, 4, 0.08, keep=keep)
+    assert state.t_cur == keep and state.cur_loss == log[keep].cur_loss
+    y_src, y_tgt = state.embedding()
+    assert np.array_equal(y_src, series.src_at(keep))
+    assert np.array_equal(y_tgt, series.tgt_at(keep))
+
+
+@pytest.mark.parametrize("keep", [None, -1, 99])
+def test_no_state_kept_for_a_step_the_series_lacks(keep):
+    assert rerun_svd_series(_restart_fixture(), 4, 0.08, keep=keep)[2] is None
 
 
 def test_theta_validation():
@@ -323,49 +337,12 @@ def test_theta_validation():
 
 def test_method_tags():
     seq = _restart_fixture()
-    series, _ = rerun_svd_series(seq, 2, 0.5)
+    series, _, _ = rerun_svd_series(seq, 2, 0.5)
     assert series.method == "rerunsvd"
     assert optimal_svd_series(seq, 2).method == "optsvd"
 
 
-# --- scoring and logs -----------------------------------------------------
-
-
-def test_link_scores_zero_embeddings():
-    seq = SnapshotSequence([GraphSnapshot(4)])
-    series = optimal_svd_series(seq, 2)
-    pairs = np.array([[0, 1], [2, 3]])
-    assert np.array_equal(svd_link_scores(series, 0, pairs), np.zeros(2))
-
-
-def test_link_scores_exact_rank_case():
-    a = _block_constant((4, 3, 3), np.array([[1.0, 2.0, 0.0],
-                                             [0.0, 1.0, 0.0],
-                                             [0.0, 0.0, 3.0]]))
-    seq = SnapshotSequence([_snapshot_from_dense(a)])
-    series = optimal_svd_series(seq, 4)
-    pairs = np.array([[u, v] for u in range(10) for v in range(10)])
-    scores = svd_link_scores(series, 0, pairs)
-    assert np.max(np.abs(scores - a[pairs[:, 0], pairs[:, 1]])) <= 1e-8
-
-
-def test_link_scores_assemble_full_matrix(drift_sbm_50):
-    seq = SnapshotSequence(drift_sbm_50.sequence[:1])
-    series = optimal_svd_series(seq, 4)
-    pairs = np.array([[u, v] for u in range(seq.n) for v in range(seq.n)])
-    scores = svd_link_scores(series, 0, pairs)
-    full = series.src_at(0) @ series.tgt_at(0).T
-    # per-pair dots and BLAS matmul disagree only in the last ulps
-    assert np.allclose(scores.reshape(seq.n, seq.n), full, rtol=1e-13, atol=1e-14)
-
-
-def test_link_scores_validation():
-    seq = SnapshotSequence([GraphSnapshot(3)])
-    series = optimal_svd_series(seq, 2)
-    with pytest.raises(ValueError, match="m x 2"):
-        svd_link_scores(series, 0, np.zeros((2, 3), dtype=np.int64))
-    with pytest.raises(IndexError):
-        svd_link_scores(series, 0, np.array([[0, 3]]))
+# --- restart log -----------------------------------------------------------
 
 
 def test_restart_log_format(tmp_path):
