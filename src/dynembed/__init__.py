@@ -34,7 +34,6 @@ from .graphs import (
     EdgeDelta,
     GraphSnapshot,
     SnapshotSequence,
-    apply_delta,
     dense_adjacency,
     edge_delta,
     load_snapshots,
@@ -60,7 +59,7 @@ __all__ = [
     "ExperimentConfig", "from_dict", "from_file", "EvalReport",
     "ScoredPairs", "mean_average_precision", "migration_proximity_stat",
     "node_classification", "precision_at_k", "static_lp_split", "temporal_lp_eval",
-    "EdgeDelta", "GraphSnapshot", "SnapshotSequence", "apply_delta", "dense_adjacency",
+    "EdgeDelta", "GraphSnapshot", "SnapshotSequence", "dense_adjacency",
     "edge_delta", "load_snapshots", "save_snapshots", "TruncatedSvd", "pca_project_2d",
     "procrustes_rotation", "truncated_svd", "run_experiment", "Rng",
     "DynamicSbmSeries", "SbmParams", "diminish_series", "generate_sbm_snapshot",

@@ -231,15 +231,6 @@ def temporal_lp_eval(scores: np.ndarray, seq: SnapshotSequence, t: int, k_grid,
                            method=method, seed=seed, config_digest=config_digest)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def _stratified_split(labels: np.ndarray, train_frac: float, rng: Rng):
     train_idx, test_idx = [], []
     for c in np.unique(labels):
@@ -295,7 +286,7 @@ def node_classification(emb: np.ndarray, labels, train_frac: float, seed: int = 
         w = np.zeros(emb.shape[1])
         b = 0.0
         for _ in range(iters):
-            p = _sigmoid(x_tr @ w + b)
+            p = kernels.sigmoid(x_tr @ w + b)
             err = p - y_bin
             w -= lr * (x_tr.T @ err / n_tr + 2.0 * l2 * w)
             b -= lr * float(err.mean())

@@ -65,13 +65,6 @@ class GraphSnapshot:
     def edge_dict(self) -> dict:
         return dict(self._adj)
 
-    def out_row(self, u: int) -> np.ndarray:
-        row = np.zeros(self.n)
-        for (a, v), w in self._adj.items():
-            if a == u:
-                row[v] = w
-        return row
-
     def __eq__(self, other):
         if not isinstance(other, GraphSnapshot):
             return NotImplemented
@@ -156,24 +149,6 @@ def edge_delta(prev: GraphSnapshot, next_: GraphSnapshot) -> EdgeDelta:
         reweighted=frozenset(reweighted),
         touched_rows=frozenset(touched),
     )
-
-
-def apply_delta(g: GraphSnapshot, delta: EdgeDelta) -> GraphSnapshot:
-    """Apply a delta produced by edge_delta; validates it matches g."""
-    adj = g.edge_dict()
-    for u, v, w_old in delta.removed:
-        if adj.get((u, v)) != w_old:
-            raise ValueError(f"removed edge ({u},{v}) does not match snapshot")
-        del adj[(u, v)]
-    for u, v, w_old, w_new in delta.reweighted:
-        if adj.get((u, v)) != w_old:
-            raise ValueError(f"reweighted edge ({u},{v}) does not match snapshot")
-        adj[(u, v)] = w_new
-    for u, v, w in delta.added:
-        if (u, v) in adj:
-            raise ValueError(f"added edge ({u},{v}) already present")
-        adj[(u, v)] = w
-    return GraphSnapshot(g.n, ((u, v, w) for (u, v), w in adj.items()))
 
 
 def dense_adjacency(g: GraphSnapshot, limit: int = DEFAULT_DENSE_LIMIT) -> np.ndarray:

@@ -1,44 +1,14 @@
-"""Hot numeric kernels with numba-jitted and pure-numpy implementations.
+"""Hot numeric kernels, vectorized with numpy.
 
-Every kernel exists in two variants: a loop-style version compiled with
-``numba.njit`` and a vectorized numpy fallback. The active backend is chosen
-at import time: numba is used when it imports cleanly, unless the environment
-variable ``DYNEMBED_DISABLE_NUMBA`` is set to 1/true/yes/on, in which case the
-numpy path is forced. ``BACKEND`` records the choice.
-
-Both variants compute the same quantity; floating-point results may differ in
-the last ulps across backends (different summation order, different libm).
-Within one backend, results are deterministic.
+The autoencoder, the SBM sampler and the ranking evaluation call these
+through the module (``kernels.<name>``), so each kernel is one function that
+a profiler can wrap.
 """
-
-import os
 
 import numpy as np
 
-ENV_FLAG = "DYNEMBED_DISABLE_NUMBA"
 
-
-def numba_disabled_by_env() -> bool:
-    return os.environ.get(ENV_FLAG, "").strip().lower() in {"1", "true", "yes", "on"}
-
-
-_HAVE_NUMBA = False
-if not numba_disabled_by_env():
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        _HAVE_NUMBA = False
-
-BACKEND = "numba" if _HAVE_NUMBA else "numpy"
-
-
-# ---------------------------------------------------------------------------
-# numpy implementations
-
-
-def sigmoid_np(z):
+def sigmoid(z):
     """Elementwise logistic function, overflow-safe."""
     out = np.empty_like(z)
     pos = z >= 0
@@ -48,34 +18,34 @@ def sigmoid_np(z):
     return out
 
 
-def sigmoid_grad_np(g, h):
+def sigmoid_grad(g, h):
     """Backprop through sigmoid given upstream gradient g and activation h."""
     return g * h * (1.0 - h)
 
 
-def affine_sigmoid_np(x, w, b):
+def affine_sigmoid(x, w, b):
     """sigmoid(x @ w + b) for a batch of row vectors."""
-    return sigmoid_np(x @ w + b)
+    return sigmoid(x @ w + b)
 
 
-def weighted_sq_error_np(xhat, target, beta):
+def weighted_sq_error(xhat, target, beta):
     """Sum of squared errors with weight beta on coordinates where target > 0."""
     w = np.where(target > 0.0, beta, 1.0)
     d = xhat - target
     return float(np.sum(w * d * d))
 
 
-def weighted_error_grad_np(xhat, target, beta):
+def weighted_error_grad(xhat, target, beta):
     """Gradient of weighted_sq_error with respect to xhat."""
     w = np.where(target > 0.0, beta, 1.0)
     return 2.0 * w * (xhat - target)
 
 
-def block_sample_np(urand, labels, p_in, p_out):
+def block_sample(urand, labels, p_in, p_out):
     """Directed SBM adjacency from pre-drawn uniforms; no self-loops.
 
     Edge (u, v) is present iff urand[u, v] < p_in when labels match, p_out
-    otherwise. Pure comparisons, so results are bit-identical across backends.
+    otherwise.
     """
     same = labels[:, None] == labels[None, :]
     probs = np.where(same, p_in, p_out)
@@ -84,11 +54,11 @@ def block_sample_np(urand, labels, p_in, p_out):
     return adj
 
 
-def average_precision_np(hits, n_true):
+def average_precision(hits, n_true):
     """Average precision of a ranked 0/1 hit vector against n_true relevant items.
 
-    Accumulates sequentially (not np.sum) so both backends add the hit
-    precisions in the same order and agree bitwise.
+    Adds the hit precisions one at a time in rank order. np.sum would group
+    them pairwise and could change the last bits of reported MAP values.
     """
     idx = np.flatnonzero(hits)
     if idx.size == 0:
@@ -97,128 +67,3 @@ def average_precision_np(hits, n_true):
     for found, rank in enumerate((idx + 1.0).tolist(), start=1):
         total += found / rank
     return total / n_true
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _sigmoid_nb(z):
-        out = np.empty_like(z)
-        for i in range(z.shape[0]):
-            for j in range(z.shape[1]):
-                v = z[i, j]
-                if v >= 0.0:
-                    out[i, j] = 1.0 / (1.0 + np.exp(-v))
-                else:
-                    e = np.exp(v)
-                    out[i, j] = e / (1.0 + e)
-        return out
-
-    @njit(cache=True)
-    def _sigmoid_grad_nb(g, h):
-        out = np.empty_like(g)
-        for i in range(g.shape[0]):
-            for j in range(g.shape[1]):
-                hv = h[i, j]
-                out[i, j] = g[i, j] * hv * (1.0 - hv)
-        return out
-
-    @njit(cache=True)
-    def _affine_sigmoid_nb(x, w, b):
-        z = np.dot(x, w)
-        out = np.empty_like(z)
-        for i in range(z.shape[0]):
-            for j in range(z.shape[1]):
-                v = z[i, j] + b[j]
-                if v >= 0.0:
-                    out[i, j] = 1.0 / (1.0 + np.exp(-v))
-                else:
-                    e = np.exp(v)
-                    out[i, j] = e / (1.0 + e)
-        return out
-
-    @njit(cache=True)
-    def _weighted_sq_error_nb(xhat, target, beta):
-        total = 0.0
-        for i in range(xhat.shape[0]):
-            for j in range(xhat.shape[1]):
-                d = xhat[i, j] - target[i, j]
-                if target[i, j] > 0.0:
-                    total += beta * d * d
-                else:
-                    total += d * d
-        return total
-
-    @njit(cache=True)
-    def _weighted_error_grad_nb(xhat, target, beta):
-        out = np.empty_like(xhat)
-        for i in range(xhat.shape[0]):
-            for j in range(xhat.shape[1]):
-                d = xhat[i, j] - target[i, j]
-                if target[i, j] > 0.0:
-                    out[i, j] = 2.0 * beta * d
-                else:
-                    out[i, j] = 2.0 * d
-        return out
-
-    @njit(cache=True)
-    def _block_sample_nb(urand, labels, p_in, p_out):
-        n = urand.shape[0]
-        adj = np.zeros((n, n))
-        for u in range(n):
-            for v in range(n):
-                if u == v:
-                    continue
-                p = p_in if labels[u] == labels[v] else p_out
-                if urand[u, v] < p:
-                    adj[u, v] = 1.0
-        return adj
-
-    @njit(cache=True)
-    def _average_precision_nb(hits, n_true):
-        found = 0
-        total = 0.0
-        for i in range(hits.shape[0]):
-            if hits[i]:
-                found += 1
-                total += found / (i + 1.0)
-        if found == 0:
-            return 0.0
-        return total / n_true
-
-
-if _HAVE_NUMBA:
-    sigmoid = _sigmoid_nb
-    sigmoid_grad = _sigmoid_grad_nb
-    affine_sigmoid = _affine_sigmoid_nb
-    weighted_sq_error = _weighted_sq_error_nb
-    weighted_error_grad = _weighted_error_grad_nb
-    block_sample = _block_sample_nb
-    average_precision = _average_precision_nb
-else:
-    sigmoid = sigmoid_np
-    sigmoid_grad = sigmoid_grad_np
-    affine_sigmoid = affine_sigmoid_np
-    weighted_sq_error = weighted_sq_error_np
-    weighted_error_grad = weighted_error_grad_np
-    block_sample = block_sample_np
-    average_precision = average_precision_np
-
-
-def warmup():
-    """Trigger JIT compilation of every kernel on tiny inputs.
-
-    No-op on the numpy backend. Useful before timing anything.
-    """
-    z = np.zeros((2, 2))
-    lab = np.zeros(2, dtype=np.int64)
-    sigmoid(z)
-    sigmoid_grad(z, z + 0.5)
-    affine_sigmoid(z, z, np.zeros(2))
-    weighted_sq_error(z, z, 5.0)
-    weighted_error_grad(z, z, 5.0)
-    block_sample(z + 0.5, lab, 1.0, 0.0)
-    average_precision(np.array([1.0, 0.0]), 1)

@@ -14,9 +14,9 @@ retrains on the prefix ending at t for both tasks.
 
 Labels and migration records read from files are checked against the
 sequence and against each other. A run first deletes the outputs an earlier
-run left in its outdir. The manifest records the resolved config, the
-kernel backend, package versions, and a sha256 digest per output file; it
-contains no timestamps, so identical runs produce identical bytes.
+run left in its outdir. The manifest records the resolved config, package
+versions, and a sha256 digest per output file; it contains no timestamps,
+so identical runs produce identical bytes.
 """
 
 import hashlib
@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import __version__, kernels, svd_embed
+from . import __version__, svd_embed
 from .ae import aealign_series, d2v_ae_series, dyngem_series, fit_snapshot, reconstruct, \
     save_mlp_params, static_ae_series
 from .config import ExperimentConfig
@@ -339,16 +339,6 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _versions() -> dict:
-    versions = {"dynembed": __version__, "numpy": np.__version__}
-    try:
-        import numba
-        versions["numba"] = numba.__version__
-    except ImportError:
-        versions["numba"] = None
-    return versions
-
-
 def run_experiment(cfg: ExperimentConfig, stage: str = "run") -> dict:
     """Execute the pipeline; stage is one of embed/evaluate/project/run.
 
@@ -403,10 +393,9 @@ def run_experiment(cfg: ExperimentConfig, stage: str = "run") -> dict:
 
     if stage == "run":
         manifest = {
-            "backend": kernels.BACKEND,
             "config": cfg.resolved(),
             "files": dict(sorted(files.items())),
-            "versions": _versions(),
+            "versions": {"dynembed": __version__, "numpy": np.__version__},
         }
         with open(outdir / "manifest.json", "w", encoding="utf-8", newline="\n") as fh:
             fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

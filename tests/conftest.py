@@ -1,15 +1,8 @@
-"""Shared fixtures. Kernels are warmed once per session so JIT compilation
-never lands inside a timed test."""
+"""Shared fixtures: small seeded SBM sequences used across test modules."""
 
 import pytest
 
-from dynembed import kernels
 from dynembed.sbm import SbmParams, diminish_series
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    kernels.warmup()
 
 
 @pytest.fixture(scope="session")

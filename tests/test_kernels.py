@@ -1,13 +1,4 @@
-"""Backend equivalence and correctness of the hot kernels.
-
-Float kernels may differ across backends in the last ulps, so those compare
-at tight-but-not-exact tolerance; block_sample is pure comparisons and must
-be bit-identical.
-"""
-
-import os
-import subprocess
-import sys
+"""Correctness of the hot kernels against hand values and brute-force oracles."""
 
 import numpy as np
 import pytest
@@ -16,62 +7,9 @@ from dynembed import kernels
 
 from oracles import brute_average_precision
 
-numba_only = pytest.mark.skipif(kernels.BACKEND != "numba",
-                                reason="needs the numba backend")
-
 
 def _rand(shape, seed=0):
     return np.random.default_rng(seed).normal(size=shape)
-
-
-@numba_only
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_sigmoid_backends_agree(seed):
-    z = _rand((7, 5), seed) * 10.0
-    assert np.allclose(kernels.sigmoid(z), kernels.sigmoid_np(z), rtol=1e-12, atol=0)
-
-
-@numba_only
-def test_sigmoid_grad_backends_agree():
-    g = _rand((6, 4), 1)
-    h = 1.0 / (1.0 + np.exp(-_rand((6, 4), 2)))
-    assert np.allclose(kernels.sigmoid_grad(g, h), kernels.sigmoid_grad_np(g, h),
-                       rtol=1e-12, atol=0)
-
-
-@numba_only
-def test_affine_sigmoid_backends_agree():
-    x, w, b = _rand((8, 5), 3), _rand((5, 4), 4), _rand(4, 5)
-    assert np.allclose(kernels.affine_sigmoid(x, w, b),
-                       kernels.affine_sigmoid_np(x, w, b), rtol=1e-12)
-
-
-@numba_only
-def test_weighted_error_backends_agree():
-    xhat = np.abs(_rand((9, 6), 6))
-    target = (np.abs(_rand((9, 6), 7)) > 0.8).astype(np.float64)
-    a = kernels.weighted_sq_error(xhat, target, 5.0)
-    b = kernels.weighted_sq_error_np(xhat, target, 5.0)
-    assert abs(a - b) <= 1e-12 * max(abs(a), abs(b))
-    assert np.allclose(kernels.weighted_error_grad(xhat, target, 5.0),
-                       kernels.weighted_error_grad_np(xhat, target, 5.0), rtol=1e-12)
-
-
-@numba_only
-def test_block_sample_bit_identical_across_backends():
-    urand = np.random.default_rng(8).random((30, 30))
-    labels = np.repeat(np.arange(3, dtype=np.int64), 10)
-    a = kernels.block_sample(urand, labels, 0.3, 0.02)
-    b = kernels.block_sample_np(urand, labels, 0.3, 0.02)
-    assert np.array_equal(a, b)
-
-
-@numba_only
-def test_average_precision_backends_agree():
-    hits = (np.random.default_rng(9).random(40) > 0.7).astype(np.float64)
-    a = kernels.average_precision(hits, 14)
-    b = kernels.average_precision_np(hits, 14)
-    assert abs(a - b) <= 1e-12
 
 
 def test_sigmoid_overflow_safe():
@@ -128,24 +66,3 @@ def test_average_precision_against_brute_force():
 
 def test_average_precision_no_hits():
     assert kernels.average_precision(np.zeros(5), 3) == 0.0
-
-
-def test_env_flag_parsing(monkeypatch):
-    for text, want in (("1", True), ("true", True), ("YES", True), (" on ", True),
-                       ("0", False), ("", False), ("no", False)):
-        monkeypatch.setenv(kernels.ENV_FLAG, text)
-        assert kernels.numba_disabled_by_env() is want
-    monkeypatch.delenv(kernels.ENV_FLAG)
-    assert kernels.numba_disabled_by_env() is False
-
-
-def test_env_flag_forces_numpy_backend():
-    env = dict(os.environ, **{kernels.ENV_FLAG: "1"})
-    out = subprocess.run(
-        [sys.executable, "-c", "from dynembed import kernels; print(kernels.BACKEND)"],
-        env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "numpy"
-
-
-def test_warmup_runs_on_any_backend():
-    kernels.warmup()
