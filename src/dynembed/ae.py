@@ -25,20 +25,10 @@ from . import kernels
 from .graphs import SnapshotSequence, dense_adjacency
 from .numerics import procrustes_rotation
 from .rng import Rng
-from .series import EmbeddingSeries
+from .series import EmbeddingSeries, format_matrix, format_rows
 
 
-class AeError(RuntimeError):
-    pass
-
-
-class AeForwardError(AeError):
-    def __init__(self, layer: int):
-        super().__init__(f"non-finite values produced at layer {layer}")
-        self.layer = layer
-
-
-class AeTrainingError(AeError):
+class AeTrainingError(RuntimeError):
     def __init__(self, epoch: int, batch: int):
         super().__init__(f"non-finite loss at epoch {epoch}, batch {batch}")
         self.epoch = epoch
@@ -103,18 +93,6 @@ class MlpParams:
     def n_layers(self) -> int:
         return len(self.weights)
 
-    @property
-    def input_dim(self) -> int:
-        return self.weights[0].shape[0]
-
-    @property
-    def output_dim(self) -> int:
-        return self.weights[-1].shape[1]
-
-    @property
-    def embed_dim(self) -> int:
-        return self.weights[self.n_encoder_layers - 1].shape[1]
-
     def is_sigmoid_layer(self, i: int) -> bool:
         # identity on the embedding layer, sigmoid everywhere else
         return i != self.n_encoder_layers - 1
@@ -139,47 +117,23 @@ def fresh_params(input_dim: int, cfg: AeConfig, rng: Rng, output_dim: int | None
     return MlpParams(weights=weights, biases=biases, n_encoder_layers=len(cfg.enc_units) + 1)
 
 
-def _forward_activations(params: MlpParams, x: np.ndarray, check: bool = False) -> list:
+def _forward_activations(params: MlpParams, x: np.ndarray, n_layers: int | None = None) -> list:
+    """Input and the output of each of the first n_layers layers (all by default)."""
     acts = [x]
     h = x
-    for i in range(params.n_layers):
+    for i in range(params.n_layers if n_layers is None else n_layers):
         if params.is_sigmoid_layer(i):
             h = kernels.affine_sigmoid(h, params.weights[i], params.biases[i])
         else:
             h = h @ params.weights[i] + params.biases[i]
-        if check and not np.all(np.isfinite(h)):
-            raise AeForwardError(i)
         acts.append(h)
     return acts
 
 
-def ae_forward(params: MlpParams, x: np.ndarray):
-    """Feed-forward pass; returns (embedding, reconstruction).
-
-    Accepts a single input vector or a batch of row vectors.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.shape[1] != params.input_dim:
-        raise ValueError(f"input dim {x.shape[1]} != {params.input_dim}")
-    acts = _forward_activations(params, x, check=True)
-    y, xhat = acts[params.n_encoder_layers], acts[-1]
-    if single:
-        return y[0], xhat[0]
-    return y, xhat
-
-
 def encode(params: MlpParams, x: np.ndarray) -> np.ndarray:
     """Embedding-layer output for a batch of row vectors."""
-    h = np.asarray(x, dtype=np.float64)
-    for i in range(params.n_encoder_layers):
-        if params.is_sigmoid_layer(i):
-            h = kernels.affine_sigmoid(h, params.weights[i], params.biases[i])
-        else:
-            h = h @ params.weights[i] + params.biases[i]
-    return h
+    x = np.asarray(x, dtype=np.float64)
+    return _forward_activations(params, x, params.n_encoder_layers)[-1]
 
 
 def reconstruct(params: MlpParams, x: np.ndarray) -> np.ndarray:
@@ -264,25 +218,27 @@ def fit_snapshot(adj: np.ndarray, cfg: AeConfig, t: int, init: MlpParams | None 
     return train_dense(adj, adj, cfg, init, Rng(cfg.seed + t)).params
 
 
-def static_ae_series(seq: SnapshotSequence, cfg: AeConfig):
-    """Independent static AE per snapshot; returns (series, params per t)."""
+def _snapshot_fold(seq: SnapshotSequence, cfg: AeConfig, warm: bool, method: str):
+    """One model per snapshot, from fresh weights or, with warm, from the
+    previous snapshot's model; returns (series, params per t)."""
     ys, models = [], []
     for t in range(len(seq)):
         adj = dense_adjacency(seq[t])
-        models.append(fit_snapshot(adj, cfg, t))
+        models.append(fit_snapshot(adj, cfg, t, models[-1] if warm and models else None))
         ys.append(encode(models[-1], adj))
-    series = EmbeddingSeries(
-        y_src=ys, y_tgt=[y.copy() for y in ys], method="ae_static", config=_cfg_dict(cfg)
-    )
-    return series, models
+    return EmbeddingSeries(y_src=ys, y_tgt=[y.copy() for y in ys], method=method), models
 
 
-def chain_align(ys: list, proper: bool = False) -> list:
+def static_ae_series(seq: SnapshotSequence, cfg: AeConfig):
+    """Independent static AE per snapshot; returns (series, params per t)."""
+    return _snapshot_fold(seq, cfg, False, "ae_static")
+
+
+def chain_align(ys: list) -> list:
     """Rotate each embedding onto its aligned predecessor (first unchanged)."""
     out = [ys[0]]
     for t in range(1, len(ys)):
-        r = procrustes_rotation(ys[t], out[t - 1], proper=proper)
-        out.append(ys[t] @ r)
+        out.append(ys[t] @ procrustes_rotation(ys[t], out[t - 1]))
     return out
 
 
@@ -290,25 +246,14 @@ def aealign_series(seq: SnapshotSequence, cfg: AeConfig):
     """Static AE per snapshot, then Procrustes-align each step to the last."""
     raw, models = static_ae_series(seq, cfg)
     aligned = chain_align(raw.y_src)
-    series = EmbeddingSeries(
-        y_src=aligned, y_tgt=[y.copy() for y in aligned], method="aealign",
-        config=_cfg_dict(cfg),
-    )
-    return series, models
+    return EmbeddingSeries(y_src=aligned, y_tgt=[y.copy() for y in aligned],
+                           method="aealign"), models
 
 
 def dyngem_series(seq: SnapshotSequence, cfg: AeConfig):
     """Train t=0 from scratch, then carry weights forward as the init of each
     following snapshot."""
-    ys, models = [], []
-    for t in range(len(seq)):
-        adj = dense_adjacency(seq[t])
-        models.append(fit_snapshot(adj, cfg, t, models[-1] if models else None))
-        ys.append(encode(models[-1], adj))
-    series = EmbeddingSeries(
-        y_src=ys, y_tgt=[y.copy() for y in ys], method="dyngem", config=_cfg_dict(cfg)
-    )
-    return series, models
+    return _snapshot_fold(seq, cfg, True, "dyngem")
 
 
 def build_lookback_pairs(seq: SnapshotSequence, lookback: int):
@@ -359,19 +304,9 @@ def d2v_ae_series(seq: SnapshotSequence, cfg: AeConfig):
         for t in range(cfg.lookback - 1, len(seq))
     ]
     series = EmbeddingSeries(
-        y_src=ys, y_tgt=[y.copy() for y in ys], method="d2v_ae",
-        config=_cfg_dict(cfg), t_start=cfg.lookback - 1,
+        y_src=ys, y_tgt=[y.copy() for y in ys], method="d2v_ae", t_start=cfg.lookback - 1,
     )
     return series, LookbackPredictor(params=result.params, lookback=cfg.lookback), result
-
-
-def _cfg_dict(cfg: AeConfig) -> dict:
-    return {
-        "d": cfg.d, "beta": cfg.beta, "nu1": cfg.nu1, "nu2": cfg.nu2,
-        "enc_units": list(cfg.enc_units), "dec_units": list(cfg.dec_units),
-        "n_iter": cfg.n_iter, "xeta": cfg.xeta, "n_batch": cfg.n_batch,
-        "lookback": cfg.lookback, "seed": cfg.seed,
-    }
 
 
 def save_mlp_params(params: MlpParams, path) -> None:
@@ -380,10 +315,7 @@ def save_mlp_params(params: MlpParams, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{params.n_layers}\n")
         for w, b in zip(params.weights, params.biases):
-            fh.write(f"{w.shape[0]} {w.shape[1]}\n")
-            for row in w:
-                fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
-            fh.write(" ".join(f"{x:.17g}" for x in b) + "\n")
+            fh.write(format_matrix(w) + format_rows(b[None, :]))
 
 
 def load_mlp_params(path, n_encoder_layers: int) -> MlpParams:

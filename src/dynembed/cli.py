@@ -6,11 +6,10 @@ failure, 2 configuration failure.
 """
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-from .config import ConfigError, apply_overrides, from_dict
+from .config import ConfigError, apply_overrides, from_dict, read_raw
 from .pipeline import run_experiment
 from .sbm import SbmParams, diminish_series, save_labels, save_migrations
 from .graphs import save_snapshots
@@ -73,19 +72,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON in {args.config}: {exc}", file=sys.stderr)
-        return 2
-    if not isinstance(raw, dict):
-        print("error: config field '<root>': top-level JSON value must be an object",
-              file=sys.stderr)
-        return 2
+    raw = read_raw(args.config)
     if args.seed is not None:
         raw["seed"] = args.seed
     if args.outdir is not None:

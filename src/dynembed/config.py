@@ -250,15 +250,22 @@ def from_dict(raw: dict) -> ExperimentConfig:
                             d=d, theta=theta, ae=ae, tasks=tasks)
 
 
-def from_file(path) -> ExperimentConfig:
+def read_raw(path) -> dict:
+    """The JSON object in the config file at path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as exc:
-        raise ConfigError("<file>", f"cannot read {path}: {exc}") from exc
+        raise ConfigError("<file>", f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError("<file>", f"invalid JSON in {path}: {exc}") from exc
-    return from_dict(raw)
+    if not isinstance(raw, dict):
+        raise ConfigError("<root>", "top-level JSON value must be an object")
+    return raw
+
+
+def from_file(path) -> ExperimentConfig:
+    return from_dict(read_raw(path))
 
 
 def apply_overrides(raw: dict, overrides: list) -> dict:

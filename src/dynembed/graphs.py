@@ -151,10 +151,10 @@ def edge_delta(prev: GraphSnapshot, next_: GraphSnapshot) -> EdgeDelta:
     )
 
 
-def dense_adjacency(g: GraphSnapshot, limit: int = DEFAULT_DENSE_LIMIT) -> np.ndarray:
-    """Dense n x n adjacency matrix; refuses graphs above the dense limit."""
-    if g.n > limit:
-        raise ValueError(f"n={g.n} exceeds dense limit {limit}")
+def dense_adjacency(g: GraphSnapshot) -> np.ndarray:
+    """Dense n x n adjacency matrix; refuses graphs above DEFAULT_DENSE_LIMIT."""
+    if g.n > DEFAULT_DENSE_LIMIT:
+        raise ValueError(f"n={g.n} exceeds dense limit {DEFAULT_DENSE_LIMIT}")
     a = np.zeros((g.n, g.n))
     for (u, v), w in g.edge_dict().items():
         a[u, v] = w

@@ -59,10 +59,10 @@ def truncated_svd(a: np.ndarray, d: int) -> TruncatedSvd:
     return TruncatedSvd(U=u[:, :d].copy(), S=s[:d].copy(), V=vh[:d].T.copy())
 
 
-def procrustes_rotation(x: np.ndarray, y: np.ndarray, proper: bool = False) -> np.ndarray:
+def procrustes_rotation(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Orthogonal R minimizing ||x @ R - y||_F, via the SVD of x^T y.
 
-    Reflections are allowed by default; pass proper=True to force det(R)=+1.
+    R may be a reflection (det(R) = -1).
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -71,9 +71,6 @@ def procrustes_rotation(x: np.ndarray, y: np.ndarray, proper: bool = False) -> n
     if x.ndim != 2 or x.shape[1] < 1:
         raise ValueError("inputs must be n x d with d >= 1")
     u, _, vh = np.linalg.svd(x.T @ y)
-    if proper and np.linalg.det(u @ vh) < 0:
-        u = u.copy()
-        u[:, -1] = -u[:, -1]
     return u @ vh
 
 

@@ -95,10 +95,9 @@ def _snapshot_from_dense(adj: np.ndarray) -> GraphSnapshot:
     return GraphSnapshot(adj.shape[0], zip(us.tolist(), vs.tolist(), adj[us, vs].tolist()))
 
 
-def diminish_series(params: SbmParams, rng: Rng | None = None) -> DynamicSbmSeries:
+def diminish_series(params: SbmParams) -> DynamicSbmSeries:
     """Generate the full diminishing-community series for params."""
-    if rng is None:
-        rng = Rng(params.seed)
+    rng = Rng(params.seed)
     n = params.node_num
     labels = params.initial_labels()
     adj = kernels.block_sample(
@@ -159,20 +158,26 @@ def save_labels(series: DynamicSbmSeries, path) -> None:
 
 
 def load_labels(path) -> list:
-    rows = []
+    """Per-snapshot label arrays from `t node community` lines, one per
+    (t, node), all non-negative."""
+    rows = {}  # (t, node) -> community
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for no, line in enumerate(fh, start=1):
             s = line.strip()
             if not s or s.startswith("#"):
                 continue
             t, node, c = (int(x) for x in s.split())
-            rows.append((t, node, c))
+            if min(t, node, c) < 0:
+                raise ValueError(f"{path}: line {no}: negative value in {s!r}")
+            if (t, node) in rows:
+                raise ValueError(f"{path}: line {no}: duplicate label of node {node} at t={t}")
+            rows[(t, node)] = c
     if not rows:
         raise ValueError(f"{path}: empty labels file")
-    t_max = max(r[0] for r in rows)
-    n = max(r[1] for r in rows) + 1
+    t_max = max(t for t, _ in rows)
+    n = max(node for _, node in rows) + 1
     out = [np.full(n, -1, dtype=np.int64) for _ in range(t_max + 1)]
-    for t, node, c in rows:
+    for (t, node), c in rows.items():
         out[t][node] = c
     for t, labels in enumerate(out):
         if np.any(labels < 0):

@@ -9,7 +9,7 @@ methods with a lookback window the first embedded snapshot may be later than
 
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,6 @@ class EmbeddingSeries:
     y_src: list  # list of n x d arrays, one per embedded snapshot
     y_tgt: list
     method: str
-    config: dict = field(default_factory=dict)
     t_start: int = 0
 
     def __post_init__(self):
@@ -58,11 +57,20 @@ class EmbeddingSeries:
         return t - self.t_start
 
 
-def _write_matrix(path, m: np.ndarray) -> None:
+def format_rows(m: np.ndarray) -> str:
+    """One line per row of m, its entries to 17 significant digits."""
     row_format = " ".join(["%.17g"] * m.shape[1]) + "\n"
+    return "".join([row_format % tuple(row) for row in m.tolist()])
+
+
+def format_matrix(m: np.ndarray) -> str:
+    """A `rows cols` header line, then format_rows(m)."""
+    return f"{m.shape[0]} {m.shape[1]}\n" + format_rows(m)
+
+
+def _write_matrix(path, m: np.ndarray) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{m.shape[0]} {m.shape[1]}\n")
-        fh.write("".join([row_format % tuple(row) for row in m.tolist()]))
+        fh.write(format_matrix(m))
 
 
 def _read_matrix(path) -> np.ndarray:

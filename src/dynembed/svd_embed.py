@@ -56,7 +56,6 @@ class SvdFactorState:
     factor: TruncatedSvd
     d: int
     t_cur: int
-    t_last_restart: int
     sigma_restart: np.ndarray
     pert_norm_sum: float
     cur_loss: float
@@ -108,7 +107,6 @@ def optimal_svd_embed(g: GraphSnapshot, d: int, t: int = 0):
         factor=factor,
         d=d,
         t_cur=t,
-        t_last_restart=t,
         sigma_restart=factor.S[:d].copy(),
         pert_norm_sum=0.0,
         cur_loss=_exact_loss(adj, view),
@@ -311,7 +309,6 @@ def incremental_update(state: SvdFactorState, p: np.ndarray, q: np.ndarray, d: i
         factor=factor,
         d=d,
         t_cur=state.t_cur + 1,
-        t_last_restart=state.t_last_restart,
         sigma_restart=state.sigma_restart,
         pert_norm_sum=state.pert_norm_sum + pert_norm,
         cur_loss=_exact_loss(adj_new, _top_view(factor, d)),
@@ -364,11 +361,8 @@ def rerun_svd_series(seq: SnapshotSequence, d: int, theta: float, keep: int | No
         srcs.append(y_src)
         tgts.append(y_tgt)
 
-    series = EmbeddingSeries(
-        y_src=srcs, y_tgt=tgts, method="rerunsvd" if math.isfinite(theta) else "incsvd",
-        config={"d": d, "theta": theta},
-    )
-    return series, log, kept
+    method = "rerunsvd" if math.isfinite(theta) else "incsvd"
+    return EmbeddingSeries(y_src=srcs, y_tgt=tgts, method=method), log, kept
 
 
 def optimal_svd_series(seq: SnapshotSequence, d: int) -> EmbeddingSeries:
@@ -378,7 +372,7 @@ def optimal_svd_series(seq: SnapshotSequence, d: int) -> EmbeddingSeries:
         y_src, y_tgt, _ = optimal_svd_embed(seq[t], d, t=t)
         srcs.append(y_src)
         tgts.append(y_tgt)
-    return EmbeddingSeries(y_src=srcs, y_tgt=tgts, method="optsvd", config={"d": d})
+    return EmbeddingSeries(y_src=srcs, y_tgt=tgts, method="optsvd")
 
 
 def save_restart_log(log, path) -> None:

@@ -115,6 +115,17 @@ def write_matrix_ref(path, m) -> None:
             fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
 
 
+def save_mlp_params_ref(params, path) -> None:
+    """The model text format written one float at a time."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"{params.n_layers}\n")
+        for w, b in zip(params.weights, params.biases):
+            fh.write(f"{w.shape[0]} {w.shape[1]}\n")
+            for row in w:
+                fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
+            fh.write(" ".join(f"{x:.17g}" for x in b) + "\n")
+
+
 def save_snapshots_ref(seq, path) -> None:
     """The snapshot text format written one edge line at a time."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -12,8 +12,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dynembed.ae import (AeConfig, AeForwardError, AeTrainingError, MlpParams,
-                         LookbackPredictor, ae_forward, ae_gradient, ae_loss,
+from dynembed.ae import (AeConfig, AeTrainingError, MlpParams,
+                         LookbackPredictor, ae_gradient, ae_loss,
                          aealign_series, build_lookback_pairs, chain_align,
                          d2v_ae_series, dyngem_series, encode, fit_snapshot,
                          fresh_params, load_mlp_params, reconstruct,
@@ -24,7 +24,7 @@ from dynembed.pipeline import METHOD_TABLE
 from dynembed.rng import Rng
 from dynembed.sbm import generate_sbm_snapshot
 
-from oracles import fd_gradient, random_orthogonal
+from oracles import fd_gradient, random_orthogonal, save_mlp_params_ref
 
 TINY = AeConfig(d=2, enc_units=(3,), dec_units=(3,), nu1=0.0, nu2=0.0,
                 n_iter=0, seed=0)
@@ -72,7 +72,7 @@ def test_fresh_params_structure():
     dims = [12, 10, 6, 4, 6, 10, 12]
     assert params.n_layers == 6
     assert params.n_encoder_layers == 3
-    assert params.embed_dim == 4
+    assert params.weights[params.n_encoder_layers - 1].shape == (6, 4)  # embedding layer
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         assert w.shape == (dims[i], dims[i + 1])
         assert np.array_equal(b, np.zeros(dims[i + 1]))
@@ -104,9 +104,9 @@ def test_mlp_params_validation():
 
 def test_zero_params_forward():
     params = _zero_params([4, 3, 2, 3, 4], n_encoder_layers=2)
-    y, xhat = ae_forward(params, np.ones((5, 4)))
-    assert np.array_equal(y, np.zeros((5, 2)))
-    assert np.array_equal(xhat, np.full((5, 4), 0.5))
+    x = np.ones((5, 4))
+    assert np.array_equal(encode(params, x), np.zeros((5, 2)))
+    assert np.array_equal(reconstruct(params, x), np.full((5, 4), 0.5))
 
 
 def test_scalar_chain_hand_computed():
@@ -123,42 +123,20 @@ def test_scalar_chain_hand_computed():
     h1 = sig(0.5 * x + 0.1)
     want_y = 0.5 * h1 + 0.1
     want_xhat = sig(0.5 * sig(0.5 * want_y + 0.1) + 0.1)
-    y, xhat = ae_forward(params, np.array([x]))
-    assert y[0] == pytest.approx(want_y, rel=1e-14)
-    assert xhat[0] == pytest.approx(want_xhat, rel=1e-14)
+    y, xhat = encode(params, [[x]]), reconstruct(params, [[x]])
+    assert y.shape == xhat.shape == (1, 1)
+    assert y[0, 0] == pytest.approx(want_y, rel=1e-14)
+    assert xhat[0, 0] == pytest.approx(want_xhat, rel=1e-14)
 
 
 def test_batch_matches_rowwise():
     params = fresh_params(6, TINY, Rng(1))
     x = Rng(2).random((7, 6))
-    y_batch, xhat_batch = ae_forward(params, x)
+    y_batch, xhat_batch = encode(params, x), reconstruct(params, x)
     for i in range(7):
-        y_i, xhat_i = ae_forward(params, x[i])
-        assert np.allclose(y_batch[i], y_i, rtol=1e-12, atol=1e-15)
-        assert np.allclose(xhat_batch[i], xhat_i, rtol=1e-12, atol=1e-15)
-
-
-def test_forward_rejects_wrong_width():
-    params = fresh_params(6, TINY, Rng(1))
-    with pytest.raises(ValueError, match="input dim"):
-        ae_forward(params, np.zeros((2, 5)))
-
-
-@pytest.mark.filterwarnings("ignore:overflow")
-def test_forward_overflow_names_layer():
-    params = fresh_params(4, AeConfig(d=2, enc_units=(4,), dec_units=(4,)), Rng(0))
-    params.weights[1][:] = 1.7e308  # embedding layer is identity, so it overflows
-    with pytest.raises(AeForwardError, match="layer 1") as exc:
-        ae_forward(params, np.ones((2, 4)))
-    assert exc.value.layer == 1
-
-
-def test_encode_and_reconstruct_match_forward():
-    params = fresh_params(5, TINY, Rng(3))
-    x = Rng(4).random((6, 5))
-    y, xhat = ae_forward(params, x)
-    assert np.array_equal(encode(params, x), y)
-    assert np.array_equal(reconstruct(params, x), xhat)
+        y_i, xhat_i = encode(params, x[i:i + 1]), reconstruct(params, x[i:i + 1])
+        assert np.allclose(y_batch[i], y_i[0], rtol=1e-12, atol=1e-15)
+        assert np.allclose(xhat_batch[i], xhat_i[0], rtol=1e-12, atol=1e-15)
 
 
 # --- loss and gradient ------------------------------------------------------
@@ -471,6 +449,25 @@ def test_model_round_trip(tmp_path):
     assert loaded.n_encoder_layers == params.n_encoder_layers
     assert all(np.array_equal(a, b) for a, b in zip(loaded.weights, params.weights))
     assert all(np.array_equal(a, b) for a, b in zip(loaded.biases, params.biases))
+
+
+def test_model_writer_matches_per_float_oracle(tmp_path):
+    cfg = AeConfig(d=3, enc_units=(7, 5), dec_units=(5,))
+    params = fresh_params(9, cfg, Rng(51))
+    rng = np.random.default_rng(52)
+    for w in params.weights:  # magnitudes from 1e-300 to 1e300, either sign
+        w *= 10.0 ** rng.integers(-300, 301, size=w.shape)
+    edge = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
+            1.7976931348623157e308, -1e300, 1e-300]
+    params.weights[0].flat[:len(edge)] = edge
+    params.biases[1][:] = edge[:5]
+    params.biases[-1][:] = rng.standard_normal(params.biases[-1].shape)
+    save_mlp_params(params, tmp_path / "new.txt")
+    save_mlp_params_ref(params, tmp_path / "ref.txt")
+    new = (tmp_path / "new.txt").read_bytes()
+    assert new == (tmp_path / "ref.txt").read_bytes()
+    assert new.split(b"\n")[2].split()[:4] == [b"0", b"-0", b"4.9406564584124654e-324",
+                                               b"-4.9406564584124654e-324"]
 
 
 def test_model_load_rejects_bad_shapes(tmp_path):

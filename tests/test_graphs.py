@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynembed.graphs import (EdgeDelta, GraphSnapshot, SnapshotParseError,
-                             SnapshotSequence, dense_adjacency, edge_delta,
-                             load_snapshots, save_snapshots)
+from dynembed.graphs import (DEFAULT_DENSE_LIMIT, EdgeDelta, GraphSnapshot,
+                             SnapshotParseError, SnapshotSequence, dense_adjacency,
+                             edge_delta, load_snapshots, save_snapshots)
 from oracles import apply_delta, save_snapshots_ref
 
 
@@ -88,7 +88,7 @@ def test_dense_row_sums_match_out_strength():
 
 def test_dense_limit():
     with pytest.raises(ValueError, match="dense limit"):
-        dense_adjacency(_snapshot(5, []), limit=4)
+        dense_adjacency(_snapshot(DEFAULT_DENSE_LIMIT + 1, []))
 
 
 # --- deltas -------------------------------------------------------------

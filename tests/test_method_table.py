@@ -146,7 +146,9 @@ def test_benchmark_trace_hooks_resolve():
             assert callable(getattr(module, attr, None)), f"{name}: dynembed.{module_name}.{attr}"
 
 
-def test_benchmark_trace_hooks_see_one_run(tmp_path, monkeypatch):
+def _traced_run(cfg, monkeypatch):
+    """Run cfg under the benchmark's tracer; returns (calls per span, trace).
+    The trace's spans are [name, start, end, index of the parent span]."""
     tracing = _bench_tracing()
     for sites in tracing.TRACED.values():
         for module_name, attr in sites:
@@ -154,17 +156,38 @@ def test_benchmark_trace_hooks_see_one_run(tmp_path, monkeypatch):
             monkeypatch.setattr(module, attr, getattr(module, attr))  # undone after the test
     tracer = tracing.Tracer()
     tracer.install()
-    # static LP at t = 0 refits from a fresh batch SVD of the train split
-    cfg = _cfg("rerunsvd", {"static_lp": {"t": 0}, "temporal_lp": {},
-                            "reconstruction": {}}, tmp_path)
     run_experiment(cfg)
     calls = {}
     for name, *_ in tracer.spans:
         calls[name] = calls.get(name, 0) + 1
-    trace = tracer.export(0.0)
+    return calls, tracer.export(0.0)
+
+
+def test_benchmark_trace_hooks_see_one_run(tmp_path, monkeypatch):
+    # static LP at t = 0 refits from a fresh batch SVD of the train split
+    cfg = _cfg("rerunsvd", {"static_lp": {"t": 0}, "temporal_lp": {},
+                            "reconstruction": {}}, tmp_path)
+    calls, trace = _traced_run(cfg, monkeypatch)
     assert calls["pipeline.embed"] == 1 and calls["svd_embed.series"] == 1
     assert calls["svd_embed.batch_embed"] == calls["numerics.truncated_svd"]
     assert trace["series_length"] == LENGTH
     assert trace["counters"]["pipeline.snapshots_embedded"] == LENGTH
     log = np.loadtxt(tmp_path / "restart_log.txt")
     assert trace["restarts"] == int(log[:, 1].sum()) > 0
+
+
+def test_benchmark_trace_hooks_see_one_ae_run(tmp_path, monkeypatch):
+    cfg = _cfg("dyngem", {"reconstruction": {}, "temporal_lp": {}}, tmp_path)
+    calls, trace = _traced_run(cfg, monkeypatch)
+    assert calls["pipeline.embed"] == 1
+    # one model trained and one embedding encoded per snapshot
+    assert calls["ae.train"] == calls["ae.encode"] == LENGTH
+    assert trace["counters"]["ae.epochs"] == LENGTH * cfg.ae.n_iter
+    assert calls["kernels.affine_sigmoid"] > 0
+    # encoding runs the sigmoid hidden layers of the encoder and no decoder layer
+    spans = trace["spans"]
+    in_encode = sum(name == "kernels.affine_sigmoid" and spans[parent][0] == "ae.encode"
+                    for name, _, _, parent in spans if parent is not None)
+    assert in_encode == LENGTH * len(cfg.ae.enc_units)
+    # both tasks score snapshots by decoding them
+    assert calls["ae.reconstruct"] == 2

@@ -237,6 +237,21 @@ def test_labels_loader_rejects_gaps(tmp_path):
         load_labels(path)
 
 
+@pytest.mark.parametrize("text,line,match", [
+    # node -1 would index from the end and overwrite node 1
+    pytest.param("0 0 0\n0 1 1\n0 -1 0\n", 3, "negative", id="negative-node"),
+    pytest.param("-1 0 0\n0 0 0\n", 1, "negative", id="negative-t"),
+    pytest.param("0 0 0\n0 1 -1\n", 2, "negative", id="negative-community"),
+    # a second row for (0, 1) would silently relabel node 1
+    pytest.param("0 0 0\n0 1 1\n0 1 0\n", 3, "duplicate", id="duplicate"),
+])
+def test_labels_loader_rejects_rows_that_overwrite(tmp_path, text, line, match):
+    path = tmp_path / "labels.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"line {line}: .*{match}"):
+        load_labels(path)
+
+
 def test_migrations_round_trip(tmp_path):
     series = diminish_series(_params(node_num=15, length=3, node_change_num=1, seed=4))
     path = tmp_path / "migrations.txt"
