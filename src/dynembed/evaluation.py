@@ -7,6 +7,7 @@ equal reports. MAP skips nodes without true edges; a node's AP denominator
 counts all of its true edges, hit or not.
 """
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -39,8 +40,9 @@ class ScoredPairs:
         if not np.all(np.isfinite(scores)):
             raise ValueError("scores must be finite")
         if pairs.shape[0]:
-            keys = pairs[:, 0].astype(np.int64) * (pairs.max() + 1) + pairs[:, 1]
-            if np.unique(keys).shape[0] != keys.shape[0]:
+            if pairs.min() < 0:
+                raise ValueError("negative node index")
+            if _has_duplicate(pairs):
                 raise ValueError("duplicate pairs")
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "scores", scores)
@@ -54,6 +56,22 @@ class ScoredPairs:
 
     def ordered_pairs(self) -> np.ndarray:
         return self.pairs[self.ranking()]
+
+
+def _has_duplicate(pairs: np.ndarray) -> bool:
+    """Whether a row of the non-empty, non-negative (N, 2) pairs repeats.
+
+    A bitmap over the n x n index space (n = largest index + 1) takes O(N)
+    when it is no larger than the pairs array, as for candidate lists;
+    sparser pairs are sorted instead.
+    """
+    n = int(pairs.max()) + 1
+    if n * n <= 16 * len(pairs):
+        seen = np.zeros(n * n, dtype=bool)
+        seen[pairs[:, 0] * n + pairs[:, 1]] = True
+        return int(np.count_nonzero(seen)) < len(pairs)
+    lex = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    return bool(np.any(np.all(lex[1:] == lex[:-1], axis=1)))
 
 
 @dataclass
@@ -100,44 +118,88 @@ def save_report(report: EvalReport, path) -> None:
         fh.write(report.to_json())
 
 
+def _pair_array(pairs) -> np.ndarray:
+    """A collection of (u, v) pairs as an (m, 2) int64 array."""
+    flat = np.fromiter(itertools.chain.from_iterable(pairs), dtype=np.int64)
+    return flat.reshape(-1, 2)
+
+
+def _precisions(hits: np.ndarray, k_grid) -> list:
+    """Precision@k of a ranked hit vector for each k of k_grid (1 <= k <= len)."""
+    found = np.cumsum(hits, dtype=np.int64)
+    return [int(found[k - 1]) / k for k in k_grid]
+
+
+def _source_aps(sources: np.ndarray, hits: np.ndarray, n_true: np.ndarray) -> np.ndarray:
+    """AP of every node u with n_true[u] > 0, in ascending node order.
+
+    sources and hits are in ranking order, so a node's pairs keep their
+    ranking order once grouped by node. A node's AP adds found/rank at each
+    of its hits, one at a time in rank order (np.sum would group the terms
+    pairwise and could change the last bits), and divides by all of its
+    true edges, hit or not. A node without hits or candidates scores 0.0.
+    """
+    n = len(n_true)
+    # a stable sort on narrow integers is numpy's radix sort
+    grouped = np.argsort(sources.astype(np.min_scalar_type(n)), kind="stable")
+    node = sources[grouped]
+    per_node = np.bincount(node, minlength=n)
+    start = np.cumsum(per_node) - per_node  # of each node's pairs
+    at = np.flatnonzero(hits[grouped])
+    hit_node = node[at]
+    rank = (at - start[hit_node] + 1).astype(np.float64)
+    hits_per_node = np.bincount(hit_node, minlength=n)
+    first = np.cumsum(hits_per_node) - hits_per_node  # of each node's hits
+    found = (np.arange(len(at)) - first[hit_node] + 1).astype(np.float64)
+    terms = found / rank
+    total = np.zeros(n)
+    for j in range(int(hits_per_node.max(initial=0))):
+        # the j-th hit of every node that has one
+        has = np.flatnonzero(hits_per_node > j)
+        total[has] += terms[first[has] + j]
+    contributing = np.flatnonzero(n_true)
+    return total[contributing] / n_true[contributing]
+
+
+def _truth_ranking(sp: ScoredPairs, truth):
+    """(source, hit) of each pair of sp in ranking order, and each node's
+    true-edge count; truth is read through a boolean mask that covers every
+    candidate and truth pair."""
+    edges = _pair_array(truth)
+    if edges.size and edges.min() < 0:
+        raise ValueError("negative node index in truth")
+    n = 1 + max(int(sp.pairs.max(initial=-1)), int(edges.max(initial=-1)))
+    mask = np.zeros((n, n), dtype=bool)
+    mask[edges[:, 0], edges[:, 1]] = True
+    ranked = sp.pairs[sp.ranking()]
+    return ranked[:, 0], mask[ranked[:, 0], ranked[:, 1]], mask.sum(axis=1)
+
+
 def precision_at_k(sp: ScoredPairs, truth, k: int) -> float:
     """Fraction of the top-k ranked pairs present in the truth edge set."""
     if k < 1 or k > len(sp):
         raise EvalError(f"k={k} outside [1, {len(sp)}]")
-    top = sp.ordered_pairs()[:k]
-    truth = set(truth)
-    hits = sum((int(u), int(v)) in truth for u, v in top)
-    return hits / k
+    _, hits, _ = _truth_ranking(sp, truth)
+    return _precisions(hits, [k])[0]
 
 
 def average_precision(sp: ScoredPairs, truth) -> float:
     """AP over one node's candidate list: sum of precision@rank at each hit,
     divided by the node's total number of true edges."""
-    truth = set(truth)
-    if not truth:
+    _, hits, n_true = _truth_ranking(sp, truth)
+    n_truth = int(n_true.sum())
+    if not n_truth:
         raise EvalError("average_precision needs at least one true edge")
-    ordered = sp.ordered_pairs()
-    hits = np.array([(int(u), int(v)) in truth for u, v in ordered], dtype=np.float64)
-    return kernels.average_precision(hits, len(truth))
+    one_list = np.zeros(len(hits), dtype=np.int64)
+    return float(_source_aps(one_list, hits, np.array([n_truth]))[0])
 
 
 def mean_average_precision(sp: ScoredPairs, truth) -> float:
     """MAP over source nodes that have at least one true edge."""
-    truth = {(int(u), int(v)) for u, v in truth}
-    n_true = {}
-    for u, _ in truth:
-        n_true[u] = n_true.get(u, 0) + 1
-    if not n_true:
+    sources, hits, n_true = _truth_ranking(sp, truth)
+    if not n_true.any():
         raise EvalError("no node has a true edge")
-    order = sp.ranking()
-    sources = sp.pairs[order, 0]
-    aps = []
-    for u in sorted(n_true):
-        mask = sources == u
-        ranked = sp.pairs[order[mask]]
-        hits = np.array([(int(a), int(b)) in truth for a, b in ranked], dtype=np.float64)
-        aps.append(kernels.average_precision(hits, n_true[u]) if len(hits) else 0.0)
-    return float(np.mean(aps))
+    return float(np.mean(_source_aps(sources, hits, n_true)))
 
 
 def static_lp_split(g: GraphSnapshot, hide_fraction: float, rng: Rng):
@@ -158,17 +220,18 @@ def static_lp_split(g: GraphSnapshot, hide_fraction: float, rng: Rng):
 
 
 def candidate_pairs(n: int, exclude=None) -> np.ndarray:
-    """All ordered pairs (u, v), u != v, minus an optional excluded edge set."""
-    u, v = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    pairs = np.stack([u.ravel(), v.ravel()], axis=1)
-    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    """All ordered pairs (u, v), u != v, minus an optional excluded edge set,
+    in (u, v) lexicographic order."""
+    keep = ~np.eye(n, dtype=bool)
     if exclude:
-        keep = [i for i, (a, b) in enumerate(pairs) if (int(a), int(b)) not in exclude]
-        pairs = pairs[keep]
-    return pairs
+        edges = _pair_array(exclude)
+        edges = edges[np.all((edges >= 0) & (edges < n), axis=1)]
+        keep[edges[:, 0], edges[:, 1]] = False
+    return np.argwhere(keep)
 
 
 def _ranking_report(scores: np.ndarray, truth, pairs: np.ndarray, k_grid, **fields) -> EvalReport:
+    """One ranking sort, one hit vector, and every metric read from them."""
     report = EvalReport(k_grid=sorted(k_grid), **fields)
     if not truth:
         report.empty_truth = True
@@ -177,8 +240,9 @@ def _ranking_report(scores: np.ndarray, truth, pairs: np.ndarray, k_grid, **fiel
     sp = ScoredPairs(pairs, scores[pairs[:, 0], pairs[:, 1]])
     # grid entries beyond the candidate count are dropped, not clamped
     report.k_grid = [k for k in sorted(k_grid) if 1 <= k <= len(sp)]
-    report.precision_at_k = [precision_at_k(sp, truth, k) for k in report.k_grid]
-    report.map = mean_average_precision(sp, truth)
+    sources, hits, n_true = _truth_ranking(sp, truth)
+    report.precision_at_k = _precisions(hits, report.k_grid)
+    report.map = float(np.mean(_source_aps(sources, hits, n_true)))
     return report
 
 

@@ -1,8 +1,8 @@
 """Hot numeric kernels, vectorized with numpy.
 
-The autoencoder, the SBM sampler and the ranking evaluation call these
-through the module (``kernels.<name>``), so each kernel is one function that
-a profiler can wrap.
+The autoencoder, the SBM sampler and the classifier call these through the
+module (``kernels.<name>``), so each kernel is one function that a profiler
+can wrap.
 """
 
 import numpy as np
@@ -53,17 +53,3 @@ def block_sample(urand, labels, p_in, p_out):
     np.fill_diagonal(adj, 0.0)
     return adj
 
-
-def average_precision(hits, n_true):
-    """Average precision of a ranked 0/1 hit vector against n_true relevant items.
-
-    Adds the hit precisions one at a time in rank order. np.sum would group
-    them pairwise and could change the last bits of reported MAP values.
-    """
-    idx = np.flatnonzero(hits)
-    if idx.size == 0:
-        return 0.0
-    total = 0.0
-    for found, rank in enumerate((idx + 1.0).tolist(), start=1):
-        total += found / rank
-    return total / n_true

@@ -194,14 +194,20 @@ def save_migrations(series: DynamicSbmSeries, path) -> None:
 
 
 def load_migrations(path, length: int) -> list:
+    """Per-snapshot (node, old, new) records from `t node old new` lines, at
+    most one per (t, node)."""
     out: list = [[] for _ in range(length)]
+    seen = set()
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for no, line in enumerate(fh, start=1):
             s = line.strip()
             if not s or s.startswith("#"):
                 continue
             t, node, old, new = (int(x) for x in s.split())
             if not 0 <= t < length:
                 raise ValueError(f"{path}: migration at t={t} outside [0,{length})")
+            if (t, node) in seen:
+                raise ValueError(f"{path}: line {no}: duplicate migration of node {node} at t={t}")
+            seen.add((t, node))
             out[t].append((node, old, new))
     return out

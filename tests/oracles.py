@@ -1,11 +1,12 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is written the dumb, obvious way (pure Python loops, the
-textbook formula) and deliberately shares no code with the package. The two
-exceptions are at the end: the plain incremental SVD fold, built from the
-package's update step with no restart test, and the prefix re-embed, which
-runs the package's methods on a prefix of the sequence, as link prediction
-once did.
+textbook formula) and deliberately shares no code with the package. The
+exceptions are at the end: the ranking evaluation as it was before it was
+vectorised, which fills the package's report type; the plain incremental SVD
+fold, built from the package's update step with no restart test; and the
+prefix re-embed, which runs the package's methods on a prefix of the
+sequence, as link prediction once did.
 """
 
 import itertools
@@ -14,7 +15,7 @@ import math
 import numpy as np
 
 from dynembed import ae, svd_embed
-from dynembed.evaluation import static_lp_split
+from dynembed.evaluation import EvalError, EvalReport, ScoredPairs, static_lp_split
 from dynembed.graphs import GraphSnapshot, SnapshotSequence, dense_adjacency, edge_delta
 from dynembed.rng import Rng
 
@@ -183,6 +184,75 @@ def apply_delta(g, delta):
             raise ValueError(f"added edge ({u},{v}) already present")
         adj[(u, v)] = w
     return GraphSnapshot(g.n, ((u, v, w) for (u, v), w in adj.items()))
+
+
+# --- the ranking evaluation before vectorisation ---------------------------
+# One lexsort per metric, a set of truth tuples, and a Python loop per
+# candidate pair and per source node.
+
+
+def hits_average_precision_ref(hits, n_true):
+    """Average precision of a ranked 0/1 hit vector against n_true relevant
+    items, adding the hit precisions one at a time in rank order."""
+    idx = np.flatnonzero(hits)
+    if idx.size == 0:
+        return 0.0
+    total = 0.0
+    for found, rank in enumerate((idx + 1.0).tolist(), start=1):
+        total += found / rank
+    return total / n_true
+
+
+def _ordered_pairs_ref(sp):
+    return sp.pairs[np.lexsort((sp.pairs[:, 1], sp.pairs[:, 0], -sp.scores))]
+
+
+def precision_at_k_ref(sp, truth, k):
+    if k < 1 or k > len(sp):
+        raise EvalError(f"k={k} outside [1, {len(sp)}]")
+    top = _ordered_pairs_ref(sp)[:k]
+    truth = set(truth)
+    hits = sum((int(u), int(v)) in truth for u, v in top)
+    return hits / k
+
+
+def mean_average_precision_ref(sp, truth):
+    truth = {(int(u), int(v)) for u, v in truth}
+    n_true = {}
+    for u, _ in truth:
+        n_true[u] = n_true.get(u, 0) + 1
+    if not n_true:
+        raise EvalError("no node has a true edge")
+    ranked = _ordered_pairs_ref(sp)
+    aps = []
+    for u in sorted(n_true):
+        mine = ranked[ranked[:, 0] == u]
+        hits = np.array([(int(a), int(b)) in truth for a, b in mine], dtype=np.float64)
+        aps.append(hits_average_precision_ref(hits, n_true[u]) if len(hits) else 0.0)
+    return float(np.mean(aps))
+
+
+def candidate_pairs_ref(n, exclude=None):
+    u, v = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    pairs = np.stack([u.ravel(), v.ravel()], axis=1)
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    if exclude:
+        keep = [i for i, (a, b) in enumerate(pairs) if (int(a), int(b)) not in exclude]
+        pairs = pairs[keep]
+    return pairs
+
+
+def ranking_report_ref(scores, truth, pairs, k_grid, **fields):
+    report = EvalReport(k_grid=sorted(k_grid), **fields)
+    if not truth:
+        report.empty_truth = True
+        report.k_grid = []
+        return report
+    sp = ScoredPairs(pairs, scores[pairs[:, 0], pairs[:, 1]])
+    report.k_grid = [k for k in sorted(k_grid) if 1 <= k <= len(sp)]
+    report.precision_at_k = [precision_at_k_ref(sp, truth, k) for k in report.k_grid]
+    report.map = mean_average_precision_ref(sp, truth)
+    return report
 
 
 # --- the incremental SVD with no restart test ------------------------------

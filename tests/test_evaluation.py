@@ -3,7 +3,9 @@ proximity, and the projection export.
 
 Ranking metrics are compared for exact equality against the brute-force
 oracles; both sides accumulate hit precisions in the same rank order, so
-no float tolerance is needed.
+no float tolerance is needed. Whole ranking reports are compared byte for
+byte against the per-pair ranking code the vectorised one replaced, which
+tests/oracles.py keeps.
 """
 
 import json
@@ -19,14 +21,15 @@ from dynembed.evaluation import (EvalError, EvalReport, ScoredPairs,
                                  migration_proximity_stat, node_classification,
                                  precision_at_k, reconstruction_eval,
                                  save_report, static_lp_eval, static_lp_split,
-                                 temporal_lp_eval, _f1_scores)
+                                 temporal_lp_eval, _f1_scores, _ranking_report)
 from dynembed.graphs import GraphSnapshot, SnapshotSequence, dense_adjacency
 from dynembed.rng import Rng
 from dynembed.sbm import generate_sbm_snapshot
 from dynembed.series import EmbeddingSeries
 
 from oracles import (brute_average_precision, brute_map,
-                     brute_precision_at_k, brute_ranking)
+                     brute_precision_at_k, brute_ranking, candidate_pairs_ref,
+                     hits_average_precision_ref, ranking_report_ref)
 
 
 def _random_instance(seed, max_n=12):
@@ -39,6 +42,10 @@ def _random_instance(seed, max_n=12):
     scores = np.round(rng.random(len(pairs)), 2)  # coarse grid forces ties
     truth = {tuple(map(int, p)) for p in pairs[rng.random(len(pairs)) < 0.3]}
     return pairs, scores, truth
+
+
+def _bits(a):
+    return a.dtype, a.shape, a.tobytes()
 
 
 def _series_from(y, t_start=0):
@@ -56,6 +63,34 @@ def test_scored_pairs_validation():
         ScoredPairs(np.array([[0, 1]]), np.array([np.nan]))
     with pytest.raises(ValueError, match="duplicate"):
         ScoredPairs(np.array([[0, 1], [0, 1]]), np.array([1.0, 2.0]))
+
+
+def test_scored_pairs_rejects_negative_indices():
+    # keys in base max+1 made (1, -1) collide with (0, 2): a false "duplicate"
+    with pytest.raises(ValueError, match="negative"):
+        ScoredPairs(np.array([[1, -1], [0, 2]]), np.array([1.0, 2.0]))
+    # and a truth mask indexed with -1 would wrap to the last node
+    with pytest.raises(ValueError, match="negative"):
+        ScoredPairs(np.array([[-1, 0], [0, 1]]), np.array([1.0, 2.0]))
+    sp = ScoredPairs(np.array([[0, 1]]), np.array([1.0]))
+    with pytest.raises(ValueError, match="negative"):
+        mean_average_precision(sp, {(0, 1), (-1, 0)})
+
+
+_index = st.integers(min_value=0, max_value=6) | st.integers(min_value=0, max_value=2**40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(st.tuples(_index, _index), max_size=40))
+def test_duplicate_check_is_exact(rows):
+    # small indices take the dense check, large ones the sparse one
+    pairs = np.array(rows, dtype=np.int64).reshape(-1, 2)
+    scores = np.zeros(len(rows))
+    if len(set(rows)) < len(rows):
+        with pytest.raises(ValueError, match="duplicate"):
+            ScoredPairs(pairs, scores)
+    else:
+        assert len(ScoredPairs(pairs, scores)) == len(rows)
 
 
 def test_ranking_breaks_ties_lexicographically():
@@ -104,6 +139,31 @@ def test_average_precision_empty_truth():
         average_precision(sp, set())
 
 
+def test_average_precision_against_brute_force():
+    rng = np.random.default_rng(13)
+    for _ in range(25):
+        m = int(rng.integers(1, 30))
+        hits = (rng.random(m) > 0.6).astype(np.float64)
+        if hits.sum() == 0:
+            continue
+        n_true = int(hits.sum() + rng.integers(0, 3))
+        pairs = [(0, v) for v in range(m)]
+        scores = -np.arange(m, dtype=np.float64)  # already ranked
+        hit_pairs = {(0, int(v)) for v in np.flatnonzero(hits)}
+        # true edges beyond the candidates count in the denominator only
+        truth = hit_pairs | {(0, m + i) for i in range(n_true - len(hit_pairs))}
+        got = average_precision(ScoredPairs(pairs, scores), truth)
+        assert got == hits_average_precision_ref(hits, n_true)
+        want = brute_average_precision(pairs, scores, hit_pairs) * len(hit_pairs) / n_true
+        assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_average_precision_no_hits():
+    sp = ScoredPairs([(0, v) for v in range(5)], np.zeros(5))
+    assert average_precision(sp, {(0, 7), (1, 0), (2, 2)}) == 0.0
+    assert hits_average_precision_ref(np.zeros(5), 3) == 0.0
+
+
 def test_metrics_match_brute_force_exactly():
     for seed in range(20):
         pairs, scores, truth = _random_instance(seed)
@@ -130,6 +190,73 @@ def test_metric_oracle_equivalence_property(seed):
     k = 1 + seed % len(sp)
     assert precision_at_k(sp, truth, k) == brute_precision_at_k(pairs, scores, truth, k)
     assert mean_average_precision(sp, truth) == brute_map(pairs, scores, truth)
+
+
+_score_values = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, 2.0, -3.0, 1e300])
+
+
+@st.composite
+def _ranking_case(draw):
+    """Scores, truth, candidates and a k grid with heavy score ties; truth
+    may hold diagonal and excluded pairs, nodes may lose every candidate,
+    and the grid may pass the candidate count."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    truth = draw(st.sets(cells, max_size=n * n))
+    exclude = draw(st.sets(cells, max_size=n * n))
+    if n > 1 and draw(st.booleans()):
+        u = draw(st.integers(0, n - 1))  # node u keeps no candidate
+        exclude |= {(u, v) for v in range(n)}
+    scores = np.array(draw(st.lists(_score_values, min_size=n * n, max_size=n * n)))
+    k_grid = draw(st.lists(st.integers(-1, n * n + 2), max_size=6))
+    return scores.reshape(n, n), truth, exclude, k_grid
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_ranking_case())
+def test_ranking_report_matches_reference_bytes(case):
+    scores, truth, exclude, k_grid = case
+    n = scores.shape[0]
+    pairs = candidate_pairs(n, exclude=exclude)
+    want_pairs = candidate_pairs_ref(n, exclude=exclude)
+    assert _bits(pairs) == _bits(want_pairs)
+    fields = dict(task="temporal_lp", mode="new", method="m", seed=1, config_digest="c")
+    got = _ranking_report(scores, truth, pairs, k_grid, **fields)
+    want = ranking_report_ref(scores, truth, want_pairs, k_grid, **fields)
+    assert got.to_json() == want.to_json()
+
+
+def test_ranking_report_matches_reference_bytes_on_long_lists():
+    # 149 candidates and about 60 hits per node: here summing a node's
+    # terms with np.sum instead of one at a time changes the reported MAP
+    rng = np.random.default_rng(2)
+    n = 150
+    scores = rng.random((n, n))
+    truth = {(int(u), int(v)) for u, v in zip(*np.nonzero(rng.random((n, n)) < 0.4))
+             if u != v}
+    pairs = candidate_pairs(n)
+    fields = dict(task="reconstruction", method="m")
+    got = _ranking_report(scores, truth, pairs, [1, 10, 1000], **fields)
+    want = ranking_report_ref(scores, truth, pairs, [1, 10, 1000], **fields)
+    assert got.to_json() == want.to_json()
+
+
+def test_candidate_pairs_ignore_exclusions_outside_the_grid():
+    pairs = candidate_pairs(3, exclude={(0, 1), (-1, 0), (0, 3), (5, 5)})
+    assert _bits(pairs) == _bits(candidate_pairs_ref(3, exclude={(0, 1)}))
+
+
+def test_metrics_of_unsorted_pairs_match_brute_force():
+    for seed in range(10):
+        pairs, scores, truth = _random_instance(seed)
+        if not truth:
+            continue
+        shuffle = np.random.default_rng(seed).permutation(len(pairs))
+        pairs, scores = pairs[shuffle], scores[shuffle]
+        sp = ScoredPairs(pairs, scores)
+        k = max(1, len(sp) // 3)
+        assert precision_at_k(sp, truth, k) == brute_precision_at_k(pairs, scores, truth, k)
+        assert mean_average_precision(sp, truth) == brute_map(pairs, scores, truth)
 
 
 def test_hit_counts_grow_with_k():

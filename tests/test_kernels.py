@@ -1,11 +1,9 @@
-"""Correctness of the hot kernels against hand values and brute-force oracles."""
+"""Correctness of the hot kernels against hand values."""
 
 import numpy as np
 import pytest
 
 from dynembed import kernels
-
-from oracles import brute_average_precision
 
 
 def _rand(shape, seed=0):
@@ -48,21 +46,3 @@ def test_block_sample_no_self_loops():
     assert np.all(np.diag(adj) == 0.0)
     assert adj.sum() == 20.0
 
-
-def test_average_precision_against_brute_force():
-    rng = np.random.default_rng(13)
-    for _ in range(25):
-        m = int(rng.integers(1, 30))
-        hits = (rng.random(m) > 0.6).astype(np.float64)
-        if hits.sum() == 0:
-            continue
-        n_true = int(hits.sum() + rng.integers(0, 3))
-        pairs = [(0, v) for v in range(m)]
-        scores = -np.arange(m, dtype=np.float64)  # already ranked
-        truth = {(0, v) for v in np.flatnonzero(hits)}
-        want = brute_average_precision(pairs, scores, truth) * len(truth) / n_true
-        assert kernels.average_precision(hits, n_true) == pytest.approx(want, abs=1e-12)
-
-
-def test_average_precision_no_hits():
-    assert kernels.average_precision(np.zeros(5), 3) == 0.0

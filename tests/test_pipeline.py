@@ -72,6 +72,11 @@ def test_migration_range_checked_without_labels(tmp_path):
         prepare_data(cfg)
 
 
+def test_repeated_migration_record_is_rejected(tmp_path):
+    with pytest.raises(ValueError, match="line 2: duplicate migration of node 2 at t=1"):
+        prepare_data(_file_config(tmp_path, migrations=MIGRATIONS * 2))
+
+
 # --- reused output directory ------------------------------------------------
 
 

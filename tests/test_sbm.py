@@ -265,3 +265,15 @@ def test_migrations_loader_rejects_out_of_range(tmp_path):
     path.write_text("5 0 0 1\n")
     with pytest.raises(ValueError, match="outside"):
         load_migrations(path, 3)
+
+
+@pytest.mark.parametrize("text,line", [
+    # the same record twice would count the migrant twice
+    pytest.param("1 0 0 1\n1 0 0 1\n", 2, id="same-record"),
+    pytest.param("1 3 0 1\n2 3 1 0\n1 3 1 0\n", 3, id="same-node-and-step"),
+])
+def test_migrations_loader_rejects_repeated_records(tmp_path, text, line):
+    path = tmp_path / "migrations.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"line {line}: .*duplicate migration of node"):
+        load_migrations(path, 3)

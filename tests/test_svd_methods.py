@@ -17,7 +17,7 @@ from dynembed.graphs import (GraphSnapshot, SnapshotSequence, dense_adjacency,
                              edge_delta)
 from dynembed.numerics import truncated_svd
 from dynembed.rng import Rng
-from dynembed.sbm import generate_sbm_snapshot
+from dynembed.sbm import SbmParams, diminish_series, generate_sbm_snapshot
 from dynembed.svd_embed import (RestartLogEntry, delta_factor,
                                 incremental_update,
                                 optimal_svd_embed, optimal_svd_series,
@@ -298,6 +298,25 @@ def test_monotone_loss_dominance():
         opt = float(np.sum((a - truncated_svd(a, 4).reconstruct()) ** 2))
         assert opt <= log_rerun[t].cur_loss * (1.0 + 1e-9)
         assert log_rerun[t].cur_loss <= log_inc[t].cur_loss * (1.0 + 1e-9)
+
+
+def test_restart_contract_holds_where_the_bound_is_positive():
+    # criterion 2's fixture with one migrant per step: there the bound stays
+    # positive and restarts fire, so each check below can fail
+    params = SbmParams(node_num=200, community_num=2, length=10, diminish_community=1,
+                       node_change_num=1, seed=0)
+    seq = diminish_series(params).sequence
+    _, log, _ = rerun_svd_series(seq, 8, theta=1.0)
+    _, inc_log = plain_incremental_fold(seq, 8)
+    assert any(e.restarted for e in log[1:])
+    for e, inc in zip(log, inc_log):
+        a = dense_adjacency(seq[e.t])
+        opt = float(np.sum((a - truncated_svd(a, 8).reconstruct()) ** 2))
+        assert 0.0 < e.bound <= opt * (1.0 + 1e-9)
+        if e.restarted:
+            assert e.cur_loss == pytest.approx(opt, rel=1e-9)
+        assert e.cur_loss <= inc.cur_loss
+    assert any(e.cur_loss < inc.cur_loss for e, inc in zip(log, inc_log))
 
 
 def test_infinite_theta_is_bitwise_incremental(drift_sbm_50):
