@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .graphs import GraphSnapshot, SnapshotSequence
+from .graphs import GraphSnapshot, SnapshotSequence, edge_delta
 from .numerics import pca_project_2d
 from .rng import Rng
 from .series import EmbeddingSeries
@@ -53,9 +53,6 @@ class ScoredPairs:
     def ranking(self) -> np.ndarray:
         """Index order: descending score, ties by (u, v) lexicographic."""
         return np.lexsort((self.pairs[:, 1], self.pairs[:, 0], -self.scores))
-
-    def ordered_pairs(self) -> np.ndarray:
-        return self.pairs[self.ranking()]
 
 
 def _has_duplicate(pairs: np.ndarray) -> bool:
@@ -161,16 +158,15 @@ def _source_aps(sources: np.ndarray, hits: np.ndarray, n_true: np.ndarray) -> np
     return total[contributing] / n_true[contributing]
 
 
-def _truth_ranking(sp: ScoredPairs, truth):
+def _truth_ranking(sp: ScoredPairs, rows: np.ndarray, cols: np.ndarray):
     """(source, hit) of each pair of sp in ranking order, and each node's
-    true-edge count; truth is read through a boolean mask that covers every
-    candidate and truth pair."""
-    edges = _pair_array(truth)
-    if edges.size and edges.min() < 0:
+    true-edge count; the true edges (rows[i], cols[i]) are read through a
+    boolean mask that covers every candidate and truth pair."""
+    if min(rows.min(initial=0), cols.min(initial=0)) < 0:
         raise ValueError("negative node index in truth")
-    n = 1 + max(int(sp.pairs.max(initial=-1)), int(edges.max(initial=-1)))
+    n = 1 + int(max(sp.pairs.max(initial=-1), rows.max(initial=-1), cols.max(initial=-1)))
     mask = np.zeros((n, n), dtype=bool)
-    mask[edges[:, 0], edges[:, 1]] = True
+    mask[rows, cols] = True
     ranked = sp.pairs[sp.ranking()]
     return ranked[:, 0], mask[ranked[:, 0], ranked[:, 1]], mask.sum(axis=1)
 
@@ -179,14 +175,14 @@ def precision_at_k(sp: ScoredPairs, truth, k: int) -> float:
     """Fraction of the top-k ranked pairs present in the truth edge set."""
     if k < 1 or k > len(sp):
         raise EvalError(f"k={k} outside [1, {len(sp)}]")
-    _, hits, _ = _truth_ranking(sp, truth)
+    _, hits, _ = _truth_ranking(sp, *_pair_array(truth).T)
     return _precisions(hits, [k])[0]
 
 
 def average_precision(sp: ScoredPairs, truth) -> float:
     """AP over one node's candidate list: sum of precision@rank at each hit,
     divided by the node's total number of true edges."""
-    _, hits, n_true = _truth_ranking(sp, truth)
+    _, hits, n_true = _truth_ranking(sp, *_pair_array(truth).T)
     n_truth = int(n_true.sum())
     if not n_truth:
         raise EvalError("average_precision needs at least one true edge")
@@ -196,7 +192,7 @@ def average_precision(sp: ScoredPairs, truth) -> float:
 
 def mean_average_precision(sp: ScoredPairs, truth) -> float:
     """MAP over source nodes that have at least one true edge."""
-    sources, hits, n_true = _truth_ranking(sp, truth)
+    sources, hits, n_true = _truth_ranking(sp, *_pair_array(truth).T)
     if not n_true.any():
         raise EvalError("no node has a true edge")
     return float(np.mean(_source_aps(sources, hits, n_true)))
@@ -205,33 +201,33 @@ def mean_average_precision(sp: ScoredPairs, truth) -> float:
 def static_lp_split(g: GraphSnapshot, hide_fraction: float, rng: Rng):
     """Hide a uniform ceil(fraction * |E|) sample of edges.
 
-    Returns (train graph, hidden edge set). Train nodes may become isolated.
+    The draw picks positions in g's (u, v) order. Returns (train graph,
+    graph of the hidden edges). Train nodes may become isolated.
     """
     if not 0 < hide_fraction < 1:
         raise ValueError("hide_fraction must be in (0, 1)")
-    edges = g.edges()
-    if len(edges) < 2:
+    if len(g) < 2:
         raise EvalError("need at least 2 edges to split")
-    n_hide = math.ceil(hide_fraction * len(edges))
-    hidden_idx = set(rng.choice_no_replace(np.arange(len(edges)), n_hide).tolist())
-    hidden = frozenset((u, v) for i, (u, v, _) in enumerate(edges) if i in hidden_idx)
-    train_edges = [(u, v, w) for i, (u, v, w) in enumerate(edges) if i not in hidden_idx]
-    return GraphSnapshot(g.n, train_edges), hidden
+    hide = np.zeros(len(g), dtype=bool)
+    hide[rng.choice_no_replace(np.arange(len(g)), math.ceil(hide_fraction * len(g)))] = True
+    return tuple(GraphSnapshot(g.n, g.rows[m], g.cols[m], g.weights[m]) for m in (~hide, hide))
 
 
-def candidate_pairs(n: int, exclude=None) -> np.ndarray:
-    """All ordered pairs (u, v), u != v, minus an optional excluded edge set,
-    in (u, v) lexicographic order."""
+def candidate_pairs(n: int, exclude: GraphSnapshot | None = None) -> np.ndarray:
+    """All ordered pairs (u, v), u != v, minus the edges of an optional
+    snapshot on the same n nodes, in (u, v) lexicographic order."""
     keep = ~np.eye(n, dtype=bool)
-    if exclude:
-        edges = _pair_array(exclude)
-        edges = edges[np.all((edges >= 0) & (edges < n), axis=1)]
-        keep[edges[:, 0], edges[:, 1]] = False
+    if exclude is not None:
+        if exclude.n != n:
+            raise ValueError(f"exclusions over {exclude.n} nodes, candidates over {n}")
+        keep[exclude.rows, exclude.cols] = False
     return np.argwhere(keep)
 
 
-def _ranking_report(scores: np.ndarray, truth, pairs: np.ndarray, k_grid, **fields) -> EvalReport:
-    """One ranking sort, one hit vector, and every metric read from them."""
+def _ranking_report(scores: np.ndarray, truth: GraphSnapshot, pairs: np.ndarray, k_grid,
+                    **fields) -> EvalReport:
+    """One ranking sort, one hit vector, and every metric read from them;
+    the edges of truth are the true pairs."""
     report = EvalReport(k_grid=sorted(k_grid), **fields)
     if not truth:
         report.empty_truth = True
@@ -240,7 +236,7 @@ def _ranking_report(scores: np.ndarray, truth, pairs: np.ndarray, k_grid, **fiel
     sp = ScoredPairs(pairs, scores[pairs[:, 0], pairs[:, 1]])
     # grid entries beyond the candidate count are dropped, not clamped
     report.k_grid = [k for k in sorted(k_grid) if 1 <= k <= len(sp)]
-    sources, hits, n_true = _truth_ranking(sp, truth)
+    sources, hits, n_true = _truth_ranking(sp, truth.rows, truth.cols)
     report.precision_at_k = _precisions(hits, report.k_grid)
     report.map = float(np.mean(_source_aps(sources, hits, n_true)))
     return report
@@ -251,20 +247,18 @@ def reconstruction_eval(scores: np.ndarray, g: GraphSnapshot, k_grid, method: st
     """Rank all ordered non-diagonal pairs against the snapshot's own edges."""
     if scores.shape != (g.n, g.n):
         raise ValueError("score matrix shape mismatch")
-    truth = set(g.edge_pairs())
     pairs = candidate_pairs(g.n)
-    return _ranking_report(scores, truth, pairs, k_grid, task="reconstruction",
+    return _ranking_report(scores, g, pairs, k_grid, task="reconstruction",
                            method=method, seed=seed, config_digest=config_digest)
 
 
-def static_lp_eval(scores: np.ndarray, train: GraphSnapshot, hidden, k_grid,
+def static_lp_eval(scores: np.ndarray, train: GraphSnapshot, hidden: GraphSnapshot, k_grid,
                    method: str = "", seed: int = 0, config_digest: str = "") -> EvalReport:
     """Rank non-edges of the train graph against the hidden edges."""
     if scores.shape != (train.n, train.n):
         raise ValueError("score matrix shape mismatch")
-    truth = set(hidden)
-    pairs = candidate_pairs(train.n, exclude=set(train.edge_pairs()))
-    return _ranking_report(scores, truth, pairs, k_grid, task="static_lp",
+    pairs = candidate_pairs(train.n, exclude=train)
+    return _ranking_report(scores, hidden, pairs, k_grid, task="static_lp",
                            method=method, seed=seed, config_digest=config_digest)
 
 
@@ -284,12 +278,11 @@ def temporal_lp_eval(scores: np.ndarray, seq: SnapshotSequence, t: int, k_grid,
     g_t, g_next = seq[t], seq[t + 1]
     if scores.shape != (g_t.n, g_t.n):
         raise ValueError("score matrix shape mismatch")
-    cur_edges = set(g_t.edge_pairs())
-    next_edges = set(g_next.edge_pairs())
     if mode == "all":
-        truth, exclude = next_edges, None
+        truth, exclude = g_next, None
     else:
-        truth, exclude = next_edges - cur_edges, cur_edges
+        new = edge_delta(g_t, g_next).added
+        truth, exclude = GraphSnapshot(g_t.n, new["u"], new["v"], new["w"]), g_t
     pairs = candidate_pairs(g_t.n, exclude=exclude)
     return _ranking_report(scores, truth, pairs, k_grid, task="temporal_lp", mode=mode,
                            method=method, seed=seed, config_digest=config_digest)

@@ -2,12 +2,13 @@
 
 Graphs are weighted and directed over a node set that is fixed across time;
 weight 0 encodes edge absence and all stored weights are strictly positive.
-Snapshots and sequences are immutable after construction and safe to share
-across threads.
+A snapshot is its edges as three read-only arrays sorted by (u, v), which
+every consumer reads directly. Snapshots, sequences and deltas are immutable
+after construction and safe to share across threads.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,54 +25,49 @@ class SnapshotParseError(ValueError):
 
 
 class GraphSnapshot:
-    """One weighted directed graph; edges stored as a (u, v) -> w mapping."""
+    """One weighted directed graph of len() edges: (rows[i], cols[i]) of
+    weight weights[i], sorted by (u, v)."""
 
-    __slots__ = ("n", "_adj")
+    __slots__ = ("n", "rows", "cols", "weights")
 
-    def __init__(self, n: int, edges=()):
+    def __init__(self, n: int, rows=(), cols=(), weights=()):
         if n < 0:
             raise ValueError("node count must be non-negative")
-        self.n = int(n)
-        adj = {}
-        for u, v, w in edges:
-            u, v, w = int(u), int(v), float(w)
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u},{v}) outside node range [0,{self.n})")
-            if not math.isfinite(w) or w <= 0.0:
-                raise ValueError(f"edge ({u},{v}) has non-positive weight {w}")
-            if (u, v) in adj:
-                raise ValueError(f"duplicate edge ({u},{v})")
-            adj[(u, v)] = w
-        self._adj = adj
+        self.n = n = int(n)
+        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+        weights = np.asarray(weights, dtype=np.float64)
+        if not rows.ndim == 1 or not rows.shape == cols.shape == weights.shape:
+            raise ValueError("rows, cols and weights must be 1-D and of one length")
+        bad = (rows < 0) | (rows >= n) | (cols < 0) | (cols >= n)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"edge ({rows[i]},{cols[i]}) outside node range [0,{n})")
+        bad = ~((0.0 < weights) & (weights < math.inf))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"edge ({rows[i]},{cols[i]}) has non-positive weight {weights[i]}")
+        keys = rows * n + cols
+        order = np.argsort(keys, kind="stable")  # linear on sorted input
+        # indexing copies, so no caller array is shared or frozen
+        self.rows, self.cols, self.weights = rows[order], cols[order], weights[order]
+        for a in (self.rows, self.cols, self.weights):
+            a.flags.writeable = False
+        repeat = np.flatnonzero(np.diff(keys[order]) == 0)
+        if repeat.size:
+            raise ValueError(f"duplicate edge ({self.rows[repeat[0]]},{self.cols[repeat[0]]})")
 
-    @property
-    def num_edges(self) -> int:
-        return len(self._adj)
-
-    def weight(self, u: int, v: int) -> float:
-        """Weight of (u, v), or 0.0 when the edge is absent."""
-        return self._adj.get((u, v), 0.0)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self._adj
-
-    def edges(self):
-        """Edges as (u, v, w) triples sorted by (u, v)."""
-        return [(u, v, self._adj[(u, v)]) for u, v in sorted(self._adj)]
-
-    def edge_pairs(self) -> set:
-        return set(self._adj)
-
-    def edge_dict(self) -> dict:
-        return dict(self._adj)
+    def __len__(self) -> int:
+        return len(self.rows)
 
     def __eq__(self, other):
         if not isinstance(other, GraphSnapshot):
             return NotImplemented
-        return self.n == other.n and self._adj == other._adj
+        return (self.n == other.n and np.array_equal(self.rows, other.rows)
+                and np.array_equal(self.cols, other.cols)
+                and np.array_equal(self.weights, other.weights))
 
     def __repr__(self):
-        return f"GraphSnapshot(n={self.n}, edges={len(self._adj)})"
+        return f"GraphSnapshot(n={self.n}, edges={len(self)})"
 
 
 class SnapshotSequence:
@@ -108,46 +104,48 @@ class SnapshotSequence:
         return self.snapshots == other.snapshots
 
 
-@dataclass(frozen=True)
+def _present(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
+    """Mask of the keys that occur in the ascending, non-negative sorted_keys."""
+    # -1 closes the array, so a key beyond the last one finds no match
+    return np.append(sorted_keys, -1)[np.searchsorted(sorted_keys, keys)] == keys
+
+
+def _records(names: str, *columns) -> np.ndarray:
+    """Read-only record array with one named field per column."""
+    out = np.rec.fromarrays(columns, names=names)
+    out.flags.writeable = False
+    return out
+
+
+@dataclass(frozen=True, eq=False)
 class EdgeDelta:
     """Exact difference between two snapshots over the same node set.
 
-    added/removed hold (u, v, w) triples, reweighted holds (u, v, w_old,
-    w_new); touched_rows is the set of u whose out-row changed.
+    Each field is a read-only record array sorted by (u, v), one record per
+    changed entry: added and removed have the fields u, v, w, and reweighted
+    has u, v, w_old, w_new.
     """
 
-    added: frozenset = field(default_factory=frozenset)
-    removed: frozenset = field(default_factory=frozenset)
-    reweighted: frozenset = field(default_factory=frozenset)
-    touched_rows: frozenset = field(default_factory=frozenset)
-
-    @property
-    def is_empty(self) -> bool:
-        return not (self.added or self.removed or self.reweighted)
+    added: np.ndarray
+    removed: np.ndarray
+    reweighted: np.ndarray
 
 
 def edge_delta(prev: GraphSnapshot, next_: GraphSnapshot) -> EdgeDelta:
     """Delta such that applying it to prev reproduces next_ exactly."""
     if prev.n != next_.n:
         raise ValueError(f"node count mismatch: {prev.n} vs {next_.n}")
-    a, b = prev.edge_dict(), next_.edge_dict()
-    added, removed, reweighted, touched = [], [], [], set()
-    for key, w in b.items():
-        if key not in a:
-            added.append((*key, w))
-            touched.add(key[0])
-        elif a[key] != w:
-            reweighted.append((*key, a[key], w))
-            touched.add(key[0])
-    for key, w in a.items():
-        if key not in b:
-            removed.append((*key, w))
-            touched.add(key[0])
+    n = prev.n
+    old_keys, new_keys = prev.rows * n + prev.cols, next_.rows * n + next_.cols
+    kept = _present(old_keys, new_keys)  # edges of prev that next_ has
+    held = _present(new_keys, old_keys)  # the same edges, in next_
+    w_old, w_new = prev.weights[kept], next_.weights[held]
+    changed = w_old != w_new
     return EdgeDelta(
-        added=frozenset(added),
-        removed=frozenset(removed),
-        reweighted=frozenset(reweighted),
-        touched_rows=frozenset(touched),
+        added=_records("u,v,w", next_.rows[~held], next_.cols[~held], next_.weights[~held]),
+        removed=_records("u,v,w", prev.rows[~kept], prev.cols[~kept], prev.weights[~kept]),
+        reweighted=_records("u,v,w_old,w_new", prev.rows[kept][changed],
+                            prev.cols[kept][changed], w_old[changed], w_new[changed]),
     )
 
 
@@ -156,8 +154,7 @@ def dense_adjacency(g: GraphSnapshot) -> np.ndarray:
     if g.n > DEFAULT_DENSE_LIMIT:
         raise ValueError(f"n={g.n} exceeds dense limit {DEFAULT_DENSE_LIMIT}")
     a = np.zeros((g.n, g.n))
-    for (u, v), w in g.edge_dict().items():
-        a[u, v] = w
+    a[g.rows, g.cols] = g.weights
     return a
 
 
@@ -214,7 +211,8 @@ def load_snapshots(path) -> SnapshotSequence:
         per_t[t][(u, v)] = w
 
     return SnapshotSequence(
-        GraphSnapshot(n, ((u, v, w) for (u, v), w in adj.items())) for adj in per_t
+        GraphSnapshot(n, [u for u, _ in adj], [v for _, v in adj], list(adj.values()))
+        for adj in per_t
     )
 
 
@@ -223,5 +221,9 @@ def save_snapshots(seq: SnapshotSequence, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{len(seq)} {seq.n}\n")
         for t, g in enumerate(seq):
-            # 17 significant digits round-trip any float64 exactly
-            fh.write("".join(["%d %d %d %.17g\n" % (t, u, v, w) for u, v, w in g.edges()]))
+            # 17 significant digits round-trip any float64 exactly; each
+            # distinct weight is formatted once
+            weights, slot = np.unique(g.weights, return_inverse=True)
+            text = ["%.17g\n" % w for w in weights.tolist()]
+            fh.write("".join([f"{t} {u} {v} {text[i]}" for u, v, i in
+                              zip(g.rows.tolist(), g.cols.tolist(), slot.tolist())]))

@@ -34,10 +34,6 @@ class TruncatedSvd:
                 if drift > ORTHO_TOL:
                     raise ValueError(f"{name} columns not orthonormal (drift {drift:.2e})")
 
-    @property
-    def rank(self) -> int:
-        return self.S.shape[0]
-
     def reconstruct(self) -> np.ndarray:
         return (self.U * self.S) @ self.V.T
 

@@ -73,11 +73,6 @@ class DynamicSbmSeries:
     labels: list  # per snapshot, int64 array of community ids
     migrations: list  # per snapshot, list of (node, old_community, new_community)
 
-    @property
-    def migrated(self) -> list:
-        """Per-snapshot set of node ids that changed community entering that step."""
-        return [frozenset(node for node, _, _ in step) for step in self.migrations]
-
 
 def generate_sbm_snapshot(labels, p_in: float, p_out: float, rng: Rng) -> GraphSnapshot:
     """Sample one directed SBM snapshot: each ordered pair u != v carries an
@@ -91,8 +86,9 @@ def generate_sbm_snapshot(labels, p_in: float, p_out: float, rng: Rng) -> GraphS
 
 
 def _snapshot_from_dense(adj: np.ndarray) -> GraphSnapshot:
-    us, vs = np.nonzero(adj)
-    return GraphSnapshot(adj.shape[0], zip(us.tolist(), vs.tolist(), adj[us, vs].tolist()))
+    """The snapshot of a square adjacency matrix's non-zero entries."""
+    us, vs = np.nonzero(adj)  # row-major, so already sorted by (u, v)
+    return GraphSnapshot(adj.shape[0], us, vs, adj[us, vs])
 
 
 def diminish_series(params: SbmParams) -> DynamicSbmSeries:
@@ -166,7 +162,11 @@ def load_labels(path) -> list:
             s = line.strip()
             if not s or s.startswith("#"):
                 continue
-            t, node, c = (int(x) for x in s.split())
+            try:
+                t, node, c = (int(x) for x in s.split())
+            except ValueError:
+                raise ValueError(f"{path}: line {no}: expected `t node community`, "
+                                 f"got {s!r}") from None
             if min(t, node, c) < 0:
                 raise ValueError(f"{path}: line {no}: negative value in {s!r}")
             if (t, node) in rows:
@@ -203,9 +203,13 @@ def load_migrations(path, length: int) -> list:
             s = line.strip()
             if not s or s.startswith("#"):
                 continue
-            t, node, old, new = (int(x) for x in s.split())
+            try:
+                t, node, old, new = (int(x) for x in s.split())
+            except ValueError:
+                raise ValueError(f"{path}: line {no}: expected `t node old_community "
+                                 f"new_community`, got {s!r}") from None
             if not 0 <= t < length:
-                raise ValueError(f"{path}: migration at t={t} outside [0,{length})")
+                raise ValueError(f"{path}: line {no}: migration at t={t} outside [0,{length})")
             if (t, node) in seen:
                 raise ValueError(f"{path}: line {no}: duplicate migration of node {node} at t={t}")
             seen.add((t, node))

@@ -115,14 +115,6 @@ def optimal_svd_embed(g: GraphSnapshot, d: int, t: int = 0):
     return (*state.embedding(), state)
 
 
-def _changed_entries(delta: EdgeDelta) -> dict:
-    """(u, v) -> new weight minus old weight, for every entry the delta changes."""
-    entries = {(u, v): w for u, v, w in delta.added}
-    entries.update(((u, v), -w_old) for u, v, w_old in delta.removed)
-    entries.update(((u, v), w_new - w_old) for u, v, w_old, w_new in delta.reweighted)
-    return entries
-
-
 def _augment(root, adj: dict, match_row: dict, match_col: dict, seen: set) -> bool:
     """Look for an alternating path from the free row root to a free column
     and flip it. Columns in seen are skipped and new ones are added to it."""
@@ -204,21 +196,24 @@ def delta_factor(delta: EdgeDelta, n: int):
     size of a maximum matching of the entries: at most the number of touched
     rows and of touched columns, and at least the rank of the delta.
     """
-    entries = _changed_entries(delta)
-    rows, cols = _min_vertex_cover(entries)
+    added, removed, reweighted = delta.added, delta.removed, delta.reweighted
+    us = np.concatenate([added["u"], removed["u"], reweighted["u"]])
+    vs = np.concatenate([added["v"], removed["v"], reweighted["v"]])
+    change = np.concatenate([added["w"], -removed["w"],
+                             reweighted["w_new"] - reweighted["w_old"]])
+    rows, cols = _min_vertex_cover(zip(us.tolist(), vs.tolist()))
     k = len(rows) + len(cols)
     p = np.zeros((n, k))
     q = np.zeros((n, k))
     p[rows, range(len(rows))] = 1.0
     q[cols, range(len(rows), k)] = 1.0
-    row_slot = {u: j for j, u in enumerate(rows)}
-    col_slot = {v: j for j, v in enumerate(cols, start=len(rows))}
-    for (u, v), x in entries.items():
-        j = row_slot.get(u)
-        if j is None:
-            p[u, col_slot[v]] = x
-        else:
-            q[v, j] = x
+    row_slot = np.full(n, -1)
+    row_slot[rows] = range(len(rows))
+    col_slot = np.full(n, -1)
+    col_slot[cols] = range(len(rows), k)
+    in_row = row_slot[us] >= 0  # an entry goes to its cover row, else to its cover column
+    q[vs[in_row], row_slot[us[in_row]]] = change[in_row]
+    p[us[~in_row], col_slot[vs[~in_row]]] = change[~in_row]
     return p, q
 
 

@@ -2,11 +2,14 @@
 
 Everything here is written the dumb, obvious way (pure Python loops, the
 textbook formula) and deliberately shares no code with the package. The
-exceptions are at the end: the ranking evaluation as it was before it was
-vectorised, which fills the package's report type; the plain incremental SVD
-fold, built from the package's update step with no restart test; and the
-prefix re-embed, which runs the package's methods on a prefix of the
-sequence, as link prediction once did.
+graph model as it was before a snapshot became sorted edge arrays is kept as
+SnapshotRef, a dict of (u, v) -> w, with the delta, dense adjacency, text
+writer and static link prediction split built on it. The exceptions are at
+the end: the ranking evaluation as it was before it was vectorised, which
+fills the package's report type; the plain incremental SVD fold, built from
+the package's update step with no restart test; and the prefix re-embed,
+which runs the package's methods on a prefix of the sequence, as link
+prediction once did.
 """
 
 import itertools
@@ -127,11 +130,12 @@ def save_mlp_params_ref(params, path) -> None:
             fh.write(" ".join(f"{x:.17g}" for x in b) + "\n")
 
 
-def save_snapshots_ref(seq, path) -> None:
-    """The snapshot text format written one edge line at a time."""
+def save_snapshots_ref(snapshots, path) -> None:
+    """The snapshot text format of SnapshotRefs, written one edge line at a
+    time."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{len(seq)} {seq.n}\n")
-        for t, g in enumerate(seq):
+        fh.write(f"{len(snapshots)} {snapshots[0].n}\n")
+        for t, g in enumerate(snapshots):
             for u, v, w in g.edges():
                 fh.write(f"{t} {u} {v} {w:.17g}\n")
 
@@ -139,17 +143,19 @@ def save_snapshots_ref(seq, path) -> None:
 def row_indicator_factor(delta, n: int):
     """Delta as P Q^T with one column per touched row: P[:, j] = e_u and
     Q[:, j] = the change of row u."""
-    rows = sorted(delta.touched_rows)
+    added, removed, reweighted = (x.tolist() for x in (delta.added, delta.removed,
+                                                      delta.reweighted))
+    rows = sorted({e[0] for e in added + removed + reweighted})
     p = np.zeros((n, len(rows)))
     q = np.zeros((n, len(rows)))
     col = {u: j for j, u in enumerate(rows)}
     for j, u in enumerate(rows):
         p[u, j] = 1.0
-    for u, v, w in delta.added:
+    for u, v, w in added:
         q[v, col[u]] += w
-    for u, v, w_old in delta.removed:
+    for u, v, w_old in removed:
         q[v, col[u]] -= w_old
-    for u, v, w_old, w_new in delta.reweighted:
+    for u, v, w_old, w_new in reweighted:
         q[v, col[u]] += w_new - w_old
     return p, q
 
@@ -170,20 +176,94 @@ def brute_min_cover_size(edges) -> int:
 def apply_delta(g, delta):
     """Snapshot g with an edge_delta applied, one edge at a time; raises
     ValueError on an entry that does not match g."""
-    adj = g.edge_dict()
-    for u, v, w_old in delta.removed:
+    adj = {(u, v): w for u, v, w in zip(g.rows.tolist(), g.cols.tolist(), g.weights.tolist())}
+    for u, v, w_old in delta.removed.tolist():
         if adj.get((u, v)) != w_old:
             raise ValueError(f"removed edge ({u},{v}) does not match snapshot")
         del adj[(u, v)]
-    for u, v, w_old, w_new in delta.reweighted:
+    for u, v, w_old, w_new in delta.reweighted.tolist():
         if adj.get((u, v)) != w_old:
             raise ValueError(f"reweighted edge ({u},{v}) does not match snapshot")
         adj[(u, v)] = w_new
-    for u, v, w in delta.added:
+    for u, v, w in delta.added.tolist():
         if (u, v) in adj:
             raise ValueError(f"added edge ({u},{v}) already present")
         adj[(u, v)] = w
-    return GraphSnapshot(g.n, ((u, v, w) for (u, v), w in adj.items()))
+    return snapshot(g.n, ((u, v, w) for (u, v), w in adj.items()))
+
+
+def snapshot(n: int, edges=()):
+    """GraphSnapshot of (u, v, w) triples in any order."""
+    edges = list(edges)
+    return GraphSnapshot(n, [e[0] for e in edges], [e[1] for e in edges],
+                         [e[2] for e in edges])
+
+
+# --- the graph model as a dict of (u, v) -> w ---------------------------
+
+
+class SnapshotRef:
+    """One weighted directed graph as a (u, v) -> w dict, checked one edge
+    at a time."""
+
+    def __init__(self, n: int, edges=()):
+        if n < 0:
+            raise ValueError("node count must be non-negative")
+        self.n = int(n)
+        adj = {}
+        for u, v, w in edges:
+            u, v, w = int(u), int(v), float(w)
+            if not (0 <= u < self.n and 0 <= v < self.n):
+                raise ValueError(f"edge ({u},{v}) outside node range [0,{self.n})")
+            if not math.isfinite(w) or w <= 0.0:
+                raise ValueError(f"edge ({u},{v}) has non-positive weight {w}")
+            if (u, v) in adj:
+                raise ValueError(f"duplicate edge ({u},{v})")
+            adj[(u, v)] = w
+        self.adj = adj
+
+    def edges(self):
+        """Edges as (u, v, w) triples sorted by (u, v)."""
+        return [(u, v, self.adj[(u, v)]) for u, v in sorted(self.adj)]
+
+
+def edge_delta_ref(prev, next_):
+    """(added, removed, reweighted) frozensets of (u, v, w) and
+    (u, v, w_old, w_new) triples between two SnapshotRefs."""
+    a, b = prev.adj, next_.adj
+    added, removed, reweighted = [], [], []
+    for key, w in b.items():
+        if key not in a:
+            added.append((*key, w))
+        elif a[key] != w:
+            reweighted.append((*key, a[key], w))
+    for key, w in a.items():
+        if key not in b:
+            removed.append((*key, w))
+    return frozenset(added), frozenset(removed), frozenset(reweighted)
+
+
+def dense_adjacency_ref(g):
+    """Dense adjacency of a SnapshotRef, one edge at a time."""
+    a = np.zeros((g.n, g.n))
+    for (u, v), w in g.adj.items():
+        a[u, v] = w
+    return a
+
+
+def static_lp_split_ref(g, hide_fraction: float, rng):
+    """(train SnapshotRef, hidden frozenset of (u, v)) of a SnapshotRef with
+    a ceil(fraction * |E|) sample of its sorted edges hidden."""
+    if not 0 < hide_fraction < 1:
+        raise ValueError("hide_fraction must be in (0, 1)")
+    edges = g.edges()
+    if len(edges) < 2:
+        raise EvalError("need at least 2 edges to split")
+    n_hide = math.ceil(hide_fraction * len(edges))
+    hidden_idx = set(rng.choice_no_replace(np.arange(len(edges)), n_hide).tolist())
+    hidden = frozenset((u, v) for i, (u, v, _) in enumerate(edges) if i in hidden_idx)
+    train_edges = [(u, v, w) for i, (u, v, w) in enumerate(edges) if i not in hidden_idx]
+    return SnapshotRef(g.n, train_edges), hidden
 
 
 # --- the ranking evaluation before vectorisation ---------------------------
@@ -203,14 +283,14 @@ def hits_average_precision_ref(hits, n_true):
     return total / n_true
 
 
-def _ordered_pairs_ref(sp):
+def _ranked_pairs_ref(sp):
     return sp.pairs[np.lexsort((sp.pairs[:, 1], sp.pairs[:, 0], -sp.scores))]
 
 
 def precision_at_k_ref(sp, truth, k):
     if k < 1 or k > len(sp):
         raise EvalError(f"k={k} outside [1, {len(sp)}]")
-    top = _ordered_pairs_ref(sp)[:k]
+    top = _ranked_pairs_ref(sp)[:k]
     truth = set(truth)
     hits = sum((int(u), int(v)) in truth for u, v in top)
     return hits / k
@@ -223,7 +303,7 @@ def mean_average_precision_ref(sp, truth):
         n_true[u] = n_true.get(u, 0) + 1
     if not n_true:
         raise EvalError("no node has a true edge")
-    ranked = _ordered_pairs_ref(sp)
+    ranked = _ranked_pairs_ref(sp)
     aps = []
     for u in sorted(n_true):
         mine = ranked[ranked[:, 0] == u]

@@ -22,14 +22,14 @@ from dynembed.evaluation import (EvalError, EvalReport, ScoredPairs,
                                  precision_at_k, reconstruction_eval,
                                  save_report, static_lp_eval, static_lp_split,
                                  temporal_lp_eval, _f1_scores, _ranking_report)
-from dynembed.graphs import GraphSnapshot, SnapshotSequence, dense_adjacency
+from dynembed.graphs import SnapshotSequence, dense_adjacency
 from dynembed.rng import Rng
 from dynembed.sbm import generate_sbm_snapshot
 from dynembed.series import EmbeddingSeries
 
 from oracles import (brute_average_precision, brute_map,
                      brute_precision_at_k, brute_ranking, candidate_pairs_ref,
-                     hits_average_precision_ref, ranking_report_ref)
+                     hits_average_precision_ref, ranking_report_ref, snapshot)
 
 
 def _random_instance(seed, max_n=12):
@@ -46,6 +46,15 @@ def _random_instance(seed, max_n=12):
 
 def _bits(a):
     return a.dtype, a.shape, a.tobytes()
+
+
+def _graph(n, pairs):
+    """Snapshot on n nodes whose edges are the (u, v) pairs, at weight 1."""
+    return snapshot(n, [(u, v, 1.0) for u, v in pairs])
+
+
+def _edge_set(g):
+    return set(zip(g.rows.tolist(), g.cols.tolist()))
 
 
 def _series_from(y, t_start=0):
@@ -96,14 +105,14 @@ def test_duplicate_check_is_exact(rows):
 def test_ranking_breaks_ties_lexicographically():
     sp = ScoredPairs(np.array([[1, 0], [0, 1], [0, 0]]),
                      np.array([1.0, 1.0, 2.0]))
-    assert [tuple(p) for p in sp.ordered_pairs()] == [(0, 0), (0, 1), (1, 0)]
+    assert [tuple(p) for p in sp.pairs[sp.ranking()]] == [(0, 0), (0, 1), (1, 0)]
 
 
 def test_ranking_matches_brute_force():
     for seed in range(10):
         pairs, scores, _ = _random_instance(seed)
         sp = ScoredPairs(pairs, scores)
-        assert [tuple(map(int, p)) for p in sp.ordered_pairs()] == \
+        assert [tuple(map(int, p)) for p in sp.pairs[sp.ranking()]] == \
             brute_ranking(pairs, scores)
 
 
@@ -186,7 +195,7 @@ def test_metric_oracle_equivalence_property(seed):
     if not truth:
         return
     sp = ScoredPairs(pairs, scores)
-    assert [tuple(map(int, p)) for p in sp.ordered_pairs()] == brute_ranking(pairs, scores)
+    assert [tuple(map(int, p)) for p in sp.pairs[sp.ranking()]] == brute_ranking(pairs, scores)
     k = 1 + seed % len(sp)
     assert precision_at_k(sp, truth, k) == brute_precision_at_k(pairs, scores, truth, k)
     assert mean_average_precision(sp, truth) == brute_map(pairs, scores, truth)
@@ -217,11 +226,11 @@ def _ranking_case(draw):
 def test_ranking_report_matches_reference_bytes(case):
     scores, truth, exclude, k_grid = case
     n = scores.shape[0]
-    pairs = candidate_pairs(n, exclude=exclude)
+    pairs = candidate_pairs(n, exclude=_graph(n, exclude))
     want_pairs = candidate_pairs_ref(n, exclude=exclude)
     assert _bits(pairs) == _bits(want_pairs)
     fields = dict(task="temporal_lp", mode="new", method="m", seed=1, config_digest="c")
-    got = _ranking_report(scores, truth, pairs, k_grid, **fields)
+    got = _ranking_report(scores, _graph(n, truth), pairs, k_grid, **fields)
     want = ranking_report_ref(scores, truth, want_pairs, k_grid, **fields)
     assert got.to_json() == want.to_json()
 
@@ -236,14 +245,14 @@ def test_ranking_report_matches_reference_bytes_on_long_lists():
              if u != v}
     pairs = candidate_pairs(n)
     fields = dict(task="reconstruction", method="m")
-    got = _ranking_report(scores, truth, pairs, [1, 10, 1000], **fields)
+    got = _ranking_report(scores, _graph(n, truth), pairs, [1, 10, 1000], **fields)
     want = ranking_report_ref(scores, truth, pairs, [1, 10, 1000], **fields)
     assert got.to_json() == want.to_json()
 
 
-def test_candidate_pairs_ignore_exclusions_outside_the_grid():
-    pairs = candidate_pairs(3, exclude={(0, 1), (-1, 0), (0, 3), (5, 5)})
-    assert _bits(pairs) == _bits(candidate_pairs_ref(3, exclude={(0, 1)}))
+def test_candidate_pairs_reject_exclusions_over_other_nodes():
+    with pytest.raises(ValueError, match="exclusions over 4 nodes, candidates over 3"):
+        candidate_pairs(3, exclude=_graph(4, {(0, 1)}))
 
 
 def test_metrics_of_unsorted_pairs_match_brute_force():
@@ -271,7 +280,7 @@ def test_map_perfect_scores():
     pairs = candidate_pairs(10)
     scores = dense_adjacency(g)[pairs[:, 0], pairs[:, 1]]
     sp = ScoredPairs(pairs, scores)
-    assert mean_average_precision(sp, set(g.edge_pairs())) == 1.0
+    assert mean_average_precision(sp, _edge_set(g)) == 1.0
 
 
 def test_map_requires_a_contributing_node():
@@ -291,18 +300,17 @@ def test_map_counts_nodes_without_candidates():
 
 def test_split_partitions_the_edge_set():
     g = generate_sbm_snapshot(np.repeat([0, 1], 10), 0.5, 0.1, Rng(1))
-    edges = {(u, v) for u, v, _ in g.edges()}
+    edges = _edge_set(g)
     train, hidden = static_lp_split(g, 0.2, Rng(2))
-    train_edges = {(u, v) for u, v, _ in train.edges()}
-    assert train_edges | hidden == edges
-    assert not train_edges & hidden
+    assert _edge_set(train) | _edge_set(hidden) == edges
+    assert not _edge_set(train) & _edge_set(hidden)
     assert len(hidden) == -(-len(edges) // 5)  # ceil(0.2 |E|)
     again_train, again_hidden = static_lp_split(g, 0.2, Rng(2))
     assert again_hidden == hidden and again_train == train
 
 
 def test_split_validation():
-    g = GraphSnapshot(3, [(0, 1, 1.0)])
+    g = snapshot(3, [(0, 1, 1.0)])
     with pytest.raises(EvalError, match="2 edges"):
         static_lp_split(g, 0.5, Rng(0))
     with pytest.raises(ValueError, match="hide_fraction"):
@@ -312,13 +320,13 @@ def test_split_validation():
 def test_candidate_pairs_small():
     pairs = {tuple(p) for p in candidate_pairs(3)}
     assert pairs == {(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)}
-    without = {tuple(p) for p in candidate_pairs(3, exclude={(0, 1), (2, 1)})}
+    without = {tuple(p) for p in candidate_pairs(3, exclude=_graph(3, {(0, 1), (2, 1)}))}
     assert without == pairs - {(0, 1), (2, 1)}
 
 
 def test_reconstruction_perfect_scores():
     g = generate_sbm_snapshot(np.repeat([0, 1], 6), 0.7, 0.1, Rng(3))
-    report = reconstruction_eval(dense_adjacency(g), g, [1, g.num_edges],
+    report = reconstruction_eval(dense_adjacency(g), g, [1, len(g)],
                                  method="oracle")
     assert report.task == "reconstruction"
     assert report.precision_at_k == [1.0, 1.0]
@@ -327,7 +335,7 @@ def test_reconstruction_perfect_scores():
 
 
 def test_reconstruction_drops_oversized_k():
-    g = GraphSnapshot(3, [(0, 1, 1.0), (1, 2, 1.0)])
+    g = snapshot(3, [(0, 1, 1.0), (1, 2, 1.0)])
     report = reconstruction_eval(dense_adjacency(g), g, [2, 500])
     assert report.k_grid == [2]
 
@@ -348,10 +356,24 @@ def test_temporal_lp_perfect_oracle():
         generate_sbm_snapshot(np.repeat([0, 1], 6), 0.6, 0.1, Rng(7)),
     ])
     scores = dense_adjacency(seq[1])
-    report = temporal_lp_eval(scores, seq, 0, [seq[1].num_edges], mode="all")
+    report = temporal_lp_eval(scores, seq, 0, [len(seq[1])], mode="all")
     assert report.mode == "all"
     assert report.precision_at_k == [1.0]
     assert report.map == 1.0
+
+
+def test_temporal_lp_new_mode_matches_the_set_reference():
+    # truth is G_{t+1}'s edges minus G_t's, and the candidates skip G_t's edges
+    labels = np.repeat([0, 1], 9)
+    seq = SnapshotSequence([generate_sbm_snapshot(labels, 0.4, 0.1, Rng(s)) for s in (1, 2)])
+    scores = Rng(3).random((18, 18))
+    cur, nxt = _edge_set(seq[0]), _edge_set(seq[1])
+    assert nxt - cur and nxt & cur
+    fields = dict(task="temporal_lp", mode="new", method="m", seed=0, config_digest="")
+    got = temporal_lp_eval(scores, seq, 0, [1, 10, 100], mode="new", method="m")
+    want = ranking_report_ref(scores, nxt - cur, candidate_pairs_ref(18, exclude=cur),
+                              [1, 10, 100], **fields)
+    assert got.to_json() == want.to_json()
 
 
 def test_temporal_lp_no_new_edges_is_flagged():
@@ -364,7 +386,7 @@ def test_temporal_lp_no_new_edges_is_flagged():
 
 
 def test_temporal_lp_validation():
-    g = GraphSnapshot(3, [(0, 1, 1.0)])
+    g = snapshot(3, [(0, 1, 1.0)])
     seq = SnapshotSequence([g, g])
     with pytest.raises(ValueError, match="unknown mode"):
         temporal_lp_eval(np.zeros((3, 3)), seq, 0, [1], mode="future")

@@ -16,7 +16,7 @@ import pytest
 
 from dynembed import pipeline
 from dynembed.config import METHODS, from_dict
-from dynembed.graphs import SnapshotSequence
+from dynembed.graphs import GraphSnapshot, SnapshotSequence, dense_adjacency, save_snapshots
 from dynembed.pipeline import embed_series, prepare_data, run_experiment
 
 from oracles import prefix_static_lp_scores, prefix_temporal_lp_scores
@@ -191,3 +191,20 @@ def test_benchmark_trace_hooks_see_one_ae_run(tmp_path, monkeypatch):
     assert in_encode == LENGTH * len(cfg.ae.enc_units)
     # both tasks score snapshots by decoding them
     assert calls["ae.reconstruct"] == 2
+
+
+def test_benchmark_delta_counter_counts_changed_entries(tmp_path, monkeypatch):
+    # weight 2 on every third out-row of each SBM snapshot, shifting by one row
+    # per step: a step adds and removes edges, reweights some and keeps others
+    seq = prepare_data(_cfg("rerunsvd"))[0]
+    seq = SnapshotSequence(GraphSnapshot(g.n, g.rows, g.cols, 1.0 + ((g.rows + t) % 3 == 0))
+                           for t, g in enumerate(seq))
+    save_snapshots(seq, tmp_path / "snapshots.txt")
+    cfg = from_dict({"outdir": str(tmp_path / "out"),
+                     "data": {"snapshots": str(tmp_path / "snapshots.txt")},
+                     "method": {"name": "rerunsvd", "d": 2, "theta": 0.01}})
+    calls, trace = _traced_run(cfg, monkeypatch)
+    changed = [int(np.count_nonzero(dense_adjacency(seq[t]) - dense_adjacency(seq[t - 1])))
+               for t in range(1, len(seq))]
+    assert calls["graphs.edge_delta"] == len(seq) - 1
+    assert trace["counters"]["graphs.delta_entries"] == sum(changed)

@@ -2,6 +2,7 @@
 bookkeeping, and determinism."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -74,13 +75,13 @@ def test_initial_labels_contiguous():
 def test_degenerate_probabilities_give_cliques():
     labels = [0, 0, 1, 1]
     g = generate_sbm_snapshot(labels, 1.0, 0.0, Rng(0))
-    assert g.edge_pairs() == {(0, 1), (1, 0), (2, 3), (3, 2)}
-    assert all(w == 1.0 for _, _, w in g.edges())
+    assert list(zip(g.rows.tolist(), g.cols.tolist())) == [(0, 1), (1, 0), (2, 3), (3, 2)]
+    assert g.weights.tolist() == [1.0] * 4
 
 
 def test_zero_probabilities_give_empty_graph():
     g = generate_sbm_snapshot([0, 0, 1, 1], 0.0, 0.0, Rng(0))
-    assert g.num_edges == 0
+    assert len(g) == 0
 
 
 def test_snapshot_probability_validation():
@@ -132,8 +133,9 @@ def test_labels_differ_exactly_on_migrated():
                                          node_change_num=2, seed=seed))
         for t in range(1, 4):
             diff = set(np.flatnonzero(series.labels[t - 1] != series.labels[t]).tolist())
-            assert diff == set(series.migrated[t])
-            assert len(series.migrated[t]) == 2
+            moved = {node for node, _, _ in series.migrations[t]}
+            assert diff == moved
+            assert len(moved) == 2
 
 
 def test_migration_records_match_labels():
@@ -183,7 +185,8 @@ def test_non_migrated_edges_carry_over():
     for t in range(1, 4):
         prev = dense_adjacency(series.sequence[t - 1])
         cur = dense_adjacency(series.sequence[t])
-        keep = np.array([i for i in range(40) if i not in series.migrated[t]])
+        moved = {node for node, _, _ in series.migrations[t]}
+        keep = np.array([i for i in range(40) if i not in moved])
         assert np.array_equal(prev[np.ix_(keep, keep)], cur[np.ix_(keep, keep)])
 
 
@@ -206,13 +209,6 @@ def test_series_seeds_differ():
     a = diminish_series(_params(seed=1))
     b = diminish_series(_params(seed=2))
     assert a.sequence != b.sequence
-
-
-def test_migrated_property():
-    series = diminish_series(_params(node_num=30, length=3, node_change_num=2, seed=0))
-    assert series.migrated[0] == frozenset()
-    for t in (1, 2):
-        assert series.migrated[t] == frozenset(n for n, _, _ in series.migrations[t])
 
 
 # --- label/migration files ----------------------------------------------
@@ -252,6 +248,19 @@ def test_labels_loader_rejects_rows_that_overwrite(tmp_path, text, line, match):
         load_labels(path)
 
 
+@pytest.mark.parametrize("text,line", [
+    pytest.param("0 0 0\n0 1 x\n", 2, id="non-integer"),
+    pytest.param("0 0 0\n0 1\n", 2, id="too-few-fields"),
+    pytest.param("0 0 0 0\n", 1, id="too-many-fields"),
+])
+def test_labels_loader_names_the_malformed_line(tmp_path, text, line):
+    path = tmp_path / "labels.txt"
+    path.write_text(text)
+    want = f"{re.escape(str(path))}: line {line}: expected `t node community`"
+    with pytest.raises(ValueError, match=want):
+        load_labels(path)
+
+
 def test_migrations_round_trip(tmp_path):
     series = diminish_series(_params(node_num=15, length=3, node_change_num=1, seed=4))
     path = tmp_path / "migrations.txt"
@@ -262,8 +271,21 @@ def test_migrations_round_trip(tmp_path):
 
 def test_migrations_loader_rejects_out_of_range(tmp_path):
     path = tmp_path / "migrations.txt"
-    path.write_text("5 0 0 1\n")
-    with pytest.raises(ValueError, match="outside"):
+    path.write_text("1 0 0 1\n5 0 0 1\n")
+    with pytest.raises(ValueError, match=r"line 2: migration at t=5 outside \[0,3\)"):
+        load_migrations(path, 3)
+
+
+@pytest.mark.parametrize("text,line", [
+    pytest.param("1 0 0 1\n1 1\n", 2, id="too-few-fields"),
+    pytest.param("1 0 0 1 1\n", 1, id="too-many-fields"),
+    pytest.param("1 0 0 1\n2 1 0 one\n", 2, id="non-integer"),
+])
+def test_migrations_loader_names_the_malformed_line(tmp_path, text, line):
+    path = tmp_path / "migrations.txt"
+    path.write_text(text)
+    want = f"{re.escape(str(path))}: line {line}: expected `t node old_community"
+    with pytest.raises(ValueError, match=want):
         load_migrations(path, 3)
 
 

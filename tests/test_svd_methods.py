@@ -17,17 +17,13 @@ from dynembed.graphs import (GraphSnapshot, SnapshotSequence, dense_adjacency,
                              edge_delta)
 from dynembed.numerics import truncated_svd
 from dynembed.rng import Rng
-from dynembed.sbm import SbmParams, diminish_series, generate_sbm_snapshot
+from dynembed.sbm import SbmParams, _snapshot_from_dense, diminish_series, generate_sbm_snapshot
 from dynembed.svd_embed import (RestartLogEntry, delta_factor,
                                 incremental_update,
                                 optimal_svd_embed, optimal_svd_series,
                                 rerun_svd_series, save_restart_log)
-from oracles import brute_min_cover_size, plain_incremental_fold, row_indicator_factor
-
-
-def _snapshot_from_dense(a):
-    us, vs = np.nonzero(a)
-    return GraphSnapshot(a.shape[0], zip(us.tolist(), vs.tolist(), a[us, vs].tolist()))
+from oracles import (brute_min_cover_size, plain_incremental_fold, row_indicator_factor,
+                     snapshot)
 
 
 def _block_constant(groups, b):
@@ -40,12 +36,11 @@ def _block_constant(groups, b):
 def _restart_fixture():
     """Dense-ish base graph plus tiny single-edge reweights each step."""
     g0 = generate_sbm_snapshot(np.zeros(16, dtype=np.int64), 0.35, 0.0, Rng(0))
-    u0, v0, w0 = g0.edges()[0]
     snaps = [g0]
     for t in range(1, 8):
-        edges = [(u, v, w + 0.05 * t if (u, v) == (u0, v0) else w)
-                 for u, v, w in g0.edges()]
-        snaps.append(GraphSnapshot(16, edges))
+        weights = g0.weights.copy()
+        weights[0] += 0.05 * t  # the first edge in (u, v) order
+        snaps.append(GraphSnapshot(16, g0.rows, g0.cols, weights))
     return SnapshotSequence(snaps)
 
 
@@ -60,7 +55,7 @@ def test_empty_graph_embeds_to_zero():
 
 
 def test_two_disjoint_edges_exact_at_rank_two():
-    g = GraphSnapshot(4, [(0, 1, 1.0), (2, 3, 1.0)])
+    g = snapshot(4, [(0, 1, 1.0), (2, 3, 1.0)])
     a = dense_adjacency(g)
     assert np.linalg.matrix_rank(a) == 2
     y_src, y_tgt, _ = optimal_svd_embed(g, 2)
@@ -70,7 +65,7 @@ def test_two_disjoint_edges_exact_at_rank_two():
 def test_two_disjoint_two_cycles_exact_at_oracle_rank():
     # each directed 2-cycle block is a rank-2 permutation block, so the
     # exact-rank oracle reports 4 and d=4 reconstructs exactly
-    g = GraphSnapshot(4, [(0, 1, 1.0), (1, 0, 1.0), (2, 3, 1.0), (3, 2, 1.0)])
+    g = snapshot(4, [(0, 1, 1.0), (1, 0, 1.0), (2, 3, 1.0), (3, 2, 1.0)])
     a = dense_adjacency(g)
     rank = int(np.linalg.matrix_rank(a))
     assert rank == 4
@@ -97,8 +92,8 @@ def test_delta_factor_empty():
 
 
 def test_delta_factor_single_reweight_hand_example():
-    prev = GraphSnapshot(3, [(0, 1, 1.0)])
-    nxt = GraphSnapshot(3, [(0, 1, 2.0)])
+    prev = snapshot(3, [(0, 1, 1.0)])
+    nxt = snapshot(3, [(0, 1, 2.0)])
     p, q = delta_factor(edge_delta(prev, nxt), 3)
     assert np.array_equal(p, np.array([[1.0], [0.0], [0.0]]))
     assert np.array_equal(q, np.array([[0.0], [1.0], [0.0]]))
@@ -122,8 +117,8 @@ def sparse_snapshot_pairs(draw, max_n=12):
     weights = st.sampled_from([0.5, 1.0, 2.0, 0.1, 1e-300, 1e300])
     prev = draw(st.dictionaries(pair, weights, max_size=3 * n))
     nxt = draw(st.dictionaries(pair, weights, max_size=3 * n))
-    return (GraphSnapshot(n, [(u, v, w) for (u, v), w in prev.items()]),
-            GraphSnapshot(n, [(u, v, w) for (u, v), w in nxt.items()]))
+    return (snapshot(n, [(u, v, w) for (u, v), w in prev.items()]),
+            snapshot(n, [(u, v, w) for (u, v), w in nxt.items()]))
 
 
 def _changed(prev, nxt):
@@ -153,8 +148,8 @@ def test_delta_factor_width_is_minimum_cover(pair):
 
 def test_delta_factor_cover_layout():
     # a row with three changes and a column with two: cover is {row 1, col 4}
-    prev = GraphSnapshot(6, [(1, 0, 1.0), (3, 4, 2.0)])
-    nxt = GraphSnapshot(6, [(1, 2, 1.0), (1, 4, 1.0), (5, 4, 0.5), (3, 4, 1.0)])
+    prev = snapshot(6, [(1, 0, 1.0), (3, 4, 2.0)])
+    nxt = snapshot(6, [(1, 2, 1.0), (1, 4, 1.0), (5, 4, 0.5), (3, 4, 1.0)])
     p, q = delta_factor(edge_delta(prev, nxt), 6)
     assert p.shape == (6, 2)
     assert np.array_equal(p[:, 0], np.eye(6)[1])
@@ -171,7 +166,9 @@ def test_delta_factor_migrant_width(drift_sbm_50):
         p, q = delta_factor(delta, seq.n)
         rank = np.linalg.matrix_rank(dense_adjacency(seq[t]) - dense_adjacency(seq[t - 1]))
         assert p.shape[1] == rank <= 2 * len(drift_sbm_50.migrations[t])
-        assert p.shape[1] < len(delta.touched_rows)
+        rows = {int(u) for records in (delta.added, delta.removed, delta.reweighted)
+                for u in records["u"]}
+        assert p.shape[1] < len(rows)
 
 
 def _scores(state):
@@ -207,7 +204,7 @@ def test_empty_delta_short_circuit():
 
 
 def test_incremental_rejects_bad_shapes():
-    g = GraphSnapshot(4, [(0, 1, 1.0)])
+    g = snapshot(4, [(0, 1, 1.0)])
     _, _, state = optimal_svd_embed(g, 2)
     with pytest.raises(ValueError, match="rank change"):
         incremental_update(state, np.zeros((4, 1)), np.zeros((4, 1)), 3)
@@ -347,7 +344,7 @@ def test_no_state_kept_for_a_step_the_series_lacks(keep):
 
 
 def test_theta_validation():
-    seq = SnapshotSequence([GraphSnapshot(3, [(0, 1, 1.0), (1, 2, 1.0)])])
+    seq = SnapshotSequence([snapshot(3, [(0, 1, 1.0), (1, 2, 1.0)])])
     with pytest.raises(ValueError, match="theta"):
         rerun_svd_series(seq, 1, 0.0)
     with pytest.raises(ValueError, match="theta"):
