@@ -218,7 +218,7 @@ def fit_snapshot(adj: np.ndarray, cfg: AeConfig, t: int, init: MlpParams | None 
     return train_dense(adj, adj, cfg, init, Rng(cfg.seed + t)).params
 
 
-def _snapshot_fold(seq: SnapshotSequence, cfg: AeConfig, warm: bool, method: str):
+def _snapshot_fold(seq: SnapshotSequence, cfg: AeConfig, warm: bool):
     """One model per snapshot, from fresh weights or, with warm, from the
     previous snapshot's model; returns (series, params per t)."""
     ys, models = [], []
@@ -226,12 +226,12 @@ def _snapshot_fold(seq: SnapshotSequence, cfg: AeConfig, warm: bool, method: str
         adj = dense_adjacency(seq[t])
         models.append(fit_snapshot(adj, cfg, t, models[-1] if warm and models else None))
         ys.append(encode(models[-1], adj))
-    return EmbeddingSeries(y_src=ys, y_tgt=[y.copy() for y in ys], method=method), models
+    return EmbeddingSeries(y_src=ys, y_tgt=[y.copy() for y in ys]), models
 
 
 def static_ae_series(seq: SnapshotSequence, cfg: AeConfig):
     """Independent static AE per snapshot; returns (series, params per t)."""
-    return _snapshot_fold(seq, cfg, False, "ae_static")
+    return _snapshot_fold(seq, cfg, False)
 
 
 def chain_align(ys: list) -> list:
@@ -246,14 +246,13 @@ def aealign_series(seq: SnapshotSequence, cfg: AeConfig):
     """Static AE per snapshot, then Procrustes-align each step to the last."""
     raw, models = static_ae_series(seq, cfg)
     aligned = chain_align(raw.y_src)
-    return EmbeddingSeries(y_src=aligned, y_tgt=[y.copy() for y in aligned],
-                           method="aealign"), models
+    return EmbeddingSeries(y_src=aligned, y_tgt=[y.copy() for y in aligned]), models
 
 
 def dyngem_series(seq: SnapshotSequence, cfg: AeConfig):
     """Train t=0 from scratch, then carry weights forward as the init of each
     following snapshot."""
-    return _snapshot_fold(seq, cfg, True, "dyngem")
+    return _snapshot_fold(seq, cfg, True)
 
 
 def build_lookback_pairs(seq: SnapshotSequence, lookback: int):
@@ -282,31 +281,18 @@ def window_inputs(seq: SnapshotSequence, t_end: int, lookback: int) -> np.ndarra
     return np.hstack(dense)
 
 
-@dataclass
-class LookbackPredictor:
-    """Decoded next-row predictor of the lookback model."""
-
-    params: MlpParams
-    lookback: int
-
-    def predict_next(self, seq: SnapshotSequence, t: int) -> np.ndarray:
-        """Predicted adjacency rows for snapshot t+1 from the window ending at t."""
-        return reconstruct(self.params, window_inputs(seq, t, self.lookback))
-
-
 def d2v_ae_series(seq: SnapshotSequence, cfg: AeConfig):
     """One model over all lookback windows; embeddings exist for
-    t >= lookback-1. Returns (series, predictor, train result)."""
+    t >= lookback-1. Returns (series, train result). The model's decoded
+    rows of window_inputs(seq, t, lookback) predict snapshot t+1."""
     x, targets = build_lookback_pairs(seq, cfg.lookback)
     result = train_dense(x, targets, cfg, None, Rng(cfg.seed))
     ys = [
         encode(result.params, window_inputs(seq, t, cfg.lookback))
         for t in range(cfg.lookback - 1, len(seq))
     ]
-    series = EmbeddingSeries(
-        y_src=ys, y_tgt=[y.copy() for y in ys], method="d2v_ae", t_start=cfg.lookback - 1,
-    )
-    return series, LookbackPredictor(params=result.params, lookback=cfg.lookback), result
+    series = EmbeddingSeries(y_src=ys, y_tgt=[y.copy() for y in ys], t_start=cfg.lookback - 1)
+    return series, result
 
 
 def save_mlp_params(params: MlpParams, path) -> None:

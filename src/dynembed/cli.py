@@ -10,9 +10,8 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, apply_overrides, from_dict, read_raw
-from .pipeline import run_experiment
-from .sbm import SbmParams, diminish_series, save_labels, save_migrations
-from .graphs import save_snapshots
+from .pipeline import run_experiment, write_data
+from .sbm import SbmParams, diminish_series
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,12 +61,8 @@ def cmd_generate(args) -> int:
         return 2
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    series = diminish_series(params)
-    save_snapshots(series.sequence, outdir / "snapshots.txt")
-    save_labels(series, outdir / "labels.txt")
-    save_migrations(series, outdir / "migrations.txt")
-    for name in ("snapshots.txt", "labels.txt", "migrations.txt"):
-        print(outdir / name)
+    for path in write_data(diminish_series(params), outdir):
+        print(path)
     return 0
 
 

@@ -169,9 +169,8 @@ def _parse_tasks(raw: dict) -> dict:
             # false: migrants of step t, embeddings at t (arrival view);
             # true: migrants of step t+1, embeddings at t (anticipation view)
             spec["anticipate"] = _optional(params, "anticipate", bool, False, where)
-        known = set(spec) | {"k_grid", "hide_fraction", "mode", "train_frac", "anticipate"}
         for key in params:
-            if key not in known:
+            if key not in spec:
                 raise ConfigError(f"{where}.{key}", "unknown parameter")
         tasks[name] = spec
     return tasks

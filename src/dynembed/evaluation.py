@@ -18,7 +18,7 @@ from . import kernels
 from .graphs import GraphSnapshot, SnapshotSequence, edge_delta
 from .numerics import pca_project_2d
 from .rng import Rng
-from .series import EmbeddingSeries
+from .series import EmbeddingSeries, format_rows
 
 
 class EvalError(RuntimeError):
@@ -393,9 +393,8 @@ def export_projection(series: EmbeddingSeries, t: int, labels_t, migrated, path)
         coords = np.zeros((1, 2))
     else:
         coords = pca_project_2d(y)
-    migrated = {int(m) for m in migrated}
+    nodes = np.arange(y.shape[0])
+    flags = np.isin(nodes, [int(m) for m in migrated])
+    rows = np.column_stack([nodes, coords, labels_t, flags]).astype(np.float64)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for node in range(y.shape[0]):
-            flag = 1 if node in migrated else 0
-            fh.write(f"{node} {coords[node, 0]:.17g} {coords[node, 1]:.17g} "
-                     f"{int(labels_t[node])} {flag}\n")
+        fh.write(format_rows(rows))

@@ -175,7 +175,7 @@ def load_snapshots(path) -> SnapshotSequence:
             header_idx = i
             break
     if header_idx is None:
-        raise SnapshotParseError("header", len(lines), "missing `T N` header")
+        raise SnapshotParseError("header", max(len(lines), 1), "missing `T N` header")
     parts = lines[header_idx].split()
     if len(parts) != 2:
         raise SnapshotParseError("header", header_idx + 1, f"expected `T N`, got {lines[header_idx].strip()!r}")

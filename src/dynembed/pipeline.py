@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__, svd_embed
 from .ae import aealign_series, d2v_ae_series, dyngem_series, fit_snapshot, reconstruct, \
-    save_mlp_params, static_ae_series
+    save_mlp_params, static_ae_series, window_inputs
 from .config import ExperimentConfig
 from .evaluation import EvalError, export_projection, migration_proximity_stat, \
     node_classification, reconstruction_eval, save_report, static_lp_eval, \
@@ -72,9 +72,7 @@ def prepare_data(cfg: ExperimentConfig, outdir: Path | None = None, files: dict 
     if cfg.data.sbm is not None:
         series = diminish_series(cfg.data.sbm)
         if outdir is not None:
-            _write(files, outdir, "snapshots.txt", lambda p: save_snapshots(series.sequence, p))
-            _write(files, outdir, "labels.txt", lambda p: save_labels(series, p))
-            _write(files, outdir, "migrations.txt", lambda p: save_migrations(series, p))
+            write_data(series, outdir, files)
         return series.sequence, series.labels, series.migrations
     seq = load_snapshots(cfg.data.snapshots_path)
     labels = load_labels(cfg.data.labels_path) if cfg.data.labels_path else None
@@ -82,6 +80,14 @@ def prepare_data(cfg: ExperimentConfig, outdir: Path | None = None, files: dict 
                   if cfg.data.migrations_path else None)
     _check_against_sequence(seq, labels, migrations)
     return seq, labels, migrations
+
+
+def write_data(series, outdir: Path, files: dict | None = None) -> list:
+    """Write a generated series' snapshots, labels and migrations as
+    DATA_FILES in outdir; returns their paths."""
+    writers = (lambda p: save_snapshots(series.sequence, p),
+               lambda p: save_labels(series, p), lambda p: save_migrations(series, p))
+    return [_write(files, outdir, name, w) for name, w in zip(DATA_FILES, writers)]
 
 
 def _check_against_sequence(seq: SnapshotSequence, labels, migrations) -> None:
@@ -129,11 +135,10 @@ def _optsvd_refit(cfg, seq, series, extras, t, g):
 
 
 def _static_lp_branch(cfg, seq) -> int | None:
-    """The step static LP refits from, the one before its t, when configured."""
+    """The step static LP refits from, the one before its t, when configured.
+    An out-of-range t is left for the task to reject."""
     spec = cfg.tasks.get("static_lp")
-    if spec is None:
-        return None
-    return (len(seq) + spec["t"] if spec["t"] < 0 else spec["t"]) - 1
+    return None if spec is None else _from_end(spec["t"], len(seq) - 1) - 1
 
 
 def _svd_fold_record(theta) -> Method:
@@ -148,8 +153,8 @@ def _svd_fold_record(theta) -> Method:
         if t == 0:
             return _optsvd_refit(cfg, seq, series, extras, t, g)
         state = extras["state"]
-        if state is None or state.t_cur != t - 1:  # a step the run did not keep
-            state = rerun_svd_series(_prefix(seq, t - 1), cfg.d, theta(cfg), keep=t - 1)[2]
+        if state is None or state.t_cur != t - 1:
+            raise PipelineError(f"static_lp: the run kept no factor state for t={t - 1}")
         state, _ = rerun_svd_step(state, seq[t - 1], g, theta(cfg))
         y_src, y_tgt = state.embedding()
         return y_src @ y_tgt.T
@@ -177,12 +182,12 @@ def _ae_record(series_fn, warm: bool = False) -> Method:
 
 
 def _d2v_embed(cfg, seq):
-    series, predictor, _ = d2v_ae_series(seq, cfg.ae)
-    return series, {"predictor": predictor}
+    series, result = d2v_ae_series(seq, cfg.ae)
+    return series, {"models": [result.params]}
 
 
 def _d2v_scores(cfg, seq, series, extras, t):
-    return extras["predictor"].predict_next(seq, t - 1)
+    return reconstruct(extras["models"][-1], window_inputs(seq, t - 1, cfg.ae.lookback))
 
 
 def _d2v_refit(cfg, seq, series, extras, t, g):
@@ -215,14 +220,19 @@ METHOD_TABLE = {
 def embed_series(cfg: ExperimentConfig, seq: SnapshotSequence):
     """Run the configured method; returns (series, extras). extras may hold
     'restart_log' and 'state', the factor state static LP branches from
-    (incsvd/rerunsvd), 'models' (static AE families, one per snapshot) or
-    'predictor' (d2v_ae)."""
+    (incsvd/rerunsvd), or 'models' (the AE families: one per snapshot, or
+    d2v_ae's one model)."""
     return METHOD_TABLE[cfg.method].embed(cfg, seq)
+
+
+def _from_end(spec_t: int, hi: int) -> int:
+    """A config t, negative counting back from hi + 1."""
+    return hi + 1 + spec_t if spec_t < 0 else spec_t
 
 
 def _resolve_t(spec_t: int, lo: int, hi: int, what: str) -> int:
     """Map a config t (negative = from the end) into [lo, hi]."""
-    t = hi + 1 + spec_t if spec_t < 0 else spec_t
+    t = _from_end(spec_t, hi)
     if not lo <= t <= hi:
         raise PipelineError(f"{what}: t={spec_t} resolves to {t}, outside [{lo}, {hi}]")
     return t
@@ -363,9 +373,6 @@ def run_experiment(cfg: ExperimentConfig, stage: str = "run") -> dict:
     if "models" in extras:
         _write(files, outdir, "model.txt",
                lambda p: save_mlp_params(extras["models"][-1], p))
-    if "predictor" in extras:
-        _write(files, outdir, "model.txt",
-               lambda p: save_mlp_params(extras["predictor"].params, p))
 
     reports = {}
     want_eval = stage in ("evaluate", "run")

@@ -18,7 +18,6 @@ import numpy as np
 class EmbeddingSeries:
     y_src: list  # list of n x d arrays, one per embedded snapshot
     y_tgt: list
-    method: str
     t_start: int = 0
 
     def __post_init__(self):
@@ -82,9 +81,8 @@ def _read_matrix(path) -> np.ndarray:
     return m
 
 
-def save_embedding_series(series: EmbeddingSeries, outdir, prefix: str | None = None) -> list:
-    """Write one `.src` and one `.tgt` file per embedded snapshot; returns paths."""
-    prefix = prefix or series.method
+def save_embedding_series(series: EmbeddingSeries, outdir, prefix: str) -> list:
+    """Write `{prefix}_t{t}.src` and `.tgt` per embedded snapshot; returns paths."""
     os.makedirs(outdir, exist_ok=True)
     paths = []
     for t in series.times():
@@ -95,7 +93,7 @@ def save_embedding_series(series: EmbeddingSeries, outdir, prefix: str | None = 
     return paths
 
 
-def load_embedding_series(outdir, prefix: str, method: str | None = None) -> EmbeddingSeries:
+def load_embedding_series(outdir, prefix: str) -> EmbeddingSeries:
     """Load a series written by save_embedding_series."""
     pat = re.compile(re.escape(prefix) + r"_t(\d+)\.src$")
     times = sorted(
@@ -107,6 +105,4 @@ def load_embedding_series(outdir, prefix: str, method: str | None = None) -> Emb
         raise ValueError(f"non-contiguous snapshot files for prefix {prefix}: {times}")
     y_src = [_read_matrix(os.path.join(outdir, f"{prefix}_t{t}.src")) for t in times]
     y_tgt = [_read_matrix(os.path.join(outdir, f"{prefix}_t{t}.tgt")) for t in times]
-    return EmbeddingSeries(
-        y_src=y_src, y_tgt=y_tgt, method=method or prefix, t_start=times[0]
-    )
+    return EmbeddingSeries(y_src=y_src, y_tgt=y_tgt, t_start=times[0])

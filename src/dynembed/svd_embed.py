@@ -35,7 +35,7 @@ import numpy as np
 
 from .graphs import EdgeDelta, GraphSnapshot, SnapshotSequence, dense_adjacency, edge_delta
 from .numerics import TruncatedSvd, truncated_svd
-from .series import EmbeddingSeries
+from .series import EmbeddingSeries, format_rows
 
 # Residual directions below this norm are discarded during the update.
 RESIDUAL_TOL = 1e-12
@@ -355,9 +355,7 @@ def rerun_svd_series(seq: SnapshotSequence, d: int, theta: float, keep: int | No
             kept = state
         srcs.append(y_src)
         tgts.append(y_tgt)
-
-    method = "rerunsvd" if math.isfinite(theta) else "incsvd"
-    return EmbeddingSeries(y_src=srcs, y_tgt=tgts, method=method), log, kept
+    return EmbeddingSeries(y_src=srcs, y_tgt=tgts), log, kept
 
 
 def optimal_svd_series(seq: SnapshotSequence, d: int) -> EmbeddingSeries:
@@ -367,11 +365,11 @@ def optimal_svd_series(seq: SnapshotSequence, d: int) -> EmbeddingSeries:
         y_src, y_tgt, _ = optimal_svd_embed(seq[t], d, t=t)
         srcs.append(y_src)
         tgts.append(y_tgt)
-    return EmbeddingSeries(y_src=srcs, y_tgt=tgts, method="optsvd")
+    return EmbeddingSeries(y_src=srcs, y_tgt=tgts)
 
 
 def save_restart_log(log, path) -> None:
     """Lines `t restarted cur_loss bound`."""
+    rows = np.array([(e.t, e.restarted, e.cur_loss, e.bound) for e in log], dtype=np.float64)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for e in log:
-            fh.write(f"{e.t} {int(e.restarted)} {e.cur_loss:.17g} {e.bound:.17g}\n")
+        fh.write(format_rows(rows.reshape(-1, 4)))

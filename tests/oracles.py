@@ -130,6 +130,20 @@ def save_mlp_params_ref(params, path) -> None:
             fh.write(" ".join(f"{x:.17g}" for x in b) + "\n")
 
 
+def save_restart_log_ref(log, path) -> None:
+    """The restart log written one entry at a time."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for e in log:
+            fh.write(f"{e.t} {int(e.restarted)} {e.cur_loss:.17g} {e.bound:.17g}\n")
+
+
+def projection_lines_ref(coords, labels_t, migrated) -> str:
+    """The projection text format written one node at a time."""
+    return "".join(f"{node} {coords[node, 0]:.17g} {coords[node, 1]:.17g} "
+                   f"{int(labels_t[node])} {1 if node in migrated else 0}\n"
+                   for node in range(coords.shape[0]))
+
+
 def save_snapshots_ref(snapshots, path) -> None:
     """The snapshot text format of SnapshotRefs, written one edge line at a
     time."""
@@ -364,8 +378,8 @@ def _prefix_embed(cfg, seq):
         series, log, _ = svd_embed.rerun_svd_series(seq, cfg.d, theta)
         return series, {"restart_log": log}
     if m == "d2v_ae":
-        series, predictor, _ = ae.d2v_ae_series(seq, cfg.ae)
-        return series, {"predictor": predictor}
+        series, result = ae.d2v_ae_series(seq, cfg.ae)
+        return series, {"params": result.params}
     series_fn = {"ae_static": ae.static_ae_series, "aealign": ae.aealign_series,
                  "dyngem": ae.dyngem_series}[m]
     series, models = series_fn(seq, cfg.ae)
@@ -377,8 +391,14 @@ def _prefix_scores(cfg, seq, series, extras, t):
     if cfg.method in ("optsvd", "incsvd", "rerunsvd"):
         return series.src_at(t) @ series.tgt_at(t).T
     if cfg.method == "d2v_ae":
-        return extras["predictor"].predict_next(seq, t - 1)
+        return _d2v_decode(cfg, seq, extras, t - 1)
     return ae.reconstruct(extras["models"][t], dense_adjacency(seq[t]))
+
+
+def _d2v_decode(cfg, seq, extras, t_end):
+    """d2v_ae's decoded rows of the window ending at t_end: its scores of
+    snapshot t_end + 1."""
+    return ae.reconstruct(extras["params"], ae.window_inputs(seq, t_end, cfg.ae.lookback))
 
 
 def _resolve_t(cfg, spec, hi):
@@ -405,7 +425,7 @@ def prefix_temporal_lp_scores(cfg, seq, spec):
     prefix = SnapshotSequence(tuple(seq[i] for i in range(t + 1)))
     series, extras = _prefix_embed(cfg, prefix)
     if cfg.method == "d2v_ae":
-        return extras["predictor"].predict_next(prefix, t)
+        return _d2v_decode(cfg, prefix, extras, t)
     if cfg.method in ("optsvd", "incsvd", "rerunsvd"):
         return series.src_at(t) @ series.tgt_at(t).T
     return ae.reconstruct(extras["models"][t], dense_adjacency(seq[t]))

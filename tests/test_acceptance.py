@@ -221,7 +221,7 @@ def test_criterion_6_migration_anticipation(capsys):
         opt_margins += _signed_margins(opt, labels_t, records, t)
 
         cfg = AeConfig(d=32, lookback=2, n_iter=250, seed=seed)
-        d2v, _, _ = d2v_ae_series(seq, cfg)
+        d2v, _ = d2v_ae_series(seq, cfg)
         d2v_stats.append(migration_proximity_stat(d2v, labels_t, records, t))
         d2v_margins += _signed_margins(d2v, labels_t, records, t)
 

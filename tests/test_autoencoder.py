@@ -8,12 +8,13 @@ two-sided limit there.
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from dynembed.ae import (AeConfig, AeTrainingError, MlpParams,
-                         LookbackPredictor, ae_gradient, ae_loss,
+                         ae_gradient, ae_loss,
                          aealign_series, build_lookback_pairs, chain_align,
                          d2v_ae_series, dyngem_series, encode, fit_snapshot,
                          fresh_params, load_mlp_params, reconstruct,
@@ -282,7 +283,6 @@ def _small_cfg(**kw):
 def test_static_series_shapes_and_seeding(small_sbm):
     seq = small_sbm.sequence
     series, models = static_ae_series(seq, _small_cfg(n_iter=3))
-    assert series.method == "ae_static"
     assert len(models) == len(seq)
     for t in range(len(seq)):
         assert series.src_at(t).shape == (seq.n, 4)
@@ -302,7 +302,6 @@ def test_aealign_identical_snapshots_collapse():
     seq = SnapshotSequence([g, g, g])
     series, _ = aealign_series(seq, _small_cfg(n_iter=5))
     raw, _ = static_ae_series(seq, _small_cfg(n_iter=5))
-    assert series.method == "aealign"
     assert all(np.array_equal(a, b) for a, b in zip(series.y_src, chain_align(raw.y_src)))
     # twin snapshots trained with one seed have equal embeddings, which
     # alignment leaves in place
@@ -335,7 +334,6 @@ def test_dyngem_zero_warm_iters_freezes_model():
     seq = SnapshotSequence([g, g, g])
     cfg = _small_cfg(n_iter=10)
     series, models = dyngem_series(seq, cfg)
-    assert series.method == "dyngem"
     adj = dense_adjacency(g)
     # each step is trained from the previous step's model ...
     for t in (1, 2):
@@ -397,23 +395,25 @@ def test_window_inputs_bounds(small_sbm):
 def test_d2v_series_time_axis(small_sbm):
     seq = small_sbm.sequence  # T = 4, lookback 2
     cfg = _small_cfg(n_iter=2, lookback=2)
-    series, predictor, result = d2v_ae_series(seq, cfg)
-    assert series.method == "d2v_ae"
+    series, result = d2v_ae_series(seq, cfg)
     assert series.t_start == 1
     assert list(series.times()) == [1, 2, 3]
     with pytest.raises(IndexError):
         series.src_at(0)
     for t in (1, 2, 3):
         assert series.src_at(t).shape == (seq.n, cfg.d)
-    assert isinstance(predictor, LookbackPredictor)
     assert len(result.epoch_losses) == 2
+    assert np.array_equal(series.src_at(3), encode(result.params, window_inputs(seq, 3, 2)))
 
 
 def test_predictor_decodes_window(small_sbm):
+    # the method table scores snapshot 3 by the decoded window ending at 2
     seq = small_sbm.sequence
-    _, predictor, _ = d2v_ae_series(seq, _small_cfg(n_iter=2, lookback=2))
-    want = reconstruct(predictor.params, window_inputs(seq, 2, 2))
-    assert np.array_equal(predictor.predict_next(seq, 2), want)
+    cfg = SimpleNamespace(ae=_small_cfg(n_iter=2, lookback=2))
+    _, result = d2v_ae_series(seq, cfg.ae)
+    series, extras = METHOD_TABLE["d2v_ae"].embed(cfg, seq)
+    want = reconstruct(result.params, window_inputs(seq, 2, 2))
+    assert np.array_equal(METHOD_TABLE["d2v_ae"].scores(cfg, seq, series, extras, 3), want)
 
 
 def test_d2v_training_halves_the_loss():
@@ -424,7 +424,7 @@ def test_d2v_training_halves_the_loss():
     init_loss = ae_loss(fresh_params(x.shape[1], cfg, Rng(cfg.seed),
                                      output_dim=targets.shape[1]),
                         x, targets, cfg)
-    _, _, result = d2v_ae_series(seq, cfg)
+    _, result = d2v_ae_series(seq, cfg)
     assert result.epoch_losses[-1] < 0.5 * init_loss
 
 

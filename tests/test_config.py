@@ -100,6 +100,17 @@ def test_unknown_fields_are_named():
     with pytest.raises(ConfigError, match="reconstruction.threshold"):
         from_dict(raw)
 
+    # another task's parameter is as unknown as a made-up one
+    for task, key, value in (("reconstruction", "hide_fraction", 0.9),
+                             ("classification", "k_grid", [1]),
+                             ("static_lp", "mode", "new"),
+                             ("temporal_lp", "train_frac", 0.5),
+                             ("projection", "anticipate", True)):
+        raw = _minimal()
+        raw["tasks"] = {task: {key: value}}
+        with pytest.raises(ConfigError, match=f"tasks.{task}.{key}"):
+            from_dict(raw)
+
 
 def test_unknown_method():
     with pytest.raises(ConfigError, match="method.name"):

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynembed import evaluation
 from dynembed.evaluation import (EvalError, EvalReport, ScoredPairs,
                                  average_precision, candidate_pairs,
                                  export_projection, mean_average_precision,
@@ -29,7 +30,8 @@ from dynembed.series import EmbeddingSeries
 
 from oracles import (brute_average_precision, brute_map,
                      brute_precision_at_k, brute_ranking, candidate_pairs_ref,
-                     hits_average_precision_ref, ranking_report_ref, snapshot)
+                     hits_average_precision_ref, projection_lines_ref, ranking_report_ref,
+                     snapshot)
 
 
 def _random_instance(seed, max_n=12):
@@ -58,8 +60,7 @@ def _edge_set(g):
 
 
 def _series_from(y, t_start=0):
-    return EmbeddingSeries(y_src=[y], y_tgt=[y.copy()], method="test",
-                           t_start=t_start)
+    return EmbeddingSeries(y_src=[y], y_tgt=[y.copy()], t_start=t_start)
 
 
 # --- scored pairs -----------------------------------------------------------
@@ -556,6 +557,19 @@ def test_projection_rows_and_flags(tmp_path):
     path2 = tmp_path / "proj2.txt"
     export_projection(series, 0, labels, {4, 7}, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_projection_matches_per_node_oracle(tmp_path, monkeypatch):
+    rng = np.random.default_rng(14)
+    n = 60
+    coords = rng.normal(size=(n, 2)) * 10.0 ** rng.integers(-300, 300, size=(n, 2))
+    coords[:8].flat = [0.0, -0.0, 5e-324, -5e-324, 1e16, 2.0**53 + 2, 0.1, 1 / 3,
+                       1.7976931348623157e308, -1e300, 1.0, -3.0, 1e-5, 2.5, 7.0, -0.0]
+    labels = rng.integers(0, 1000, size=n)
+    migrated = {0, 5, 59}
+    monkeypatch.setattr(evaluation, "pca_project_2d", lambda y: coords)
+    export_projection(_series_from(np.ones((n, 3))), 0, labels, migrated, tmp_path / "p.txt")
+    assert (tmp_path / "p.txt").read_text() == projection_lines_ref(coords, labels, migrated)
 
 
 def test_projection_length_mismatch(tmp_path):

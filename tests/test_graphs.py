@@ -311,6 +311,7 @@ def test_load_save_load_fixpoint(tmp_path_factory, seq):
 
 
 @pytest.mark.parametrize("text, kind, line_no", [
+    ("", "header", 1),
     ("# only comments\n", "header", 1),
     ("1 2 3\n", "header", 1),
     ("x y\n", "header", 1),

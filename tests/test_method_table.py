@@ -9,15 +9,17 @@ sequence exactly once.
 
 import importlib
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dynembed import pipeline
-from dynembed.config import METHODS, from_dict
+from dynembed import ae, pipeline
+from dynembed.config import AE_METHODS, METHODS, from_dict
 from dynembed.graphs import GraphSnapshot, SnapshotSequence, dense_adjacency, save_snapshots
 from dynembed.pipeline import embed_series, prepare_data, run_experiment
+from dynembed.svd_embed import rerun_svd_series, save_restart_log
 
 from oracles import prefix_static_lp_scores, prefix_temporal_lp_scores
 
@@ -74,24 +76,45 @@ def test_link_prediction_scores_equal_prefix_reembed(tmp_path, monkeypatch, meth
 
 
 @pytest.mark.parametrize("kept", [None, 2])
-@pytest.mark.parametrize("method", ["incsvd", "rerunsvd"])
-def test_static_lp_from_a_step_the_run_did_not_keep(monkeypatch, method, kept):
-    # the run kept no state, or the one for static_lp t = 2; score t = 4
-    tasks = {} if kept is None else {"static_lp": {"t": kept}}
-    cfg = _cfg(method, tasks)
+def test_static_lp_needs_the_state_the_run_kept(kept):
+    # the run keeps the state static LP branches from; a spec other than
+    # the run's is refused, not refolded
+    cfg = _cfg("rerunsvd", {} if kept is None else {"static_lp": {"t": kept}})
     seq = prepare_data(cfg)[0]
     series, extras = embed_series(cfg, seq)
-    spec = _cfg(method, {"static_lp": {"t": 4}}).tasks["static_lp"]
-    seen = []
-    real = pipeline.static_lp_eval
+    spec = _cfg("rerunsvd", {"static_lp": {"t": 4}}).tasks["static_lp"]
+    with pytest.raises(pipeline.PipelineError, match="kept no factor state for t=3"):
+        pipeline.task_static_lp(cfg, seq, series, extras, spec)
 
-    def capture(scores, *args, **kwargs):
-        seen.append(scores)
-        return real(scores, *args, **kwargs)
 
-    monkeypatch.setattr(pipeline, "static_lp_eval", capture)
-    pipeline.task_static_lp(cfg, seq, series, extras, spec)
-    assert _bits(seen[0]) == _bits(prefix_static_lp_scores(cfg, seq, spec))
+def _last_model(cfg, seq):
+    """The model the method trained last, from its series function."""
+    if cfg.method == "d2v_ae":
+        return ae.d2v_ae_series(seq, cfg.ae)[1].params
+    series_fn = {"ae_static": ae.static_ae_series, "aealign": ae.aealign_series,
+                 "dyngem": ae.dyngem_series}[cfg.method]
+    return series_fn(seq, cfg.ae)[1][-1]
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_each_method_writes_its_artifact(tmp_path, method):
+    # the SVD folds write their restart log, the AE families their last model
+    # and optsvd neither
+    cfg = _cfg(method, outdir=tmp_path / "out")
+    files = run_experiment(cfg)["files"]
+    seq = prepare_data(cfg)[0]
+    assert ("restart_log.txt" in files) == (method in ("incsvd", "rerunsvd"))
+    assert ("model.txt" in files) == (method in AE_METHODS)
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted([*files, "manifest.json"])
+    if "restart_log.txt" in files:
+        theta = cfg.theta if method == "rerunsvd" else math.inf
+        save_restart_log(rerun_svd_series(seq, cfg.d, theta)[1], tmp_path / "log.txt")
+        assert (tmp_path / "out" / "restart_log.txt").read_bytes() == \
+            (tmp_path / "log.txt").read_bytes()
+    if "model.txt" in files:
+        ae.save_mlp_params(_last_model(cfg, seq), tmp_path / "model.txt")
+        assert (tmp_path / "out" / "model.txt").read_bytes() == \
+            (tmp_path / "model.txt").read_bytes()
 
 
 @pytest.mark.parametrize("method", CAUSAL)
@@ -191,6 +214,14 @@ def test_benchmark_trace_hooks_see_one_ae_run(tmp_path, monkeypatch):
     assert in_encode == LENGTH * len(cfg.ae.enc_units)
     # both tasks score snapshots by decoding them
     assert calls["ae.reconstruct"] == 2
+
+
+def test_benchmark_trace_hooks_see_the_d2v_decode(tmp_path, monkeypatch):
+    cfg = _cfg("d2v_ae", {"reconstruction": {}}, tmp_path)
+    calls, _ = _traced_run(cfg, monkeypatch)
+    assert calls["pipeline.embed"] == calls["ae.train"] == 1
+    # d2v_ae scores snapshot t by decoding the window ending at t - 1
+    assert calls["ae.reconstruct"] == 1
 
 
 def test_benchmark_delta_counter_counts_changed_entries(tmp_path, monkeypatch):

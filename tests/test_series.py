@@ -8,11 +8,11 @@ from dynembed.series import (EmbeddingSeries, _write_matrix,
 from oracles import write_matrix_ref
 
 
-def _series(t_start=0, n=4, d=3, count=3, method="optsvd"):
+def _series(t_start=0, n=4, d=3, count=3):
     rng = np.random.default_rng(0)
     ys = [rng.normal(size=(n, d)) for _ in range(count)]
     zs = [rng.normal(size=(n, d)) for _ in range(count)]
-    return EmbeddingSeries(y_src=ys, y_tgt=zs, method=method, t_start=t_start)
+    return EmbeddingSeries(y_src=ys, y_tgt=zs, t_start=t_start)
 
 
 def test_accessors_and_times():
@@ -34,23 +34,21 @@ def test_out_of_range_lookup():
 def test_validation():
     y = [np.zeros((2, 2))]
     with pytest.raises(ValueError, match="length"):
-        EmbeddingSeries(y_src=y, y_tgt=[], method="m")
+        EmbeddingSeries(y_src=y, y_tgt=[])
     with pytest.raises(ValueError, match="empty"):
-        EmbeddingSeries(y_src=[], y_tgt=[], method="m")
+        EmbeddingSeries(y_src=[], y_tgt=[])
     with pytest.raises(ValueError, match="shapes"):
-        EmbeddingSeries(y_src=[np.zeros((2, 2))], y_tgt=[np.zeros((3, 2))], method="m")
+        EmbeddingSeries(y_src=[np.zeros((2, 2))], y_tgt=[np.zeros((3, 2))])
     with pytest.raises(ValueError, match="finite"):
-        EmbeddingSeries(y_src=[np.full((2, 2), np.nan)], y_tgt=[np.zeros((2, 2))],
-                        method="m")
+        EmbeddingSeries(y_src=[np.full((2, 2), np.nan)], y_tgt=[np.zeros((2, 2))])
 
 
 def test_round_trip_exact(tmp_path):
-    s = _series(t_start=1, method="d2v_ae")
-    paths = save_embedding_series(s, tmp_path)
+    s = _series(t_start=1)
+    paths = save_embedding_series(s, tmp_path, "d2v_ae")
     assert len(paths) == 6
     loaded = load_embedding_series(tmp_path, "d2v_ae")
     assert loaded.t_start == 1
-    assert loaded.method == "d2v_ae"
     for t in s.times():
         # 17 significant digits round-trip float64 exactly
         assert np.array_equal(loaded.src_at(t), s.src_at(t))
@@ -62,8 +60,7 @@ def test_save_with_custom_prefix(tmp_path):
     save_embedding_series(s, tmp_path, prefix="emb")
     assert (tmp_path / "emb_t0.src").exists()
     assert (tmp_path / "emb_t1.tgt").exists()
-    loaded = load_embedding_series(tmp_path, "emb", method="optsvd")
-    assert loaded.method == "optsvd"
+    loaded = load_embedding_series(tmp_path, "emb")
     assert np.array_equal(loaded.src_at(0), s.src_at(0))
 
 

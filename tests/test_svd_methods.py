@@ -20,10 +20,10 @@ from dynembed.rng import Rng
 from dynembed.sbm import SbmParams, _snapshot_from_dense, diminish_series, generate_sbm_snapshot
 from dynembed.svd_embed import (RestartLogEntry, delta_factor,
                                 incremental_update,
-                                optimal_svd_embed, optimal_svd_series,
+                                optimal_svd_embed,
                                 rerun_svd_series, save_restart_log)
 from oracles import (brute_min_cover_size, plain_incremental_fold, row_indicator_factor,
-                     snapshot)
+                     save_restart_log_ref, snapshot)
 
 
 def _block_constant(groups, b):
@@ -320,7 +320,6 @@ def test_infinite_theta_is_bitwise_incremental(drift_sbm_50):
     seq = SnapshotSequence(drift_sbm_50.sequence[:4])
     inc_embeddings, inc_log = plain_incremental_fold(seq, 6)
     inf_series, inf_log, _ = rerun_svd_series(seq, 6, math.inf)
-    assert inf_series.method == "incsvd"
     for t, (y_src, y_tgt) in enumerate(inc_embeddings):
         assert np.array_equal(y_src, inf_series.src_at(t))
         assert np.array_equal(y_tgt, inf_series.tgt_at(t))
@@ -351,14 +350,20 @@ def test_theta_validation():
         rerun_svd_series(seq, 1, -1.0)
 
 
-def test_method_tags():
-    seq = _restart_fixture()
-    series, _, _ = rerun_svd_series(seq, 2, 0.5)
-    assert series.method == "rerunsvd"
-    assert optimal_svd_series(seq, 2).method == "optsvd"
-
-
 # --- restart log -----------------------------------------------------------
+
+
+def test_restart_log_matches_per_entry_oracle(tmp_path):
+    values = [0.0, -0.0, 5e-324, 1e300, 1.7976931348623157e308, 0.1, 1 / 3, 1e16,
+              2.0**53 + 2, 123456.789]
+    rng = np.random.default_rng(5)
+    values += (rng.normal(size=40) * 10.0 ** rng.integers(-30, 30, size=40)).tolist()
+    log = [RestartLogEntry(t, bool(t % 3 == 0), cur, bound)
+           for t, (cur, bound) in enumerate(zip(values, reversed(values)))]
+    log.append(RestartLogEntry(10**6, True, 2.5, 0.0))
+    save_restart_log(log, tmp_path / "new.txt")
+    save_restart_log_ref(log, tmp_path / "ref.txt")
+    assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
 
 
 def test_restart_log_format(tmp_path):
