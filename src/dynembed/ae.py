@@ -125,7 +125,8 @@ def _forward_activations(params: MlpParams, x: np.ndarray, n_layers: int | None 
         if params.is_sigmoid_layer(i):
             h = kernels.affine_sigmoid(h, params.weights[i], params.biases[i])
         else:
-            h = h @ params.weights[i] + params.biases[i]
+            h = h @ params.weights[i]
+            h += params.biases[i]
         acts.append(h)
     return acts
 
@@ -162,7 +163,10 @@ def ae_loss(params: MlpParams, x: np.ndarray, targets: np.ndarray, cfg: AeConfig
 def ae_gradient(params: MlpParams, x: np.ndarray, targets: np.ndarray, cfg: AeConfig):
     """Exact gradients of ae_loss for every weight matrix and bias.
 
-    The L1 subgradient uses sign(W) with sign(0) = 0.
+    The L1 subgradient uses sign(W) with sign(0) = 0. The penalty terms are
+    added into the matmul's buffer in the order of the expression
+    acts.T @ delta + nu1 * sign(W) + (2 * nu2) * W, so the result is bitwise
+    that expression's.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
@@ -174,7 +178,12 @@ def ae_gradient(params: MlpParams, x: np.ndarray, targets: np.ndarray, cfg: AeCo
         if params.is_sigmoid_layer(i):
             delta = kernels.sigmoid_grad(delta, acts[i + 1])
         w = params.weights[i]
-        grads_w[i] = acts[i].T @ delta + cfg.nu1 * np.sign(w) + 2.0 * cfg.nu2 * w
+        gw = acts[i].T @ delta
+        reg = np.sign(w)
+        reg *= cfg.nu1
+        gw += reg
+        gw += np.multiply(w, 2.0 * cfg.nu2, out=reg)
+        grads_w[i] = gw
         grads_b[i] = delta.sum(axis=0)
         if i:
             delta = delta @ w.T
@@ -203,8 +212,10 @@ def train_dense(x: np.ndarray, targets: np.ndarray, cfg: AeConfig, init: MlpPara
             if not all(np.all(np.isfinite(g)) for g in gw):
                 raise AeTrainingError(epoch, bi)
             for i in range(params.n_layers):
-                params.weights[i] -= cfg.xeta * gw[i]
-                params.biases[i] -= cfg.xeta * gb[i]
+                gw[i] *= cfg.xeta
+                params.weights[i] -= gw[i]
+                gb[i] *= cfg.xeta
+                params.biases[i] -= gb[i]
         loss = ae_loss(params, x, targets, cfg)
         if not np.isfinite(loss):
             raise AeTrainingError(epoch, -1)

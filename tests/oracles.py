@@ -9,7 +9,9 @@ the end: the ranking evaluation as it was before it was vectorised, which
 fills the package's report type; the plain incremental SVD fold, built from
 the package's update step with no restart test; and the prefix re-embed,
 which runs the package's methods on a prefix of the sequence, as link
-prediction once did.
+prediction once did; and the autoencoder's sigmoid, forward pass, gradient
+and weight step as the numpy expressions they were before the kernels reused
+their buffers, on the package's parameter type.
 """
 
 import itertools
@@ -429,3 +431,60 @@ def prefix_temporal_lp_scores(cfg, seq, spec):
     if cfg.method in ("optsvd", "incsvd", "rerunsvd"):
         return series.src_at(t) @ series.tgt_at(t).T
     return ae.reconstruct(extras["models"][t], dense_adjacency(seq[t]))
+
+
+# --- the autoencoder kernels as numpy expressions ---------------------------
+# Each line allocates its result; the package's kernels must match these
+# bitwise.
+
+
+def sigmoid_ref(z):
+    """The logistic function, split by sign so that exp never overflows."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def sigmoid_grad_ref(g, h):
+    return g * h * (1.0 - h)
+
+
+def affine_sigmoid_ref(x, w, b):
+    return sigmoid_ref(x @ w + b)
+
+
+def ae_gradient_ref(params, x, targets, cfg):
+    """ae.ae_gradient with every product and sum a fresh array."""
+    acts = [x]
+    for i in range(params.n_layers):
+        w, b = params.weights[i], params.biases[i]
+        acts.append(affine_sigmoid_ref(acts[-1], w, b) if params.is_sigmoid_layer(i)
+                    else acts[-1] @ w + b)
+    delta = 2.0 * np.where(targets > 0.0, cfg.beta, 1.0) * (acts[-1] - targets)
+    grads_w = [None] * params.n_layers
+    grads_b = [None] * params.n_layers
+    for i in range(params.n_layers - 1, -1, -1):
+        if params.is_sigmoid_layer(i):
+            delta = sigmoid_grad_ref(delta, acts[i + 1])
+        w = params.weights[i]
+        grads_w[i] = acts[i].T @ delta + cfg.nu1 * np.sign(w) + 2.0 * cfg.nu2 * w
+        grads_b[i] = delta.sum(axis=0)
+        if i:
+            delta = delta @ w.T
+    return grads_w, grads_b
+
+
+def train_epoch_ref(params, x, targets, cfg, rng):
+    """One epoch of ae.train_dense on params, in place: shuffled minibatches,
+    each followed by the step W - xeta * grad."""
+    order = rng.permutation(x.shape[0])
+    for start in range(0, x.shape[0], cfg.n_batch):
+        idx = order[start : start + cfg.n_batch]
+        gw, gb = ae_gradient_ref(params, x[idx], targets[idx], cfg)
+        for i in range(params.n_layers):
+            params.weights[i] = params.weights[i] - cfg.xeta * gw[i]
+            params.biases[i] = params.biases[i] - cfg.xeta * gb[i]
+    return params

@@ -12,6 +12,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynembed.ae import (AeConfig, AeTrainingError, MlpParams,
                          ae_gradient, ae_loss,
@@ -25,7 +27,8 @@ from dynembed.pipeline import METHOD_TABLE
 from dynembed.rng import Rng
 from dynembed.sbm import generate_sbm_snapshot
 
-from oracles import fd_gradient, random_orthogonal, save_mlp_params_ref
+from oracles import (ae_gradient_ref, fd_gradient, random_orthogonal,
+                     save_mlp_params_ref, train_epoch_ref)
 
 TINY = AeConfig(d=2, enc_units=(3,), dec_units=(3,), nu1=0.0, nu2=0.0,
                 n_iter=0, seed=0)
@@ -221,6 +224,59 @@ def test_gradient_zero_at_exact_fit():
     gw, gb = ae_gradient(params, np.array([[0.7]]), np.array([[0.5]]), cfg)
     assert all(np.array_equal(g, np.zeros_like(g)) for g in gw)
     assert all(np.array_equal(g, np.zeros_like(g)) for g in gb)
+
+
+@st.composite
+def small_mlps(draw):
+    """(cfg, params, x, targets, seed) of a small MLP: any depth the config
+    allows, nonzero biases, some weights exactly 0 (sign(0) = 0), and weights
+    scaled up to saturate the sigmoids."""
+    dims = st.lists(st.integers(1, 5), max_size=2).map(tuple)
+    cfg = AeConfig(d=draw(st.integers(1, 3)), enc_units=draw(dims), dec_units=draw(dims),
+                   beta=draw(st.sampled_from([1.0, 5.0])),
+                   nu1=draw(st.sampled_from([0.0, 1e-6, 0.3])),
+                   nu2=draw(st.sampled_from([0.0, 1e-6, 0.3])),
+                   xeta=draw(st.sampled_from([1e-3, 0.25])),
+                   n_batch=draw(st.integers(1, 4)), n_iter=1)
+    n_in, n_out, n_rows = (draw(st.integers(1, 6)) for _ in range(3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    scale = draw(st.sampled_from([1.0, 20.0]))
+    params = fresh_params(n_in, cfg, Rng(seed), output_dim=n_out)
+    g = np.random.default_rng(seed)
+    for w, b in zip(params.weights, params.biases):
+        w *= scale * (g.random(w.shape) >= 0.2)
+        b[:] = g.normal(size=b.shape)
+    x = g.random((n_rows, n_in)) * (g.random((n_rows, n_in)) < 0.6)
+    targets = (g.random((n_rows, n_out)) < 0.5).astype(np.float64)
+    return cfg, params, x, targets, seed
+
+
+def _assert_arrays_same_bits(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_mlps())
+def test_gradient_matches_expression_oracle_bitwise(case):
+    cfg, params, x, targets, _ = case
+    before = params.copy()
+    gw, gb = ae_gradient(params, x, targets, cfg)
+    rw, rb = ae_gradient_ref(params, x, targets, cfg)
+    _assert_arrays_same_bits(gw, rw)
+    _assert_arrays_same_bits(gb, rb)
+    _assert_arrays_same_bits(params.weights + params.biases, before.weights + before.biases)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_mlps())
+def test_training_epoch_matches_expression_oracle_bitwise(case):
+    cfg, params, x, targets, seed = case
+    got = train_dense(x, targets, cfg, params, Rng(seed)).params
+    want = train_epoch_ref(params.copy(), x, targets, cfg, Rng(seed))
+    _assert_arrays_same_bits(got.weights, want.weights)
+    _assert_arrays_same_bits(got.biases, want.biases)
 
 
 # --- training ---------------------------------------------------------------

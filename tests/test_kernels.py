@@ -1,9 +1,21 @@
-"""Correctness of the hot kernels against hand values."""
+"""Correctness of the hot kernels against hand values, and bitwise against
+the expression forms in oracles.py."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from dynembed import kernels
+
+from oracles import affine_sigmoid_ref, sigmoid_grad_ref, sigmoid_ref
+
+SPECIAL = [0.0, -0.0, 745.0, -745.0, 800.0, -800.0, np.inf, -np.inf, np.nan]
+_float64s = arrays(
+    np.float64, array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=9),
+    elements=st.one_of(st.sampled_from(SPECIAL), st.floats(-800.0, 800.0),
+                       st.floats(allow_nan=True, allow_infinity=True)))
 
 
 def _rand(shape, seed=0):
@@ -15,6 +27,44 @@ def test_sigmoid_overflow_safe():
     out = kernels.sigmoid(z)
     assert np.all(np.isfinite(out))
     assert out[0, 0] == 0.0 and out[0, 1] == 1.0 and out[1, 0] == 0.5
+
+
+def _assert_same_bits(got, want):
+    """Equal shapes and float64 bits; NaN only by position."""
+    assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(z=_float64s)
+@example(z=np.array(SPECIAL))
+@example(z=np.array(SPECIAL[:8]).reshape(2, 4))
+@example(z=np.empty(0))
+@example(z=np.empty((0, 3)))
+@example(z=np.empty((3, 0)))
+def test_sigmoid_matches_masked_oracle_bitwise(z):
+    _assert_same_bits(kernels.sigmoid(z), sigmoid_ref(z))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(0, 6), k=st.integers(1, 5), m=st.integers(1, 7),
+       scale=st.sampled_from([0.1, 1.0, 30.0, 400.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_affine_kernels_match_oracles_bitwise_and_keep_their_arguments(n, k, m, scale, seed):
+    rng = np.random.default_rng(seed)
+    x, w, b = rng.normal(size=(n, k)), rng.normal(size=(k, m)) * scale, rng.normal(size=m)
+    g, h = rng.normal(size=(n, m)), rng.random((n, m))
+    args = [x, w, b, g, h]
+    before = [a.copy() for a in args]
+    _assert_same_bits(kernels.affine_sigmoid(x, w, b), affine_sigmoid_ref(x, w, b))
+    _assert_same_bits(kernels.sigmoid_grad(g, h), sigmoid_grad_ref(g, h))
+    z = x @ w
+    z_before = z.copy()
+    kernels.sigmoid(z)
+    for a, a0 in zip(args + [z], before + [z_before]):
+        assert np.array_equal(a.view(np.uint64), a0.view(np.uint64))
 
 
 def test_weighted_sq_error_hand_value():
