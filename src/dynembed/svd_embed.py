@@ -17,6 +17,9 @@ costs O(n (r + k)^2) for a factor of width k. The cover is never larger than
 the set of touched rows or of touched columns; for the SBM drift, where each
 migrant's out-row and in-column are resampled, it is one row and one column
 per migrant, so k = 20 for 10 migrants, which is the rank of the change.
+An update with r + k >= n is not low-rank: it takes one dense SVD of the
+n x n tracked factor plus change instead, which costs what a restart costs
+and less than Brand's update at that width.
 
 The restart rule maintains a lower bound on the optimal rank-d loss without
 recomputing a decomposition. By Weyl's inequality, each singular value of the
@@ -246,36 +249,16 @@ def _reorthogonalized(u, s, v):
     return qu @ f, s2, qv @ gh.T
 
 
-def incremental_update(state: SvdFactorState, p: np.ndarray, q: np.ndarray, d: int) -> SvdFactorState:
-    """Additive modification of the maintained SVD for A + P Q^T.
+def _brand_update(factor: TruncatedSvd, p: np.ndarray, q: np.ndarray) -> TruncatedSvd:
+    """Top rank-r SVD of U S V^T + P Q^T by Brand's additive update, r being
+    the rank of factor.
 
     The update residuals of P against U and Q against V are orthonormalized,
     an (r+kp) x (r+kq) core matrix is formed from diag(S) plus the projected
-    update, and its SVD rotates and re-truncates the factors back to the
-    maintained rank r. The reported loss is recomputed exactly against the
-    stored adjacency from the rank-d view.
+    update, and its SVD rotates and re-truncates the factors back to rank r.
+    Costs O(n (r + k)^2) for an update of width k.
     """
-    if d != state.d:
-        raise ValueError(f"rank change {state.d} -> {d} not supported")
-    n = state.adj.shape[0]
-    if p.shape[0] != n or q.shape[0] != n or p.shape[1] != q.shape[1]:
-        raise ValueError("P, Q must be n x k")
-
-    pert = p @ q.T
-    adj_new = state.adj + pert
-    pert_sq = float(np.sum((p.T @ p) * (q.T @ q)))
-    pert_norm = math.sqrt(max(pert_sq, 0.0))
-
-    if p.shape[1] == 0 or pert_norm == 0.0:
-        return replace(
-            state,
-            t_cur=state.t_cur + 1,
-            pert_norm_sum=state.pert_norm_sum + pert_norm,
-            adj=adj_new,
-            cur_loss=_exact_loss(adj_new, state.truncated()),
-        )
-
-    u0, s0, v0 = state.factor.U, state.factor.S, state.factor.V
+    u0, s0, v0 = factor.U, factor.S, factor.V
     r = s0.shape[0]
     up, qp, rp = _orthonormal_residual(u0, p)
     vq, qq, rq = _orthonormal_residual(v0, q)
@@ -298,8 +281,50 @@ def incremental_update(state: SvdFactorState, p: np.ndarray, q: np.ndarray, d: i
     )
     if drift > REORTH_TOL:
         u_new, s_new, v_new = _reorthogonalized(u_new, s_new, v_new)
+    return TruncatedSvd(U=u_new, S=s_new, V=v_new)
 
-    factor = TruncatedSvd(U=u_new, S=s_new, V=v_new)
+
+def incremental_update(state: SvdFactorState, p: np.ndarray, q: np.ndarray, d: int) -> SvdFactorState:
+    """Additive modification of the maintained SVD for A + P Q^T.
+
+    The new factor is the top rank-r SVD of U S V^T + P Q^T, r being the
+    maintained rank. While r + k < n for an update of width k, Brand's
+    update (_brand_update) computes it at O(n (r + k)^2). Once r + k >= n
+    the update basis can span all of R^n and the update is no longer
+    low-rank, so the n x n matrix U S V^T + P Q^T is formed and given one
+    dense SVD, the cost of a restart; Brand's core SVD is that matrix
+    written in an orthonormal basis, so both give the same factor. Neither
+    is a restart: the matrix is the tracked factor plus the change, not the
+    stored adjacency. The reported loss is recomputed exactly against the
+    stored adjacency from the rank-d view.
+    """
+    if d != state.d:
+        raise ValueError(f"rank change {state.d} -> {d} not supported")
+    n = state.adj.shape[0]
+    if p.shape[0] != n or q.shape[0] != n or p.shape[1] != q.shape[1]:
+        raise ValueError("P, Q must be n x k")
+
+    pert = p @ q.T
+    adj_new = state.adj + pert
+    pert_sq = float(np.sum((p.T @ p) * (q.T @ q)))
+    pert_norm = math.sqrt(max(pert_sq, 0.0))
+
+    if p.shape[1] == 0 or pert_norm == 0.0:
+        return replace(
+            state,
+            t_cur=state.t_cur + 1,
+            pert_norm_sum=state.pert_norm_sum + pert_norm,
+            adj=adj_new,
+            cur_loss=_exact_loss(adj_new, state.truncated()),
+        )
+
+    r = state.factor.S.shape[0]
+    if r + p.shape[1] >= n:
+        updated = state.factor.reconstruct()
+        updated += pert
+        factor = truncated_svd(updated, r)
+    else:
+        factor = _brand_update(state.factor, p, q)
     return SvdFactorState(
         factor=factor,
         d=d,

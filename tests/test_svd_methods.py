@@ -4,6 +4,11 @@ The block-constant fixtures have exactly known rank (rank of the block
 weight matrix), which is what the d >= rank exactness tests need. The
 restart fixture keeps per-step perturbations tiny so the Weyl lower bound
 decays slowly and stays positive long enough for the ratio test to fire.
+
+An update takes Brand's path while r + k < n and one dense SVD from there
+on. The restart fixture has r = n = 16, so it runs the dense path on every
+step. Each path has its own exactness test, and the two are checked against
+each other on drawn factors.
 """
 
 import math
@@ -13,14 +18,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynembed import svd_embed
 from dynembed.graphs import (GraphSnapshot, SnapshotSequence, dense_adjacency,
                              edge_delta)
-from dynembed.numerics import truncated_svd
+from dynembed.numerics import TruncatedSvd, truncated_svd
 from dynembed.rng import Rng
 from dynembed.sbm import SbmParams, _snapshot_from_dense, diminish_series, generate_sbm_snapshot
-from dynembed.svd_embed import (RestartLogEntry, delta_factor,
-                                incremental_update,
-                                optimal_svd_embed,
+from dynembed.svd_embed import (RestartLogEntry, SvdFactorState, _exact_loss, _top_view,
+                                delta_factor, incremental_update, optimal_svd_embed,
                                 rerun_svd_series, save_restart_log)
 from oracles import (brute_min_cover_size, plain_incremental_fold, row_indicator_factor,
                      save_restart_log_ref, snapshot)
@@ -214,21 +219,99 @@ def test_incremental_rejects_bad_shapes():
         incremental_update(state, np.zeros((3, 1)), np.zeros((4, 1)), 2)
 
 
-def test_update_exact_when_d_covers_rank():
-    groups = (4, 3, 3)
+def _update_exactly(groups):
+    """Check that one update between block-constant snapshots of rank 3 at
+    d = 4 is exact; returns (state before, P)."""
     b1 = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 3.0]])
     b2 = np.array([[1.0, 2.0, 0.0], [0.0, 1.5, 0.5], [0.0, 0.0, 3.0]])
     a1, a2 = _block_constant(groups, b1), _block_constant(groups, b2)
     assert np.linalg.matrix_rank(a2) == 3
     g1, g2 = _snapshot_from_dense(a1), _snapshot_from_dense(a2)
-    _, _, state = optimal_svd_embed(g1, 4)
-    p, q = delta_factor(edge_delta(g1, g2), 10)
-    state = incremental_update(state, p, q, 4)
-    view = state.truncated()
-    assert state.cur_loss <= 1e-16
+    _, _, before = optimal_svd_embed(g1, 4)
+    p, q = delta_factor(edge_delta(g1, g2), a1.shape[0])
+    after = incremental_update(before, p, q, 4)
+    view = after.truncated()
+    assert after.cur_loss <= 1e-16
     assert np.max(np.abs(view.reconstruct() - a2)) <= 1e-8
     oracle = truncated_svd(a2, 4).reconstruct()
     assert np.max(np.abs(view.reconstruct() - oracle)) <= 1e-8
+    return before, p
+
+
+def test_update_exact_when_d_covers_rank():
+    # n = 10 and r = min(4d, n) = n: the dense path
+    before, p = _update_exactly((4, 3, 3))
+    assert before.factor.S.shape[0] + p.shape[1] >= 10
+
+
+def test_brand_update_exact_when_d_covers_rank():
+    # n = 40, r = 16, and the delta is one block row of 12 rows: Brand's path
+    before, p = _update_exactly((16, 12, 12))
+    assert (before.factor.S.shape[0], p.shape[1]) == (16, 12)
+
+
+@st.composite
+def factor_updates(draw):
+    """A factor state of rank r on n nodes and an update P Q^T whose width
+    lies within a few columns of n - r, on either side of the switch."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    r = draw(st.integers(min_value=1, max_value=n))
+    k = max(1, n - r + draw(st.integers(min_value=-3, max_value=1)))
+    d = draw(st.integers(min_value=1, max_value=r))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    u = np.linalg.qr(rng.normal(size=(n, r)))[0]
+    v = np.linalg.qr(rng.normal(size=(n, r)))[0]
+    s = np.sort(rng.uniform(0.1, 10.0, size=r))[::-1]
+    factor = TruncatedSvd(U=u, S=s, V=v)
+    # the stored adjacency is not the factor, as after a truncating update
+    adj = factor.reconstruct() + rng.normal(size=(n, n))
+    state = SvdFactorState(factor=factor, d=d, t_cur=0, sigma_restart=s[:d].copy(),
+                           pert_norm_sum=0.0, cur_loss=_exact_loss(adj, _top_view(factor, d)),
+                           adj=adj)
+    return state, rng.normal(size=(n, k)), rng.normal(size=(n, k))
+
+
+# singular gap above which a rank-j reconstruction is compared, relative to sigma_1
+RECONSTRUCTION_GAP = 1e-3
+
+
+@settings(max_examples=200, deadline=None)
+@given(factor_updates())
+def test_dense_and_brand_updates_agree(update):
+    state, p, q = update
+    n, r = state.adj.shape[0], state.factor.S.shape[0]
+    updated = state.factor.reconstruct() + p @ q.T
+    new = incremental_update(state, p, q, state.d)
+    if r + p.shape[1] >= n:
+        other = svd_embed._brand_update(state.factor, p, q)
+    else:
+        other = truncated_svd(updated, r)
+    sigma = np.append(np.linalg.svd(updated, compute_uv=False), 0.0)
+
+    assert np.max(np.abs(new.factor.S - other.S)) <= 1e-12 * new.factor.S[0]
+    other_loss = _exact_loss(new.adj, _top_view(other, state.d))
+    assert new.cur_loss == pytest.approx(other_loss, rel=1e-9)
+    for j in range(1, r + 1):
+        if sigma[j - 1] - sigma[j] > RECONSTRUCTION_GAP * sigma[0]:
+            diff = (_top_view(new.factor, j).reconstruct()
+                    - _top_view(other, j).reconstruct())
+            assert np.max(np.abs(diff)) <= 1e-9
+    for f in (new.factor, other):
+        TruncatedSvd(U=f.U, S=f.S, V=f.V)  # raises unless U and V are orthonormal
+
+
+@pytest.mark.parametrize("width", [2, 3, 4, 5])
+def test_dense_path_fires_exactly_when_the_update_spans_the_space(monkeypatch, width):
+    g = generate_sbm_snapshot(np.repeat([0, 1], 6), 0.5, 0.1, Rng(4))
+    _, _, state = optimal_svd_embed(g, 2)
+    n, r = 12, state.factor.S.shape[0]
+    assert r == 8
+    calls = []
+    monkeypatch.setattr(svd_embed, "truncated_svd",
+                        lambda a, rank: calls.append(rank) or truncated_svd(a, rank))
+    rng = np.random.default_rng(width)
+    incremental_update(state, rng.normal(size=(n, width)), rng.normal(size=(n, width)), 2)
+    assert calls == ([r] if r + width >= n else [])
 
 
 def test_incremental_tracks_batch_loss_on_drift(drift_sbm_50):
