@@ -16,7 +16,6 @@ Methods built on top:
   * d2v AE     - one model over lookback windows predicting the next row.
 """
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,7 +46,6 @@ class AeConfig:
     xeta: float = 1e-3
     n_batch: int = 100
     lookback: int = 2
-    rho: float | None = None  # accepted for config compatibility, unused
     seed: int = 0
 
     def __post_init__(self):
@@ -65,8 +63,6 @@ class AeConfig:
             raise ValueError("xeta must be > 0")
         if self.n_iter < 0:
             raise ValueError("n_iter must be >= 0")
-        if self.rho is not None:
-            warnings.warn("rho is accepted but has no effect", UserWarning)
 
 
 @dataclass
@@ -309,28 +305,7 @@ def d2v_ae_series(seq: SnapshotSequence, cfg: AeConfig):
 def save_mlp_params(params: MlpParams, path) -> None:
     """Text model format: layer count, then per layer `rows cols`, the weight
     rows, and the bias row; encoder layers first."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{params.n_layers}\n")
+    with open(path, "wb") as fh:
+        fh.write(b"%d\n" % params.n_layers)
         for w, b in zip(params.weights, params.biases):
             fh.write(format_matrix(w) + format_rows(b[None, :]))
-
-
-def load_mlp_params(path, n_encoder_layers: int) -> MlpParams:
-    """Read the model format; the encoder/decoder boundary comes from config."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in (s.strip() for s in fh) if ln]
-    n_layers = int(lines[0])
-    weights, biases = [], []
-    pos = 1
-    for _ in range(n_layers):
-        rows, cols = (int(x) for x in lines[pos].split())
-        pos += 1
-        w = np.array([[float(x) for x in lines[pos + r].split()] for r in range(rows)])
-        pos += rows
-        b = np.array([float(x) for x in lines[pos].split()])
-        pos += 1
-        if w.shape != (rows, cols) or b.shape != (cols,):
-            raise ValueError(f"{path}: layer shape mismatch")
-        weights.append(w)
-        biases.append(b)
-    return MlpParams(weights=weights, biases=biases, n_encoder_layers=n_encoder_layers)

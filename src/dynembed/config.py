@@ -225,7 +225,7 @@ def from_dict(raw: dict) -> ExperimentConfig:
     ae_kwargs = dict(d=d, seed=seed)
     for key, kind in (("beta", float), ("nu1", float), ("nu2", float),
                       ("n_iter", int), ("xeta", float), ("n_batch", int),
-                      ("lookback", int), ("rho", float)):
+                      ("lookback", int)):
         if key in method_raw and method_raw[key] is not None:
             ae_kwargs[key] = _require(method_raw, key, kind, "method")
     for key in ("enc_units", "dec_units"):
@@ -239,7 +239,7 @@ def from_dict(raw: dict) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError("method", str(exc)) from exc
     known_method = {"name", "d", "theta", "beta", "nu1", "nu2", "n_iter", "xeta",
-                    "n_batch", "lookback", "rho", "enc_units", "dec_units"}
+                    "n_batch", "lookback", "enc_units", "dec_units"}
     for key in method_raw:
         if key not in known_method:
             raise ConfigError(f"method.{key}", "unknown field")

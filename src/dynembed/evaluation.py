@@ -396,5 +396,5 @@ def export_projection(series: EmbeddingSeries, t: int, labels_t, migrated, path)
     nodes = np.arange(y.shape[0])
     flags = np.isin(nodes, [int(m) for m in migrated])
     rows = np.column_stack([nodes, coords, labels_t, flags]).astype(np.float64)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(path, "wb") as fh:
         fh.write(format_rows(rows))

@@ -5,12 +5,22 @@ weight 0 encodes edge absence and all stored weights are strictly positive.
 A snapshot is its edges as three read-only arrays sorted by (u, v), which
 every consumer reads directly. Snapshots, sequences and deltas are immutable
 after construction and safe to share across threads.
+
+The snapshot file is ASCII with `\n` line ends: a `T N` header, then one
+`t u v w` line per edge, sorted by (t, u, v), with w exactly as Python's
+"%.17g" % w writes it. The writer builds a snapshot's lines as one byte
+matrix from fixed-width, NUL-padded text tables (one `%d ` per node, one
+series.format_rows text per distinct weight) and drops the padding;
+int_lines does the same for the label and migration files. The tests hold
+these writers byte for byte to the per-line writers in tests/oracles.py.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .series import format_rows
 
 DEFAULT_DENSE_LIMIT = 20_000
 
@@ -216,14 +226,39 @@ def load_snapshots(path) -> SnapshotSequence:
     )
 
 
+def _fields(texts: np.ndarray, index) -> np.ndarray:
+    """Row i holds texts[index[i]], NUL-padded to the width of the bytes
+    array texts."""
+    return texts[index].view(np.uint8).reshape(len(index), texts.itemsize)
+
+
+def _int_fields(values, end: bytes) -> np.ndarray:
+    """Row i holds `%d` of the int values[i], and end; each distinct value is
+    formatted once."""
+    distinct, slot = np.unique(np.asarray(values, dtype=np.int64), return_inverse=True)
+    return _fields(np.array([b"%d%s" % (v, end) for v in distinct.tolist()], dtype=bytes), slot)
+
+
+def _text_lines(*fields) -> bytes:
+    """The rows of the NUL-padded field matrices side by side, padding dropped."""
+    return np.concatenate(fields, axis=1).tobytes().translate(None, b"\0")
+
+
+def int_lines(*columns) -> bytes:
+    """One line per index of the int columns, its values joined by spaces."""
+    ends = [b" "] * (len(columns) - 1) + [b"\n"]
+    return _text_lines(*(_int_fields(c, end) for c, end in zip(columns, ends)))
+
+
 def save_snapshots(seq: SnapshotSequence, path) -> None:
     """Write the canonical form: `T N` header, edge lines sorted by (t, u, v)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{len(seq)} {seq.n}\n")
+    nodes = _int_fields(np.arange(seq.n), b" ")
+    with open(path, "wb") as fh:
+        fh.write(b"%d %d\n" % (len(seq), seq.n))
         for t, g in enumerate(seq):
-            # 17 significant digits round-trip any float64 exactly; each
-            # distinct weight is formatted once
+            t_text = np.frombuffer(b"%d " % t, dtype=np.uint8)
+            # each distinct weight is formatted once
             weights, slot = np.unique(g.weights, return_inverse=True)
-            text = ["%.17g\n" % w for w in weights.tolist()]
-            fh.write("".join([f"{t} {u} {v} {text[i]}" for u, v, i in
-                              zip(g.rows.tolist(), g.cols.tolist(), slot.tolist())]))
+            text = np.array(format_rows(weights[:, None]).splitlines(keepends=True), dtype=bytes)
+            fh.write(_text_lines(np.broadcast_to(t_text, (len(g), t_text.size)), nodes[g.rows],
+                                 nodes[g.cols], _fields(text, slot)))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .graphs import GraphSnapshot, SnapshotSequence
+from .graphs import GraphSnapshot, SnapshotSequence, int_lines
 from .rng import Rng
 
 
@@ -147,10 +147,11 @@ def diminish_series(params: SbmParams) -> DynamicSbmSeries:
 
 def save_labels(series: DynamicSbmSeries, path) -> None:
     """Lines `t node community`, sorted by (t, node)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for t, labels in enumerate(series.labels):
-            for node, c in enumerate(labels.tolist()):
-                fh.write(f"{t} {node} {c}\n")
+    sizes = [len(labels) for labels in series.labels]
+    with open(path, "wb") as fh:
+        fh.write(int_lines(np.repeat(np.arange(len(sizes)), sizes),
+                           np.concatenate([np.arange(k) for k in sizes]),
+                           np.concatenate(series.labels)))
 
 
 def load_labels(path) -> list:
@@ -187,10 +188,10 @@ def load_labels(path) -> list:
 
 def save_migrations(series: DynamicSbmSeries, path) -> None:
     """Lines `t node old_community new_community`, sorted by (t, node)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for t, step in enumerate(series.migrations):
-            for node, old, new in sorted(step):
-                fh.write(f"{t} {node} {old} {new}\n")
+    records = np.array([(t, *r) for t, step in enumerate(series.migrations)
+                        for r in sorted(step)], dtype=np.int64).reshape(-1, 4)
+    with open(path, "wb") as fh:
+        fh.write(int_lines(*records.T))
 
 
 def load_migrations(path, length: int) -> list:

@@ -396,5 +396,5 @@ def optimal_svd_series(seq: SnapshotSequence, d: int) -> EmbeddingSeries:
 def save_restart_log(log, path) -> None:
     """Lines `t restarted cur_loss bound`."""
     rows = np.array([(e.t, e.restarted, e.cur_loss, e.bound) for e in log], dtype=np.float64)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(path, "wb") as fh:
         fh.write(format_rows(rows.reshape(-1, 4)))

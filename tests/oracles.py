@@ -11,7 +11,8 @@ the package's update step with no restart test; and the prefix re-embed,
 which runs the package's methods on a prefix of the sequence, as link
 prediction once did; and the autoencoder's sigmoid, forward pass, gradient
 and weight step as the numpy expressions they were before the kernels reused
-their buffers, on the package's parameter type.
+their buffers, on the package's parameter type; and the model file reader,
+which only the tests use, also on that type.
 """
 
 import itertools
@@ -144,6 +145,22 @@ def projection_lines_ref(coords, labels_t, migrated) -> str:
     return "".join(f"{node} {coords[node, 0]:.17g} {coords[node, 1]:.17g} "
                    f"{int(labels_t[node])} {1 if node in migrated else 0}\n"
                    for node in range(coords.shape[0]))
+
+
+def save_labels_ref(series, path) -> None:
+    """The labels text format written one node at a time."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for t, labels in enumerate(series.labels):
+            for node, c in enumerate(labels.tolist()):
+                fh.write(f"{t} {node} {c}\n")
+
+
+def save_migrations_ref(series, path) -> None:
+    """The migrations text format written one record at a time."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for t, step in enumerate(series.migrations):
+            for node, old, new in sorted(step):
+                fh.write(f"{t} {node} {old} {new}\n")
 
 
 def save_snapshots_ref(snapshots, path) -> None:
@@ -488,3 +505,28 @@ def train_epoch_ref(params, x, targets, cfg, rng):
             params.weights[i] = params.weights[i] - cfg.xeta * gw[i]
             params.biases[i] = params.biases[i] - cfg.xeta * gb[i]
     return params
+
+
+# --- the model file reader ---------------------------------------------------
+
+
+def load_mlp_params(path, n_encoder_layers: int):
+    """Read the model format of ae.save_mlp_params into the package's
+    MlpParams; the encoder/decoder boundary comes from the caller."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [ln for ln in (s.strip() for s in fh) if ln]
+    n_layers = int(lines[0])
+    weights, biases = [], []
+    pos = 1
+    for _ in range(n_layers):
+        rows, cols = (int(x) for x in lines[pos].split())
+        pos += 1
+        w = np.array([[float(x) for x in lines[pos + r].split()] for r in range(rows)])
+        pos += rows
+        b = np.array([float(x) for x in lines[pos].split()])
+        pos += 1
+        if w.shape != (rows, cols) or b.shape != (cols,):
+            raise ValueError(f"{path}: layer shape mismatch")
+        weights.append(w)
+        biases.append(b)
+    return ae.MlpParams(weights=weights, biases=biases, n_encoder_layers=n_encoder_layers)

@@ -64,11 +64,10 @@ def test_full_scale_reference_config_parses():
                          "node_change_num": 10, "length": 4}},
         "method": {"name": "d2v_ae", "d": 128, "lookback": 2, "beta": 5,
                    "nu1": 1e-6, "nu2": 1e-6, "n_iter": 250, "xeta": 1e-3,
-                   "n_batch": 100, "rho": 0.3},
+                   "n_batch": 100},
         "tasks": {"temporal_lp": {"mode": "new"}},
     }
-    with pytest.warns(UserWarning, match="rho"):
-        cfg = from_dict(raw)
+    cfg = from_dict(raw)
     assert cfg.method == "d2v_ae"
     assert cfg.ae.d == 128 and cfg.ae.lookback == 2
     assert cfg.ae.beta == 5.0 and cfg.ae.nu1 == 1e-6 and cfg.ae.nu2 == 1e-6
@@ -110,6 +109,14 @@ def test_unknown_fields_are_named():
         raw["tasks"] = {task: {key: value}}
         with pytest.raises(ConfigError, match=f"tasks.{task}.{key}"):
             from_dict(raw)
+
+
+def test_rho_is_an_unknown_field():
+    raw = _minimal(method="d2v_ae")
+    raw["method"]["rho"] = 0.3
+    with pytest.raises(ConfigError, match="'method.rho': unknown field") as exc:
+        from_dict(raw)
+    assert exc.value.field == "method.rho"
 
 
 def test_unknown_method():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from dynembed.evaluation import EvalError, static_lp_split
 from dynembed.graphs import (DEFAULT_DENSE_LIMIT, EdgeDelta, GraphSnapshot,
                              SnapshotParseError, SnapshotSequence, dense_adjacency,
-                             edge_delta, load_snapshots, save_snapshots)
+                             edge_delta, int_lines, load_snapshots, save_snapshots)
 from dynembed.rng import Rng
 from oracles import (SnapshotRef, apply_delta, dense_adjacency_ref, edge_delta_ref,
                      save_snapshots_ref, snapshot, static_lp_split_ref)
@@ -264,6 +264,11 @@ def test_save_canonicalizes_order(tmp_path):
     g = snapshot(3, [(2, 0, 1.0), (0, 2, 1.0), (0, 1, 1.0)])
     save_snapshots(SnapshotSequence([g]), f)
     assert f.read_text() == "1 3\n0 0 1 1\n0 0 2 1\n0 2 0 1\n"
+
+
+def test_int_lines():
+    assert int_lines([0, 10, 3], [7, -2, 2**62]) == b"0 7\n10 -2\n3 %d\n" % 2**62
+    assert int_lines([], []) == b""
 
 
 def test_load_ignores_comments_and_blanks(tmp_path):

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynembed.graphs import dense_adjacency
+from dynembed.graphs import GraphSnapshot, SnapshotSequence, dense_adjacency
 from dynembed.rng import Rng
 from dynembed.sbm import (DynamicSbmSeries, SbmParams, diminish_series,
                           generate_sbm_snapshot, load_labels, load_migrations,
                           save_labels, save_migrations)
+from oracles import save_labels_ref, save_migrations_ref
 
 
 def _params(**kw):
@@ -221,6 +222,40 @@ def test_labels_round_trip(tmp_path):
     loaded = load_labels(path)
     assert len(loaded) == 3
     assert all(np.array_equal(x, y) for x, y in zip(loaded, series.labels))
+
+
+@st.composite
+def label_series(draw):
+    """Labels and migration records of any size, unsorted within a step."""
+    n = draw(st.integers(1, 40))
+    length = draw(st.integers(1, 4))
+    community = st.integers(0, 10**7)
+    labels = [np.array(draw(st.lists(community, min_size=n, max_size=n)), dtype=np.int64)
+              for _ in range(length)]
+    migrations = [[(node, draw(community), draw(community))
+                   for node in draw(st.lists(st.integers(0, n - 1), unique=True, max_size=5))]
+                  for _ in range(length)]
+    seq = SnapshotSequence([GraphSnapshot(n)] * length)
+    return DynamicSbmSeries(sequence=seq, labels=labels, migrations=migrations)
+
+
+@settings(max_examples=60, deadline=None)
+@given(label_series())
+def test_label_and_migration_writers_match_per_line_oracles(tmp_path_factory, series):
+    d = tmp_path_factory.mktemp("labels")
+    for write, ref in ((save_labels, save_labels_ref), (save_migrations, save_migrations_ref)):
+        write(series, d / "new.txt")
+        ref(series, d / "ref.txt")
+        assert (d / "new.txt").read_bytes() == (d / "ref.txt").read_bytes()
+
+
+def test_generated_label_and_migration_files_match_per_line_oracles(tmp_path):
+    series = diminish_series(_params(node_num=120, community_num=3, length=6,
+                                     node_change_num=4, seed=9))
+    for write, ref in ((save_labels, save_labels_ref), (save_migrations, save_migrations_ref)):
+        write(series, tmp_path / "new.txt")
+        ref(series, tmp_path / "ref.txt")
+        assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
 
 
 def test_labels_loader_rejects_gaps(tmp_path):
