@@ -41,8 +41,26 @@ class TruncatedSvd:
 def truncated_svd(a: np.ndarray, d: int) -> TruncatedSvd:
     """Best rank-d approximation factors of a dense matrix.
 
-    Computed through a full decomposition, which is fine at the desk scale
-    this package targets; the contract is on the result, not the algorithm.
+    Only the top d singular triples are computed, through the Gram matrix
+    and one Rayleigh-Ritz step (Golub and Van Loan, Matrix Computations,
+    sec. 8.6; Halko, Martinsson and Tropp, SIAM Review 2011):
+
+    1. a is scaled by the power of two 2^-e that brings max|a| into
+       [1/2, 1), which is exact, so that the Gram matrix neither overflows
+       nor underflows whatever the scale of a;
+    2. V0 holds the top d eigenvectors of B^T B for the scaled B (of B B^T,
+       with the roles of U and V swapped, when a has fewer rows than
+       columns);
+    3. the thin SVD of the n x d matrix B V0 = U diag(S) W^T gives
+       U and S, V = V0 W, and S is scaled back by 2^e.
+
+    U and V are orthonormal by construction, also for rank-deficient input.
+    S is the singular values of a restricted to span(V0), so it matches the
+    top d singular values of a to rounding in sigma_1, and the rank-j
+    reconstructions match wherever sigma_j - sigma_{j+1} is not a rounding
+    error of sigma_1. Where singular values repeat, the vectors are any
+    orthonormal basis of their space, and the sign of each singular pair is
+    free.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
@@ -51,8 +69,18 @@ def truncated_svd(a: np.ndarray, d: int) -> TruncatedSvd:
         raise ValueError("input contains non-finite entries")
     if not 1 <= d <= min(a.shape):
         raise ValueError(f"rank d={d} outside [1, {min(a.shape)}]")
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    return TruncatedSvd(U=u[:, :d].copy(), S=s[:d].copy(), V=vh[:d].T.copy())
+    e = int(np.frexp(np.max(np.abs(a)))[1])
+    b = np.ldexp(a, -e)
+    wide = b.shape[0] < b.shape[1]
+    if wide:
+        b = b.T
+    v0 = np.linalg.eigh(b.T @ b)[1][:, ::-1][:, :d]
+    u, s, wh = np.linalg.svd(b @ v0, full_matrices=False)
+    v = v0 @ wh.T
+    s = np.ldexp(s, e)
+    if wide:
+        u, v = v, u
+    return TruncatedSvd(U=u, S=s, V=v)
 
 
 def procrustes_rotation(x: np.ndarray, y: np.ndarray) -> np.ndarray:

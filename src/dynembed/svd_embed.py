@@ -17,9 +17,10 @@ costs O(n (r + k)^2) for a factor of width k. The cover is never larger than
 the set of touched rows or of touched columns; for the SBM drift, where each
 migrant's out-row and in-column are resampled, it is one row and one column
 per migrant, so k = 20 for 10 migrants, which is the rank of the change.
-An update with r + k >= n is not low-rank: it takes one dense SVD of the
-n x n tracked factor plus change instead, which costs what a restart costs
-and less than Brand's update at that width.
+An update with r + k >= n is not low-rank: it takes the top-r SVD of the
+n x n tracked factor plus change instead (numerics.truncated_svd: one
+eigendecomposition of the n x n Gram matrix and one n x r SVD), which costs
+what a restart costs and less than Brand's update at that width.
 
 The restart rule maintains a lower bound on the optimal rank-d loss without
 recomputing a decomposition. By Weyl's inequality, each singular value of the
@@ -65,6 +66,9 @@ class SvdFactorState:
     adj: np.ndarray  # the adjacency the factor currently tracks
 
     def __post_init__(self):
+        if not (math.isfinite(self.pert_norm_sum) and math.isfinite(self.cur_loss)):
+            raise ValueError(f"t={self.t_cur}: loss or perturbation norm overflows float64 "
+                             f"(cur_loss {self.cur_loss}, pert_norm_sum {self.pert_norm_sum})")
         if self.pert_norm_sum < 0 or self.cur_loss < -1e-12:
             raise ValueError("negative accumulator in factor state")
 
@@ -291,12 +295,12 @@ def incremental_update(state: SvdFactorState, p: np.ndarray, q: np.ndarray, d: i
     maintained rank. While r + k < n for an update of width k, Brand's
     update (_brand_update) computes it at O(n (r + k)^2). Once r + k >= n
     the update basis can span all of R^n and the update is no longer
-    low-rank, so the n x n matrix U S V^T + P Q^T is formed and given one
-    dense SVD, the cost of a restart; Brand's core SVD is that matrix
-    written in an orthonormal basis, so both give the same factor. Neither
-    is a restart: the matrix is the tracked factor plus the change, not the
-    stored adjacency. The reported loss is recomputed exactly against the
-    stored adjacency from the rank-d view.
+    low-rank, so the n x n matrix U S V^T + P Q^T is formed and its top r
+    triples are taken by truncated_svd, the cost of a restart; Brand's core
+    SVD is that matrix written in an orthonormal basis, so both give the
+    same factor. Neither is a restart: the matrix is the tracked factor plus
+    the change, not the stored adjacency. The reported loss is recomputed
+    exactly against the stored adjacency from the rank-d view.
     """
     if d != state.d:
         raise ValueError(f"rank change {state.d} -> {d} not supported")
@@ -339,6 +343,8 @@ def incremental_update(state: SvdFactorState, p: np.ndarray, q: np.ndarray, d: i
 def loss_lower_bound(state: SvdFactorState) -> float:
     """Weyl-inequality lower bound on the optimal rank-d loss at t_cur."""
     total = float(np.sum(state.adj * state.adj))
+    if not math.isfinite(total):
+        raise ValueError(f"t={state.t_cur}: ||A||_F^2 overflows float64, so no loss bound exists")
     shifted = np.maximum(state.sigma_restart + state.pert_norm_sum, 0.0)
     return max(0.0, total - float(np.sum(shifted * shifted)))
 

@@ -12,7 +12,9 @@ which runs the package's methods on a prefix of the sequence, as link
 prediction once did; and the autoencoder's sigmoid, forward pass, gradient
 and weight step as the numpy expressions they were before the kernels reused
 their buffers, on the package's parameter type; and the model file reader,
-which only the tests use, also on that type.
+which only the tests use, also on that type; and the truncated SVD as the
+full LAPACK decomposition (gesdd) cut to its top d triples, on the package's
+factor type.
 """
 
 import itertools
@@ -23,6 +25,7 @@ import numpy as np
 from dynembed import ae, svd_embed
 from dynembed.evaluation import EvalError, EvalReport, ScoredPairs, static_lp_split
 from dynembed.graphs import GraphSnapshot, SnapshotSequence, dense_adjacency, edge_delta
+from dynembed.numerics import TruncatedSvd
 from dynembed.rng import Rng
 
 MASK64 = (1 << 64) - 1
@@ -530,3 +533,20 @@ def load_mlp_params(path, n_encoder_layers: int):
         weights.append(w)
         biases.append(b)
     return ae.MlpParams(weights=weights, biases=biases, n_encoder_layers=n_encoder_layers)
+
+
+# --- the truncated SVD through the full decomposition ------------------------
+
+
+def truncated_svd_ref(a, d: int):
+    """Best rank-d approximation factors of a dense matrix from all of its
+    singular triples; numerics.truncated_svd computes only the top d."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2:
+        raise ValueError("input must be a 2-D matrix")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("input contains non-finite entries")
+    if not 1 <= d <= min(a.shape):
+        raise ValueError(f"rank d={d} outside [1, {min(a.shape)}]")
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    return TruncatedSvd(U=u[:, :d].copy(), S=s[:d].copy(), V=vh[:d].T.copy())

@@ -5,7 +5,9 @@ problem, 1 a runtime failure, 0 success.
 """
 
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -202,6 +204,34 @@ def test_runtime_failure_exits_1(tmp_path, capsys):
     )
     assert main(["run", "--config", config]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def _weighted_snapshot_file(path, weight):
+    """Three snapshots on 30 nodes, every edge of the given weight."""
+    rng = random.Random(0)
+    lines = ["3 30"]
+    for t in range(3):
+        lines += [f"{t} {u} {v} {weight!r}" for u in range(30) for v in range(30)
+                  if rng.random() < 0.2]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("weight, code", [(1e170, 1), (1e-170, 0)])
+def test_overflowing_svd_loss_exits_1(tmp_path, capsys, weight, code):
+    outdir = tmp_path / "out"
+    config = _write_config(
+        tmp_path / "config.json", outdir=str(outdir),
+        data={"snapshots": _weighted_snapshot_file(tmp_path / "snapshots.txt", weight)},
+        method={"name": "rerunsvd", "d": 2, "theta": 1.0},
+    )
+    assert main(["run", "--config", config]) == code
+    if code:
+        assert "t=0: loss or perturbation norm overflows" in capsys.readouterr().err
+    else:
+        for line in (outdir / "restart_log.txt").read_text().splitlines():
+            assert all(math.isfinite(float(x)) for x in line.split())
 
 
 # --- overrides and determinism -----------------------------------------------------

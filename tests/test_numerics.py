@@ -1,15 +1,27 @@
-"""Truncated SVD, Procrustes, and PCA against full-decomposition oracles."""
+"""Truncated SVD, Procrustes, and PCA against full-decomposition oracles.
+
+truncated_svd computes the top d triples through the Gram matrix, so it is
+checked against truncated_svd_ref, the full LAPACK decomposition cut to d.
+Its singular values are held to S_TOL times sigma_1 and its rank-j
+reconstructions to RECONSTRUCTION_TOL times sigma_1 wherever the gap
+sigma_j - sigma_{j+1} exceeds RECONSTRUCTION_GAP times sigma_1; inside a
+smaller gap the rank-j factor is not determined by the matrix.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynembed.numerics import (DegenerateInputWarning, TruncatedSvd,
+from dynembed.numerics import (ORTHO_TOL, DegenerateInputWarning, TruncatedSvd,
                                pca_project_2d, procrustes_rotation,
                                truncated_svd)
 
-from oracles import random_orthogonal
+from oracles import random_orthogonal, truncated_svd_ref
+
+S_TOL = 1e-13
+RECONSTRUCTION_GAP = 1e-3
+RECONSTRUCTION_TOL = 1e-11
 
 
 def _residual_sq(a, f):
@@ -66,6 +78,79 @@ def test_factor_invariants_on_random_input(seed, n, m, d_raw):
     tail = np.linalg.svd(a, compute_uv=False)[d:]
     assert _residual_sq(a, f) == pytest.approx(float(np.sum(tail * tail)),
                                                rel=1e-9, abs=1e-9)
+
+
+@st.composite
+def svd_inputs(draw):
+    """(a, d) with a tall, wide or square and d up to min(m, n), a drawn from
+    Gaussian, 0/1 adjacency-like, zero, rank-1 and repeated-sigma inputs."""
+    shape = draw(st.sampled_from(["tall", "wide", "square"]))
+    small = draw(st.integers(min_value=1, max_value=10))
+    big = small if shape == "square" else small + draw(st.integers(min_value=1, max_value=10))
+    m, n = (small, big) if shape == "wide" else (big, small)
+    kind = draw(st.sampled_from(["normal", "adjacency", "zero", "rank1", "identity", "blocks"]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if kind == "normal":
+        a = rng.normal(size=(m, n))
+    elif kind == "adjacency":
+        a = (rng.random((m, n)) < draw(st.sampled_from([0.05, 0.2, 0.5]))).astype(np.float64)
+    elif kind == "zero":
+        a = np.zeros((m, n))
+    elif kind == "rank1":
+        a = np.outer(rng.normal(size=m), rng.normal(size=n))
+    elif kind == "identity":
+        a = np.eye(m, n)
+    else:  # every singular value of the block appears twice
+        a = np.kron(np.eye(2), rng.normal(size=(m, n)))
+    low = min(a.shape)
+    d = low if draw(st.booleans()) else draw(st.integers(min_value=1, max_value=low))
+    return a, d
+
+
+@settings(max_examples=300, deadline=None)
+@given(svd_inputs())
+def test_top_d_route_matches_full_decomposition(case):
+    a, d = case
+    f = truncated_svd(a, d)
+    ref = truncated_svd_ref(a, d)
+    sigma = np.append(np.linalg.svd(a, compute_uv=False), 0.0)
+    scale = sigma[0]
+
+    assert np.max(np.abs(f.S - ref.S)) <= S_TOL * scale
+    tail = float(np.sum(sigma[d:] ** 2))
+    assert _residual_sq(a, f) == pytest.approx(tail, rel=1e-9, abs=S_TOL * scale**2)
+    for j in range(1, d + 1):
+        if sigma[j - 1] - sigma[j] > RECONSTRUCTION_GAP * scale:
+            diff = ((f.U[:, :j] * f.S[:j]) @ f.V[:, :j].T
+                    - (ref.U[:, :j] * ref.S[:j]) @ ref.V[:, :j].T)
+            assert np.max(np.abs(diff)) <= RECONSTRUCTION_TOL * scale
+    for m in (f.U, f.V):
+        assert np.max(np.abs(m.T @ m - np.eye(d))) <= ORTHO_TOL
+
+
+@pytest.mark.parametrize("power", [560, -560])
+def test_extreme_scales_match_the_unit_scale_factor(power):
+    # the Gram matrix of a scaled by 2^560 overflows and that of a scaled by
+    # 2^-560 underflows; scaling a by a power of two first keeps both exact
+    a = (np.random.default_rng(7).random((60, 60)) < 0.2).astype(np.float64)
+    unit = truncated_svd(a, 8)
+    scaled = np.ldexp(a, power)
+    f = truncated_svd(scaled, 8)
+    assert np.array_equal(f.S, np.ldexp(unit.S, power))
+    assert np.array_equal(f.U, unit.U) and np.array_equal(f.V, unit.V)
+    ref = truncated_svd_ref(scaled, 8)
+    assert np.max(np.abs(f.S - ref.S)) <= S_TOL * ref.S[0]
+
+
+@pytest.mark.parametrize("shape, d", [((40, 25), 6), ((25, 40), 6), ((30, 30), 5)])
+def test_no_full_decomposition(monkeypatch, shape, d):
+    # every SVD the route takes is of a factor with at most d columns or rows
+    svd = np.linalg.svd
+    shapes = []
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda x, *args, **kw: shapes.append(x.shape) or svd(x, *args, **kw))
+    truncated_svd(np.random.default_rng(8).normal(size=shape), d)
+    assert shapes and all(min(s) <= d for s in shapes)
 
 
 def test_truncated_svd_input_validation():

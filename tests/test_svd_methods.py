@@ -28,7 +28,7 @@ from dynembed.svd_embed import (RestartLogEntry, SvdFactorState, _exact_loss, _t
                                 delta_factor, incremental_update, optimal_svd_embed,
                                 rerun_svd_series, save_restart_log)
 from oracles import (brute_min_cover_size, plain_incremental_fold, row_indicator_factor,
-                     save_restart_log_ref, snapshot)
+                     save_restart_log_ref, snapshot, truncated_svd_ref)
 
 
 def _block_constant(groups, b):
@@ -82,7 +82,7 @@ def test_optimal_matches_truncated_svd_oracle():
     g = generate_sbm_snapshot(np.repeat([0, 1], 10), 0.4, 0.1, Rng(1))
     a = dense_adjacency(g)
     y_src, y_tgt, state = optimal_svd_embed(g, 3)
-    oracle = truncated_svd(a, 3)
+    oracle = truncated_svd_ref(a, 3)
     assert np.allclose(y_src @ y_tgt.T, oracle.reconstruct(), atol=1e-10)
     want_loss = float(np.sum((a - oracle.reconstruct()) ** 2))
     assert state.cur_loss == pytest.approx(want_loss, rel=1e-10)
@@ -233,7 +233,7 @@ def _update_exactly(groups):
     view = after.truncated()
     assert after.cur_loss <= 1e-16
     assert np.max(np.abs(view.reconstruct() - a2)) <= 1e-8
-    oracle = truncated_svd(a2, 4).reconstruct()
+    oracle = truncated_svd_ref(a2, 4).reconstruct()
     assert np.max(np.abs(view.reconstruct() - oracle)) <= 1e-8
     return before, p
 
@@ -319,7 +319,7 @@ def test_incremental_tracks_batch_loss_on_drift(drift_sbm_50):
     series, log, _ = rerun_svd_series(seq, 6, math.inf)
     for t in range(len(seq)):
         a = dense_adjacency(seq[t])
-        opt = float(np.sum((a - truncated_svd(a, 6).reconstruct()) ** 2))
+        opt = float(np.sum((a - truncated_svd_ref(a, 6).reconstruct()) ** 2))
         assert log[t].cur_loss <= opt * 1.05
         assert log[t].cur_loss >= opt * (1.0 - 1e-9)  # optimal is a floor
 
@@ -354,7 +354,7 @@ def test_restart_fires_on_slow_bound_decay():
     for e in log:
         if e.restarted:
             a = dense_adjacency(seq[e.t])
-            opt = float(np.sum((a - truncated_svd(a, 4).reconstruct()) ** 2))
+            opt = float(np.sum((a - truncated_svd_ref(a, 4).reconstruct()) ** 2))
             assert e.cur_loss == pytest.approx(opt, rel=1e-8)
             assert e.bound == pytest.approx(opt, rel=1e-8)  # fresh accumulators
 
@@ -365,7 +365,7 @@ def test_tiny_theta_restarts_every_step():
     assert all(e.restarted for e in log[1:])
     for e in log[1:]:
         a = dense_adjacency(seq[e.t])
-        opt = float(np.sum((a - truncated_svd(a, 4).reconstruct()) ** 2))
+        opt = float(np.sum((a - truncated_svd_ref(a, 4).reconstruct()) ** 2))
         assert e.cur_loss == pytest.approx(opt, rel=1e-8)
 
 
@@ -375,7 +375,7 @@ def test_monotone_loss_dominance():
     _, log_rerun, _ = rerun_svd_series(seq, 4, theta=0.08)
     for t in range(len(seq)):
         a = dense_adjacency(seq[t])
-        opt = float(np.sum((a - truncated_svd(a, 4).reconstruct()) ** 2))
+        opt = float(np.sum((a - truncated_svd_ref(a, 4).reconstruct()) ** 2))
         assert opt <= log_rerun[t].cur_loss * (1.0 + 1e-9)
         assert log_rerun[t].cur_loss <= log_inc[t].cur_loss * (1.0 + 1e-9)
 
@@ -391,7 +391,7 @@ def test_restart_contract_holds_where_the_bound_is_positive():
     assert any(e.restarted for e in log[1:])
     for e, inc in zip(log, inc_log):
         a = dense_adjacency(seq[e.t])
-        opt = float(np.sum((a - truncated_svd(a, 8).reconstruct()) ** 2))
+        opt = float(np.sum((a - truncated_svd_ref(a, 8).reconstruct()) ** 2))
         assert 0.0 < e.bound <= opt * (1.0 + 1e-9)
         if e.restarted:
             assert e.cur_loss == pytest.approx(opt, rel=1e-9)
@@ -423,6 +423,42 @@ def test_kept_state_is_that_steps_state(keep):
 @pytest.mark.parametrize("keep", [None, -1, 99])
 def test_no_state_kept_for_a_step_the_series_lacks(keep):
     assert rerun_svd_series(_restart_fixture(), 4, 0.08, keep=keep)[2] is None
+
+
+def _scaled_sequence(scales):
+    """Three snapshots of a 30-node SBM, the weights of snapshot t times scales[t]."""
+    params = SbmParams(node_num=30, community_num=2, length=3, diminish_community=1,
+                       node_change_num=2, seed=0)
+    seq = diminish_series(params).sequence
+    return SnapshotSequence([GraphSnapshot(g.n, g.rows, g.cols, g.weights * scale)
+                             for g, scale in zip(seq, scales)])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("scales, t", [((1e170,) * 3, 0), ((1.0, 1.0, 1e170), 2)])
+def test_overflowing_loss_is_an_error_naming_t(scales, t):
+    with pytest.raises(ValueError, match=f"t={t}: loss or perturbation norm overflows"):
+        rerun_svd_series(_scaled_sequence(scales), 2, 1.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_norm_is_an_error_of_the_bound():
+    # rank 1, so the rank-2 loss is a rounding error while ||A||^2 overflows
+    g = _snapshot_from_dense(np.full((30, 30), 1e160))
+    _, _, state = optimal_svd_embed(g, 2)
+    assert math.isfinite(state.cur_loss)
+    with pytest.raises(ValueError, match="t=0: .*overflows"):
+        svd_embed.loss_lower_bound(state)
+
+
+def test_tiny_weights_keep_working():
+    seq = _scaled_sequence((1e-170,) * 3)
+    series, log, _ = rerun_svd_series(seq, 2, 1.0)
+    assert all(math.isfinite(e.cur_loss) and math.isfinite(e.bound) for e in log)
+    a = dense_adjacency(seq[0])
+    oracle = truncated_svd_ref(a, 2)
+    got = series.src_at(0) @ series.tgt_at(0).T
+    assert np.max(np.abs(got - oracle.reconstruct())) <= 1e-9 * oracle.S[0]
 
 
 def test_theta_validation():
