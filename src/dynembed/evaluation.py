@@ -5,6 +5,14 @@ Ranking metrics are deterministic: pairs are ordered by descending score
 with ties broken lexicographically by (u, v), so equal inputs always give
 equal reports. MAP skips nodes without true edges; a node's AP denominator
 counts all of its true edges, hit or not.
+
+Every ranking metric reads the candidates as an n x n key matrix, -score at
+each candidate cell and +inf elsewhere, so row-major cell order is (u, v)
+order and a stable sort of keys is the ranking. MAP needs each source's
+order only within its own row, so each row is sorted on its own, in blocks
+of rows. precision@k needs only the global top K = max(k): a partition
+finds the K-th key, and only the cells up to it, ties included, are sorted.
+Both give bitwise what one global sort of all candidate pairs gave.
 """
 
 import itertools
@@ -52,7 +60,11 @@ class ScoredPairs:
 
     def ranking(self) -> np.ndarray:
         """Index order: descending score, ties by (u, v) lexicographic."""
-        return np.lexsort((self.pairs[:, 1], self.pairs[:, 0], -self.scores))
+        n = 1 + int(self.pairs.max(initial=-1))
+        cells = np.argsort(_cell_keys(self, n), axis=None, kind="stable")[:len(self)]
+        index = np.empty(n * n, dtype=np.int64)
+        index[self.pairs[:, 0] * n + self.pairs[:, 1]] = np.arange(len(self))
+        return index[cells]
 
 
 def _has_duplicate(pairs: np.ndarray) -> bool:
@@ -121,81 +133,110 @@ def _pair_array(pairs) -> np.ndarray:
     return flat.reshape(-1, 2)
 
 
+# cells per block of rows that MAP sorts at once, to bound its temporaries
+_BLOCK_CELLS = 1 << 18
+
+
+def _cell_keys(sp: ScoredPairs, n: int) -> np.ndarray:
+    """The n x n ranking keys of sp: -score at each pair's cell, +inf at every
+    other cell. Row-major cell order is (u, v) order, so a stable sort of the
+    keys ranks by descending score with ties by (u, v), and the finite
+    candidate keys come before every other cell."""
+    keys = np.full((n, n), np.inf)
+    keys[sp.pairs[:, 0], sp.pairs[:, 1]] = -sp.scores
+    return keys
+
+
+def _rank_arrays(sp: ScoredPairs, rows: np.ndarray, cols: np.ndarray):
+    """sp's cell keys, its hit mask (the candidates that are true edges) and
+    each node's true-edge count, over every node of sp and of the true edges
+    (rows[i], cols[i])."""
+    if min(rows.min(initial=0), cols.min(initial=0)) < 0:
+        raise ValueError("negative node index in truth")
+    n = 1 + int(max(sp.pairs.max(initial=-1), rows.max(initial=-1), cols.max(initial=-1)))
+    truth = np.zeros((n, n), dtype=bool)
+    truth[rows, cols] = True
+    keys = _cell_keys(sp, n)
+    return keys, truth & (keys < np.inf), truth.sum(axis=1)
+
+
 def _precisions(hits: np.ndarray, k_grid) -> list:
     """Precision@k of a ranked hit vector for each k of k_grid (1 <= k <= len)."""
     found = np.cumsum(hits, dtype=np.int64)
     return [int(found[k - 1]) / k for k in k_grid]
 
 
-def _source_aps(sources: np.ndarray, hits: np.ndarray, n_true: np.ndarray) -> np.ndarray:
-    """AP of every node u with n_true[u] > 0, in ascending node order.
+def _top_precisions(keys: np.ndarray, hits: np.ndarray, k_grid) -> list:
+    """Precision@k for each k of the ascending k_grid, every k at most the
+    number of finite keys. Only the cells whose key is at most the K-th
+    smallest, K = max(k_grid), are sorted; taking every cell tied with the
+    K-th keeps the (u, v) order among them."""
+    if not k_grid:
+        return []
+    k_max = k_grid[-1]
+    flat = keys.reshape(-1)
+    kth = np.partition(flat, k_max - 1)[k_max - 1]
+    top = np.flatnonzero(flat <= kth)
+    top = top[np.argsort(flat[top], kind="stable")[:k_max]]
+    return _precisions(hits.reshape(-1)[top], k_grid)
 
-    sources and hits are in ranking order, so a node's pairs keep their
-    ranking order once grouped by node. A node's AP adds found/rank at each
-    of its hits, one at a time in rank order (np.sum would group the terms
-    pairwise and could change the last bits), and divides by all of its
-    true edges, hit or not. A node without hits or candidates scores 0.0.
+
+def _row_aps(keys: np.ndarray, hits: np.ndarray, n_true: np.ndarray) -> np.ndarray:
+    """AP of every row u of the cell keys with n_true[u] > 0, in row order.
+
+    A stable sort of the row ranks its cells, candidates first. Where a
+    row's finite keys are distinct every sort gives that order, so rows are
+    sorted by numpy's faster unstable sort, and only rows with tied finite
+    keys are sorted again stably. A row's AP adds found/rank at each of its
+    hits, one at a time in rank order (a cumulative sum; np.sum would group
+    the terms pairwise and could change the last bits), and divides by all
+    of its true edges, hit or not. A row without hits scores 0.0.
     """
-    n = len(n_true)
-    # a stable sort on narrow integers is numpy's radix sort
-    grouped = np.argsort(sources.astype(np.min_scalar_type(n)), kind="stable")
-    node = sources[grouped]
-    per_node = np.bincount(node, minlength=n)
-    start = np.cumsum(per_node) - per_node  # of each node's pairs
-    at = np.flatnonzero(hits[grouped])
-    hit_node = node[at]
-    rank = (at - start[hit_node] + 1).astype(np.float64)
-    hits_per_node = np.bincount(hit_node, minlength=n)
-    first = np.cumsum(hits_per_node) - hits_per_node  # of each node's hits
-    found = (np.arange(len(at)) - first[hit_node] + 1).astype(np.float64)
-    terms = found / rank
-    total = np.zeros(n)
-    for j in range(int(hits_per_node.max(initial=0))):
-        # the j-th hit of every node that has one
-        has = np.flatnonzero(hits_per_node > j)
-        total[has] += terms[first[has] + j]
-    contributing = np.flatnonzero(n_true)
-    return total[contributing] / n_true[contributing]
-
-
-def _truth_ranking(sp: ScoredPairs, rows: np.ndarray, cols: np.ndarray):
-    """(source, hit) of each pair of sp in ranking order, and each node's
-    true-edge count; the true edges (rows[i], cols[i]) are read through a
-    boolean mask that covers every candidate and truth pair."""
-    if min(rows.min(initial=0), cols.min(initial=0)) < 0:
-        raise ValueError("negative node index in truth")
-    n = 1 + int(max(sp.pairs.max(initial=-1), rows.max(initial=-1), cols.max(initial=-1)))
-    mask = np.zeros((n, n), dtype=bool)
-    mask[rows, cols] = True
-    ranked = sp.pairs[sp.ranking()]
-    return ranked[:, 0], mask[ranked[:, 0], ranked[:, 1]], mask.sum(axis=1)
+    rows = np.flatnonzero(n_true)
+    width = keys.shape[1]
+    rank = np.arange(1, width + 1)
+    total = np.empty(len(rows))
+    step = max(1, _BLOCK_CELLS // width)
+    for at in range(0, len(rows), step):
+        mine = rows[at:at + step]
+        block = keys[mine]
+        order = np.argsort(block, axis=1)
+        ranked = np.take_along_axis(block, order, axis=1)
+        tied = np.flatnonzero(((ranked[:, 1:] == ranked[:, :-1]) & (ranked[:, 1:] < np.inf))
+                              .any(axis=1))
+        order[tied] = np.argsort(block[tied], axis=1, kind="stable")
+        hit = np.take_along_axis(hits[mine], order, axis=1)
+        # adding a zero term leaves a sum of positive terms bitwise unchanged
+        terms = np.where(hit, np.cumsum(hit, axis=1) / rank, 0.0)
+        total[at:at + step] = np.cumsum(terms, axis=1)[:, -1]
+    return total / n_true[rows]
 
 
 def precision_at_k(sp: ScoredPairs, truth, k: int) -> float:
     """Fraction of the top-k ranked pairs present in the truth edge set."""
     if k < 1 or k > len(sp):
         raise EvalError(f"k={k} outside [1, {len(sp)}]")
-    _, hits, _ = _truth_ranking(sp, *_pair_array(truth).T)
-    return _precisions(hits, [k])[0]
+    keys, hits, _ = _rank_arrays(sp, *_pair_array(truth).T)
+    return _top_precisions(keys, hits, [k])[0]
 
 
 def average_precision(sp: ScoredPairs, truth) -> float:
     """AP over one node's candidate list: sum of precision@rank at each hit,
     divided by the node's total number of true edges."""
-    _, hits, n_true = _truth_ranking(sp, *_pair_array(truth).T)
+    keys, hits, n_true = _rank_arrays(sp, *_pair_array(truth).T)
     n_truth = int(n_true.sum())
     if not n_truth:
         raise EvalError("average_precision needs at least one true edge")
-    one_list = np.zeros(len(hits), dtype=np.int64)
-    return float(_source_aps(one_list, hits, np.array([n_truth]))[0])
+    # all cells in one row: the whole list in ranking order
+    return float(_row_aps(keys.reshape(1, -1), hits.reshape(1, -1), np.array([n_truth]))[0])
 
 
 def mean_average_precision(sp: ScoredPairs, truth) -> float:
     """MAP over source nodes that have at least one true edge."""
-    sources, hits, n_true = _truth_ranking(sp, *_pair_array(truth).T)
+    keys, hits, n_true = _rank_arrays(sp, *_pair_array(truth).T)
     if not n_true.any():
         raise EvalError("no node has a true edge")
-    return float(np.mean(_source_aps(sources, hits, n_true)))
+    return float(np.mean(_row_aps(keys, hits, n_true)))
 
 
 def static_lp_split(g: GraphSnapshot, hide_fraction: float, rng: Rng):
@@ -226,8 +267,8 @@ def candidate_pairs(n: int, exclude: GraphSnapshot | None = None) -> np.ndarray:
 
 def _ranking_report(scores: np.ndarray, truth: GraphSnapshot, pairs: np.ndarray, k_grid,
                     **fields) -> EvalReport:
-    """One ranking sort, one hit vector, and every metric read from them;
-    the edges of truth are the true pairs."""
+    """precision@k for every k of the grid and MAP, from one set of cell
+    keys; the edges of truth are the true pairs."""
     report = EvalReport(k_grid=sorted(k_grid), **fields)
     if not truth:
         report.empty_truth = True
@@ -236,9 +277,9 @@ def _ranking_report(scores: np.ndarray, truth: GraphSnapshot, pairs: np.ndarray,
     sp = ScoredPairs(pairs, scores[pairs[:, 0], pairs[:, 1]])
     # grid entries beyond the candidate count are dropped, not clamped
     report.k_grid = [k for k in sorted(k_grid) if 1 <= k <= len(sp)]
-    sources, hits, n_true = _truth_ranking(sp, truth.rows, truth.cols)
-    report.precision_at_k = _precisions(hits, report.k_grid)
-    report.map = float(np.mean(_source_aps(sources, hits, n_true)))
+    keys, hits, n_true = _rank_arrays(sp, truth.rows, truth.cols)
+    report.precision_at_k = _top_precisions(keys, hits, report.k_grid)
+    report.map = float(np.mean(_row_aps(keys, hits, n_true)))
     return report
 
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynembed import evaluation
+from dynembed import evaluation, kernels
 from dynembed.evaluation import (EvalError, EvalReport, ScoredPairs,
                                  average_precision, candidate_pairs,
                                  export_projection, mean_average_precision,
@@ -27,6 +27,7 @@ from dynembed.graphs import SnapshotSequence, dense_adjacency
 from dynembed.rng import Rng
 from dynembed.sbm import generate_sbm_snapshot
 from dynembed.series import EmbeddingSeries
+from dynembed.svd_embed import optimal_svd_embed
 
 from oracles import (brute_average_precision, brute_map,
                      brute_precision_at_k, brute_ranking, candidate_pairs_ref,
@@ -202,24 +203,37 @@ def test_metric_oracle_equivalence_property(seed):
     assert mean_average_precision(sp, truth) == brute_map(pairs, scores, truth)
 
 
-_score_values = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, 2.0, -3.0, 1e300])
+_SCORE_VALUES = np.array([0.0, -0.0, 0.5, -0.5, 1.0, 2.0, -3.0, 1e300])
 
 
 @st.composite
 def _ranking_case(draw):
-    """Scores, truth, candidates and a k grid with heavy score ties; truth
-    may hold diagonal and excluded pairs, nodes may lose every candidate,
-    and the grid may pass the candidate count."""
-    n = draw(st.integers(min_value=1, max_value=9))
-    cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-    truth = draw(st.sets(cells, max_size=n * n))
-    exclude = draw(st.sets(cells, max_size=n * n))
+    """Scores, truth, candidates and a k grid with heavy score ties on up to
+    24 nodes. Truth may hold diagonal and excluded pairs, nodes may lose every
+    candidate, some rows may hold one repeated score (an isolated train node
+    gets an all-zero row from an exact SVD), non-candidate cells may hold
+    NaN or inf, and the grid may pass the candidate count or stop just short
+    of it, where the largest k cuts through a block of tied scores."""
+    n = draw(st.integers(min_value=1, max_value=24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p_truth, p_exclude, p_flat = (draw(st.sampled_from([0.0, 0.05, 0.3, 0.9]))
+                                  for _ in range(3))
+    truth = {(int(u), int(v)) for u, v in np.argwhere(rng.random((n, n)) < p_truth)}
+    exclude = {(int(u), int(v)) for u, v in np.argwhere(rng.random((n, n)) < p_exclude)}
     if n > 1 and draw(st.booleans()):
         u = draw(st.integers(0, n - 1))  # node u keeps no candidate
         exclude |= {(u, v) for v in range(n)}
-    scores = np.array(draw(st.lists(_score_values, min_size=n * n, max_size=n * n)))
-    k_grid = draw(st.lists(st.integers(-1, n * n + 2), max_size=6))
-    return scores.reshape(n, n), truth, exclude, k_grid
+    scores = rng.choice(_SCORE_VALUES, size=(n, n))
+    flat = rng.random(n) < p_flat
+    scores[flat] = rng.choice(_SCORE_VALUES, size=(int(flat.sum()), 1))
+    if draw(st.booleans()):
+        # no report reads a non-candidate cell
+        for u, v in [(u, u) for u in range(n)] + sorted(exclude):
+            scores[u, v] = rng.choice([np.nan, np.inf, -np.inf])
+    n_cand = sum(u != v and (u, v) not in exclude for u in range(n) for v in range(n))
+    k_grid = draw(st.lists(st.integers(-1, n * n + 2), max_size=4))
+    k_grid += [n_cand + d for d in draw(st.lists(st.integers(-3, 1), max_size=3))]
+    return scores, truth, exclude, k_grid
 
 
 @settings(max_examples=300, deadline=None)
@@ -249,6 +263,75 @@ def test_ranking_report_matches_reference_bytes_on_long_lists():
     got = _ranking_report(scores, _graph(n, truth), pairs, [1, 10, 1000], **fields)
     want = ranking_report_ref(scores, truth, pairs, [1, 10, 1000], **fields)
     assert got.to_json() == want.to_json()
+
+
+def test_static_lp_report_matches_reference_bytes_at_scale():
+    # SVD scores of an SBM train split in which node 0 lost every edge: its
+    # score row and column hold only rounding noise around 0
+    g = generate_sbm_snapshot(np.repeat([0, 1], 85), 0.3, 0.05, Rng(21))
+    train, hidden = static_lp_split(g, 0.2, Rng(22))
+    touches = (train.rows == 0) | (train.cols == 0)
+    hidden = _graph(g.n, _edge_set(hidden) | set(zip(train.rows[touches].tolist(),
+                                                     train.cols[touches].tolist())))
+    train = _graph(g.n, set(zip(train.rows[~touches].tolist(), train.cols[~touches].tolist())))
+    y_src, y_tgt, _ = optimal_svd_embed(train, 8)
+    scores = y_src @ y_tgt.T
+    assert max(np.abs(scores[0]).max(), np.abs(scores[:, 0]).max()) < 1e-12
+    k_grid = [1, 10, 100, 1000, len(hidden)]
+    got = static_lp_eval(scores, train, hidden, k_grid, method="m")
+    want = ranking_report_ref(scores, _edge_set(hidden),
+                              candidate_pairs_ref(g.n, exclude=_edge_set(train)), k_grid,
+                              task="static_lp", method="m", seed=0, config_digest="")
+    assert got.to_json() == want.to_json()
+
+
+def test_reconstruction_report_matches_reference_bytes_on_saturated_scores():
+    # sigmoid outputs saturated at exactly 1.0, as an AE decoder gives
+    g = generate_sbm_snapshot(np.repeat([0, 1, 2], 60), 0.3, 0.05, Rng(23))
+    scores = kernels.sigmoid(Rng(24).random((g.n, g.n)) * 100.0 - 20.0)
+    assert np.count_nonzero(scores == 1.0) > g.n * g.n // 3
+    k_grid = [1, 100, 10000, 20000, len(g)]
+    got = reconstruction_eval(scores, g, k_grid, method="m")
+    want = ranking_report_ref(scores, _edge_set(g), candidate_pairs_ref(g.n), k_grid,
+                              task="reconstruction", method="m", seed=0, config_digest="")
+    assert got.to_json() == want.to_json()
+
+
+def test_reports_ignore_non_finite_scores_off_the_candidates():
+    g = generate_sbm_snapshot(np.repeat([0, 1], 8), 0.5, 0.1, Rng(25))
+    train, hidden = static_lp_split(g, 0.3, Rng(26))
+    scores = Rng(27).random((16, 16))
+    want_rec = reconstruction_eval(scores, g, [1, 10]).to_json()
+    want_lp = static_lp_eval(scores, train, hidden, [1, 10]).to_json()
+    for bad in (np.nan, np.inf, -np.inf):
+        marked = scores.copy()
+        np.fill_diagonal(marked, bad)
+        assert reconstruction_eval(marked, g, [1, 10]).to_json() == want_rec
+        marked[train.rows, train.cols] = bad  # train edges are no candidates
+        assert static_lp_eval(marked, train, hidden, [1, 10]).to_json() == want_lp
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_reports_reject_non_finite_candidate_scores(bad):
+    g = generate_sbm_snapshot(np.repeat([0, 1], 8), 0.5, 0.1, Rng(28))
+    train, hidden = static_lp_split(g, 0.3, Rng(29))
+    scores = Rng(30).random((16, 16))
+    scores[hidden.rows[0], hidden.cols[0]] = bad
+    with pytest.raises(ValueError, match="scores must be finite"):
+        reconstruction_eval(scores, g, [1])
+    with pytest.raises(ValueError, match="scores must be finite"):
+        static_lp_eval(scores, train, hidden, [1])
+
+
+def test_reports_reject_duplicate_and_negative_candidates():
+    g = _graph(4, {(0, 1), (1, 2)})
+    scores = np.ones((4, 4))
+    pairs = candidate_pairs(4)
+    fields = dict(task="reconstruction", method="m")
+    with pytest.raises(ValueError, match="duplicate"):
+        _ranking_report(scores, g, np.vstack([pairs, pairs[3:4]]), [1], **fields)
+    with pytest.raises(ValueError, match="negative"):
+        _ranking_report(scores, g, np.vstack([pairs, [[-1, 0]]]), [1], **fields)
 
 
 def test_candidate_pairs_reject_exclusions_over_other_nodes():
