@@ -157,7 +157,7 @@ def _svd_fold_record(theta) -> Method:
         state = extras["state"]
         if state is None or state.t_cur != t - 1:
             raise PipelineError(f"static_lp: the run kept no factor state for t={t - 1}")
-        state, _ = rerun_svd_step(state, seq[t - 1], g, theta(cfg))
+        state, _ = rerun_svd_step(state, g, theta(cfg))
         y_src, y_tgt = state.embedding()
         return y_src @ y_tgt.T
 

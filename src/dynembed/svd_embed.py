@@ -10,6 +10,8 @@ truncation buffer that keeps tail directions that repeated rank-d cuts would
 otherwise discard; without it the tracking error grows a few percent per
 update. Embeddings, reconstruction losses, and the restart log always come
 from the top-d view, so reported numbers describe the rank-d embedding.
+The state holds the snapshot it tracks, shared and not copied, and each
+step reads its loss and bound from the target snapshot.
 
 Each update factors the change between snapshots exactly as P Q^T, one
 column per vertex of a minimum row/column cover of the changed entries, and
@@ -54,7 +56,8 @@ class SvdFactorState:
     """Maintained truncated factorization plus restart bookkeeping.
 
     factor holds the buffered rank; truncated() is the top-d view that all
-    reported quantities use.
+    reported quantities use. snapshot is the graph the factor tracks at
+    t_cur; cur_loss is the loss of the rank-d view against it.
     """
 
     factor: TruncatedSvd
@@ -63,9 +66,12 @@ class SvdFactorState:
     sigma_restart: np.ndarray
     pert_norm_sum: float
     cur_loss: float
-    adj: np.ndarray  # the adjacency the factor currently tracks
+    snapshot: GraphSnapshot
 
     def __post_init__(self):
+        if not self.factor.U.shape[0] == self.factor.V.shape[0] == self.snapshot.n:
+            raise ValueError(f"factor rows {self.factor.U.shape[0]}, {self.factor.V.shape[0]} "
+                             f"do not match the snapshot's {self.snapshot.n} nodes")
         if not (math.isfinite(self.pert_norm_sum) and math.isfinite(self.cur_loss)):
             raise ValueError(f"t={self.t_cur}: loss or perturbation norm overflows float64 "
                              f"(cur_loss {self.cur_loss}, pert_norm_sum {self.pert_norm_sum})")
@@ -117,7 +123,7 @@ def optimal_svd_embed(g: GraphSnapshot, d: int, t: int = 0):
         sigma_restart=factor.S[:d].copy(),
         pert_norm_sum=0.0,
         cur_loss=_exact_loss(adj, view),
-        adj=adj,
+        snapshot=g,
     )
     return (*state.embedding(), state)
 
@@ -288,8 +294,10 @@ def _brand_update(factor: TruncatedSvd, p: np.ndarray, q: np.ndarray) -> Truncat
     return TruncatedSvd(U=u_new, S=s_new, V=v_new)
 
 
-def incremental_update(state: SvdFactorState, p: np.ndarray, q: np.ndarray, d: int) -> SvdFactorState:
-    """Additive modification of the maintained SVD for A + P Q^T.
+def incremental_update(state: SvdFactorState, p: np.ndarray, q: np.ndarray,
+                       g: GraphSnapshot) -> SvdFactorState:
+    """Additive modification of the maintained SVD onto g, whose adjacency
+    is the tracked snapshot's plus P Q^T.
 
     The new factor is the top rank-r SVD of U S V^T + P Q^T, r being the
     maintained rank. While r + k < n for an update of width k, Brand's
@@ -299,63 +307,51 @@ def incremental_update(state: SvdFactorState, p: np.ndarray, q: np.ndarray, d: i
     triples are taken by truncated_svd, the cost of a restart; Brand's core
     SVD is that matrix written in an orthonormal basis, so both give the
     same factor. Neither is a restart: the matrix is the tracked factor plus
-    the change, not the stored adjacency. The reported loss is recomputed
-    exactly against the stored adjacency from the rank-d view.
+    the change, not g's adjacency. The reported loss is recomputed exactly
+    against g's adjacency from the rank-d view. An empty update keeps the
+    factor and the state's own loss; one whose norm underflows keeps the
+    factor.
     """
-    if d != state.d:
-        raise ValueError(f"rank change {state.d} -> {d} not supported")
-    n = state.adj.shape[0]
+    n = state.snapshot.n
+    if g.n != n:
+        raise ValueError(f"snapshot has {g.n} nodes, the factor state tracks {n}")
     if p.shape[0] != n or q.shape[0] != n or p.shape[1] != q.shape[1]:
         raise ValueError("P, Q must be n x k")
+    if p.shape[1] == 0:
+        return replace(state, t_cur=state.t_cur + 1, snapshot=g)
 
-    pert = p @ q.T
-    adj_new = state.adj + pert
     pert_sq = float(np.sum((p.T @ p) * (q.T @ q)))
     pert_norm = math.sqrt(max(pert_sq, 0.0))
-
-    if p.shape[1] == 0 or pert_norm == 0.0:
-        return replace(
-            state,
-            t_cur=state.t_cur + 1,
-            pert_norm_sum=state.pert_norm_sum + pert_norm,
-            adj=adj_new,
-            cur_loss=_exact_loss(adj_new, state.truncated()),
-        )
-
     r = state.factor.S.shape[0]
-    if r + p.shape[1] >= n:
+    if pert_norm == 0.0:  # the change underflows: the factor stays
+        factor = state.factor
+    elif r + p.shape[1] >= n:
         updated = state.factor.reconstruct()
-        updated += pert
+        updated += p @ q.T
         factor = truncated_svd(updated, r)
     else:
         factor = _brand_update(state.factor, p, q)
-    return SvdFactorState(
-        factor=factor,
-        d=d,
-        t_cur=state.t_cur + 1,
-        sigma_restart=state.sigma_restart,
-        pert_norm_sum=state.pert_norm_sum + pert_norm,
-        cur_loss=_exact_loss(adj_new, _top_view(factor, d)),
-        adj=adj_new,
-    )
+    return replace(state, factor=factor, t_cur=state.t_cur + 1,
+                   pert_norm_sum=state.pert_norm_sum + pert_norm,
+                   cur_loss=_exact_loss(dense_adjacency(g), _top_view(factor, state.d)),
+                   snapshot=g)
 
 
 def loss_lower_bound(state: SvdFactorState) -> float:
     """Weyl-inequality lower bound on the optimal rank-d loss at t_cur."""
-    total = float(np.sum(state.adj * state.adj))
+    total = float(np.sum(np.square(state.snapshot.weights)))
     if not math.isfinite(total):
         raise ValueError(f"t={state.t_cur}: ||A||_F^2 overflows float64, so no loss bound exists")
     shifted = np.maximum(state.sigma_restart + state.pert_norm_sum, 0.0)
     return max(0.0, total - float(np.sum(shifted * shifted)))
 
 
-def rerun_svd_step(state: SvdFactorState, prev: GraphSnapshot, cur: GraphSnapshot,
-                   theta: float):
-    """One step of the rerun fold from state, which tracks prev, onto cur;
-    returns (state, log entry)."""
+def rerun_svd_step(state: SvdFactorState, cur: GraphSnapshot, theta: float):
+    """One step of the rerun fold from state onto cur, the update being the
+    change from the snapshot state tracks; returns (state, log entry)."""
     t = state.t_cur + 1
-    p, q = delta_factor(edge_delta(prev, cur), cur.n)
-    state = incremental_update(state, p, q, state.d)
+    p, q = delta_factor(edge_delta(state.snapshot, cur), cur.n)
+    state = incremental_update(state, p, q, cur)
     bound = loss_lower_bound(state)
     restarted = (
         math.isfinite(theta) and bound > 0.0 and state.cur_loss / bound - 1.0 > theta
@@ -379,7 +375,7 @@ def rerun_svd_series(seq: SnapshotSequence, d: int, theta: float, keep: int | No
     srcs, tgts, kept = [], [], None
     for t in range(len(seq)):
         if t:
-            state, entry = rerun_svd_step(state, seq[t - 1], seq[t], theta)
+            state, entry = rerun_svd_step(state, seq[t], theta)
             log.append(entry)
             y_src, y_tgt = state.embedding()
         if t == keep:

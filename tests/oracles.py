@@ -381,7 +381,7 @@ def plain_incremental_fold(seq, d: int):
     states = [state]
     for t in range(1, len(seq)):
         p, q = svd_embed.delta_factor(edge_delta(seq[t - 1], seq[t]), seq.n)
-        states.append(svd_embed.incremental_update(states[-1], p, q, d))
+        states.append(svd_embed.incremental_update(states[-1], p, q, seq[t]))
     log = [svd_embed.RestartLogEntry(t, False, s.cur_loss, svd_embed.loss_lower_bound(s))
            for t, s in enumerate(states)]
     return [s.embedding() for s in states], log

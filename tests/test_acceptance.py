@@ -68,7 +68,7 @@ def test_criterion_1_incremental_fidelity(capsys, drift_sbm_50):
         snaps.append(_snapshot_from_dense(b[groups[:, None], groups[None, :]]))
     _, _, state = optimal_svd_embed(snaps[0], 4)
     p, q = delta_factor(edge_delta(snaps[0], snaps[1]), 10)
-    state = incremental_update(state, p, q, 4)
+    state = incremental_update(state, p, q, snaps[1])
     batch = truncated_svd_ref(dense_adjacency(snaps[1]), 4)
     pu_i, pv_i = _rank_projector(state.factor)
     pu_b, pv_b = _rank_projector(batch)

@@ -12,6 +12,7 @@ each other on drawn factors.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -189,8 +190,8 @@ def test_cover_and_row_factor_give_the_same_series(drift_sbm_50):
     rows = cover
     for t in range(1, len(seq)):
         delta = edge_delta(seq[t - 1], seq[t])
-        cover = incremental_update(cover, *delta_factor(delta, seq.n), 6)
-        rows = incremental_update(rows, *row_indicator_factor(delta, seq.n), 6)
+        cover = incremental_update(cover, *delta_factor(delta, seq.n), seq[t])
+        rows = incremental_update(rows, *row_indicator_factor(delta, seq.n), seq[t])
         assert cover.cur_loss == pytest.approx(rows.cur_loss, rel=1e-9)
         assert np.max(np.abs(_scores(cover) - _scores(rows))) <= 1e-9
 
@@ -201,7 +202,7 @@ def test_cover_and_row_factor_give_the_same_series(drift_sbm_50):
 def test_empty_delta_short_circuit():
     g = generate_sbm_snapshot(np.repeat([0, 1], 8), 0.5, 0.1, Rng(3))
     _, _, state = optimal_svd_embed(g, 4)
-    new = incremental_update(state, np.zeros((16, 0)), np.zeros((16, 0)), 4)
+    new = incremental_update(state, np.zeros((16, 0)), np.zeros((16, 0)), g)
     assert new.t_cur == state.t_cur + 1
     assert new.factor is state.factor
     assert new.pert_norm_sum == state.pert_norm_sum
@@ -211,12 +212,26 @@ def test_empty_delta_short_circuit():
 def test_incremental_rejects_bad_shapes():
     g = snapshot(4, [(0, 1, 1.0)])
     _, _, state = optimal_svd_embed(g, 2)
-    with pytest.raises(ValueError, match="rank change"):
-        incremental_update(state, np.zeros((4, 1)), np.zeros((4, 1)), 3)
     with pytest.raises(ValueError, match="n x k"):
-        incremental_update(state, np.zeros((4, 1)), np.zeros((4, 2)), 2)
+        incremental_update(state, np.zeros((4, 1)), np.zeros((4, 2)), g)
     with pytest.raises(ValueError, match="n x k"):
-        incremental_update(state, np.zeros((3, 1)), np.zeros((4, 1)), 2)
+        incremental_update(state, np.zeros((3, 1)), np.zeros((4, 1)), g)
+
+
+def test_incremental_rejects_a_snapshot_of_another_size():
+    g = snapshot(4, [(0, 1, 1.0)])
+    _, _, state = optimal_svd_embed(g, 2)
+    with pytest.raises(ValueError, match="snapshot has 5 nodes, the factor state tracks 4"):
+        incremental_update(state, np.zeros((4, 1)), np.zeros((4, 1)), GraphSnapshot(5))
+
+
+def test_factor_state_rejects_a_factor_of_another_size():
+    _, _, state = optimal_svd_embed(snapshot(4, [(0, 1, 1.0)]), 2)
+    with pytest.raises(ValueError, match="factor rows 4, 4 do not match the snapshot's 3 nodes"):
+        replace(state, snapshot=GraphSnapshot(3))
+    short = TruncatedSvd(U=np.eye(4)[:, :2], S=np.array([2.0, 1.0]), V=np.eye(3)[:, :2])
+    with pytest.raises(ValueError, match="factor rows 4, 3 do not match the snapshot's 4 nodes"):
+        replace(state, factor=short)
 
 
 def _update_exactly(groups):
@@ -229,7 +244,7 @@ def _update_exactly(groups):
     g1, g2 = _snapshot_from_dense(a1), _snapshot_from_dense(a2)
     _, _, before = optimal_svd_embed(g1, 4)
     p, q = delta_factor(edge_delta(g1, g2), a1.shape[0])
-    after = incremental_update(before, p, q, 4)
+    after = incremental_update(before, p, q, g2)
     view = after.truncated()
     assert after.cur_loss <= 1e-16
     assert np.max(np.abs(view.reconstruct() - a2)) <= 1e-8
@@ -263,11 +278,12 @@ def factor_updates(draw):
     v = np.linalg.qr(rng.normal(size=(n, r)))[0]
     s = np.sort(rng.uniform(0.1, 10.0, size=r))[::-1]
     factor = TruncatedSvd(U=u, S=s, V=v)
-    # the stored adjacency is not the factor, as after a truncating update
-    adj = factor.reconstruct() + rng.normal(size=(n, n))
+    # the tracked snapshot is not the factor, as after a truncating update
+    g = _snapshot_from_dense(rng.uniform(0.1, 2.0, size=(n, n)) * (rng.random((n, n)) < 0.5))
     state = SvdFactorState(factor=factor, d=d, t_cur=0, sigma_restart=s[:d].copy(),
-                           pert_norm_sum=0.0, cur_loss=_exact_loss(adj, _top_view(factor, d)),
-                           adj=adj)
+                           pert_norm_sum=0.0,
+                           cur_loss=_exact_loss(dense_adjacency(g), _top_view(factor, d)),
+                           snapshot=g)
     return state, rng.normal(size=(n, k)), rng.normal(size=(n, k))
 
 
@@ -279,9 +295,9 @@ RECONSTRUCTION_GAP = 1e-3
 @given(factor_updates())
 def test_dense_and_brand_updates_agree(update):
     state, p, q = update
-    n, r = state.adj.shape[0], state.factor.S.shape[0]
+    n, r = state.snapshot.n, state.factor.S.shape[0]
     updated = state.factor.reconstruct() + p @ q.T
-    new = incremental_update(state, p, q, state.d)
+    new = incremental_update(state, p, q, state.snapshot)
     if r + p.shape[1] >= n:
         other = svd_embed._brand_update(state.factor, p, q)
     else:
@@ -289,7 +305,7 @@ def test_dense_and_brand_updates_agree(update):
     sigma = np.append(np.linalg.svd(updated, compute_uv=False), 0.0)
 
     assert np.max(np.abs(new.factor.S - other.S)) <= 1e-12 * new.factor.S[0]
-    other_loss = _exact_loss(new.adj, _top_view(other, state.d))
+    other_loss = _exact_loss(dense_adjacency(new.snapshot), _top_view(other, state.d))
     assert new.cur_loss == pytest.approx(other_loss, rel=1e-9)
     for j in range(1, r + 1):
         if sigma[j - 1] - sigma[j] > RECONSTRUCTION_GAP * sigma[0]:
@@ -310,7 +326,7 @@ def test_dense_path_fires_exactly_when_the_update_spans_the_space(monkeypatch, w
     monkeypatch.setattr(svd_embed, "truncated_svd",
                         lambda a, rank: calls.append(rank) or truncated_svd(a, rank))
     rng = np.random.default_rng(width)
-    incremental_update(state, rng.normal(size=(n, width)), rng.normal(size=(n, width)), 2)
+    incremental_update(state, rng.normal(size=(n, width)), rng.normal(size=(n, width)), g)
     assert calls == ([r] if r + width >= n else [])
 
 
@@ -330,14 +346,57 @@ def test_cur_loss_is_exact_after_updates(drift_sbm_50):
     _, _, state = optimal_svd_embed(seq[0], 5)
     for t in range(1, len(seq)):
         p, q = delta_factor(edge_delta(seq[t - 1], seq[t]), seq.n)
-        state = incremental_update(state, p, q, 5)
+        state = incremental_update(state, p, q, seq[t])
         view = state.truncated()
         assert view.S.shape == (5,)
-        recomputed = float(np.sum((state.adj - view.reconstruct()) ** 2))
+        recomputed = float(np.sum((dense_adjacency(seq[t]) - view.reconstruct()) ** 2))
         assert state.cur_loss == pytest.approx(recomputed, rel=1e-8)
         r = state.factor.S.shape[0]
         drift = np.max(np.abs(state.factor.U.T @ state.factor.U - np.eye(r)))
         assert drift <= 1e-8
+
+
+@st.composite
+def weighted_sequences(draw, max_n=10):
+    """(sequence, d): a snapshot then up to four steps that toggle edges and,
+    unless all weights are 1, scale some by a factor that mostly shrinks them
+    by more than 2x, where w_old + (w_new - w_old) can round off w_new."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    binary = draw(st.booleans())
+    weight = st.just(1.0) if binary else st.floats(min_value=0.01, max_value=10.0)
+    cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = draw(st.dictionaries(cell, weight, min_size=1, max_size=3 * n))
+    snaps = [edges]
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        edges = dict(edges)
+        for uv in draw(st.lists(cell, max_size=n)):
+            if edges.pop(uv, None) is None:
+                edges[uv] = draw(weight)
+        if edges and not binary:
+            for uv in draw(st.lists(st.sampled_from(sorted(edges)), max_size=2 * n)):
+                edges[uv] *= draw(st.sampled_from([0.1, 0.3, 0.45, 3.0]))
+        snaps.append(edges)
+    seq = SnapshotSequence([snapshot(n, [(u, v, w) for (u, v), w in e.items()]) for e in snaps])
+    return seq, draw(st.integers(min_value=1, max_value=n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(weighted_sequences(), st.sampled_from([math.inf, 0.05]))
+def test_loss_and_bound_are_the_snapshots_own(case, theta):
+    seq, d = case
+    _, _, state = optimal_svd_embed(seq[0], d)
+    for t in range(1, len(seq)):
+        state, _ = svd_embed.rerun_svd_step(state, seq[t], theta)
+        assert state.snapshot is seq[t]
+        a = dense_adjacency(seq[t])
+        assert state.cur_loss == _exact_loss(a, state.truncated())  # bitwise
+        # with no restart spectrum the bound is ||A||_F^2 itself
+        norm_sq = svd_embed.loss_lower_bound(
+            replace(state, sigma_restart=np.zeros(d), pert_norm_sum=0.0))
+        if np.all(seq[t].weights == 1.0):  # integer partial sums: exact in any order
+            assert norm_sq == float(np.sum(a * a))
+        else:
+            assert norm_sq == pytest.approx(float(np.sum(a * a)), rel=1e-13)
 
 
 # --- restart behavior -----------------------------------------------------
