@@ -3,6 +3,8 @@
 One MLP architecture serves every method: sigmoid hidden and output layers,
 identity on the embedding layer, trained by plain minibatch gradient descent
 (no momentum, no adaptive steps) so runs are deterministic given a seed.
+Each epoch's recorded loss is the running loss of its minibatches (see
+train_dense), so training runs one forward pass per minibatch step.
 The reconstruction loss weights nonzero-target coordinates by beta and adds
 L1/L2 penalties on the weight matrices:
 
@@ -28,8 +30,13 @@ from .series import EmbeddingSeries, format_matrix, format_rows
 
 
 class AeTrainingError(RuntimeError):
+    """Training diverged: a non-finite weight gradient in minibatch `batch`
+    of `epoch`, or, with batch -1, non-finite parameters at the epoch's end."""
+
     def __init__(self, epoch: int, batch: int):
-        super().__init__(f"non-finite loss at epoch {epoch}, batch {batch}")
+        what = (f"a non-finite gradient in batch {batch}" if batch >= 0
+                else "non-finite parameters at its end")
+        super().__init__(f"training diverged at epoch {epoch}: {what}")
         self.epoch = epoch
         self.batch = batch
 
@@ -166,7 +173,14 @@ def ae_gradient(params: MlpParams, x: np.ndarray, targets: np.ndarray, cfg: AeCo
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
+    return _gradient_and_error(params, x, targets, cfg)[:2]
+
+
+def _gradient_and_error(params: MlpParams, x: np.ndarray, targets: np.ndarray, cfg: AeConfig):
+    """(grads_w, grads_b, err): ae_gradient's result for 2-D float64 rows,
+    and the weighted squared error of the forward pass it ran."""
     acts = _forward_activations(params, x)
+    err = kernels.weighted_sq_error(acts[-1], targets, cfg.beta)
     delta = kernels.weighted_error_grad(acts[-1], targets, cfg.beta)
     grads_w = [None] * params.n_layers
     grads_b = [None] * params.n_layers
@@ -183,7 +197,7 @@ def ae_gradient(params: MlpParams, x: np.ndarray, targets: np.ndarray, cfg: AeCo
         grads_b[i] = delta.sum(axis=0)
         if i:
             delta = delta @ w.T
-    return grads_w, grads_b
+    return grads_w, grads_b, err
 
 
 @dataclass
@@ -193,7 +207,25 @@ class TrainResult:
 
 
 def train_dense(x: np.ndarray, targets: np.ndarray, cfg: AeConfig, init: MlpParams | None, rng: Rng) -> TrainResult:
-    """Minibatch gradient descent over shuffled rows; loss recorded per epoch."""
+    """Minibatch gradient descent over shuffled rows, with one loss per epoch.
+
+    An epoch's loss is the running loss of its minibatches: the sum of each
+    minibatch's weighted squared error, taken from the forward pass its
+    gradient ran (at the weights before that minibatch's step), plus the
+    L1/L2 penalty of the weights the epoch ends with. It is not ae_loss at
+    the epoch's final weights, which would take another forward pass over
+    every row.
+
+    AeTrainingError(epoch, batch) is raised when a minibatch's weight
+    gradient is non-finite, and AeTrainingError(epoch, -1) when an epoch
+    ends with a non-finite weight (the penalty is then NaN, even at
+    nu1 = nu2 = 0) or bias. A model whose parameters are finite but whose
+    forward pass overflows is caught by the next minibatch's gradient check;
+    after the last epoch, only by the caller (EmbeddingSeries rejects a
+    non-finite embedding).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
     if init is None:
         params = fresh_params(x.shape[1], cfg, rng, output_dim=targets.shape[1])
     else:
@@ -202,18 +234,20 @@ def train_dense(x: np.ndarray, targets: np.ndarray, cfg: AeConfig, init: MlpPara
     losses = []
     for epoch in range(cfg.n_iter):
         order = rng.permutation(n_rows)
+        loss = 0.0
         for bi, start in enumerate(range(0, n_rows, cfg.n_batch)):
             idx = order[start : start + cfg.n_batch]
-            gw, gb = ae_gradient(params, x[idx], targets[idx], cfg)
+            gw, gb, err = _gradient_and_error(params, x[idx], targets[idx], cfg)
             if not all(np.all(np.isfinite(g)) for g in gw):
                 raise AeTrainingError(epoch, bi)
+            loss += err
             for i in range(params.n_layers):
                 gw[i] *= cfg.xeta
                 params.weights[i] -= gw[i]
                 gb[i] *= cfg.xeta
                 params.biases[i] -= gb[i]
-        loss = ae_loss(params, x, targets, cfg)
-        if not np.isfinite(loss):
+        loss += _reg_terms(params, cfg)
+        if not (np.isfinite(loss) and all(np.all(np.isfinite(b)) for b in params.biases)):
             raise AeTrainingError(epoch, -1)
         losses.append(loss)
     return TrainResult(params=params, epoch_losses=losses)

@@ -54,6 +54,12 @@ def truncated_svd(a: np.ndarray, d: int) -> TruncatedSvd:
     3. the thin SVD of the n x d matrix B V0 = U diag(S) W^T gives
        U and S, V = V0 W, and S is scaled back by 2^e.
 
+    Steps 2 and 3 run on B with its zero rows and columns left out, as long
+    as at least d of each remain, so a zero row of a gives an exactly zero
+    row of U and a zero column an exactly zero row of V; a full SVD would
+    leave rounding noise there. Without zero rows or columns, nothing is
+    left out.
+
     U and V are orthonormal by construction, also for rank-deficient input.
     S is the singular values of a restricted to span(V0), so it matches the
     top d singular values of a to rounding in sigma_1, and the rank-j
@@ -74,9 +80,17 @@ def truncated_svd(a: np.ndarray, d: int) -> TruncatedSvd:
     wide = b.shape[0] < b.shape[1]
     if wide:
         b = b.T
-    v0 = np.linalg.eigh(b.T @ b)[1][:, ::-1][:, :d]
-    u, s, wh = np.linalg.svd(b @ v0, full_matrices=False)
-    v = v0 @ wh.T
+    rows = np.flatnonzero(b.any(axis=1))
+    cols = np.flatnonzero(b.any(axis=0))
+    if min(rows.size, cols.size) < d or rows.size * cols.size == b.size:
+        rows = cols = slice(None)
+    sub = b[rows][:, cols]
+    v0 = np.linalg.eigh(sub.T @ sub)[1][:, ::-1][:, :d]
+    u_sub, s, wh = np.linalg.svd(sub @ v0, full_matrices=False)
+    u = np.zeros((b.shape[0], d))
+    v = np.zeros((b.shape[1], d))
+    u[rows] = u_sub
+    v[cols] = v0 @ wh.T
     s = np.ldexp(s, e)
     if wide:
         u, v = v, u

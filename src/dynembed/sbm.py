@@ -5,7 +5,9 @@ community). At every step after the first, a fixed number of members of the
 diminishing community migrate: each is relabeled to a uniformly chosen other
 community and every edge incident to a migrant is resampled under the new
 labels, while all other edges carry over unchanged. That keeps deltas small,
-which is exactly the regime the incremental SVD update targets.
+which is exactly the regime the incremental SVD update targets. Only the
+first snapshot is sampled as a dense n x n draw; each step edits the previous
+snapshot's edge arrays.
 
 All randomness flows through one Rng stream in a documented order: initial
 adjacency, then per step (migrant choice, destination draws, migrant
@@ -92,15 +94,19 @@ def _snapshot_from_dense(adj: np.ndarray) -> GraphSnapshot:
 
 
 def diminish_series(params: SbmParams) -> DynamicSbmSeries:
-    """Generate the full diminishing-community series for params."""
+    """Generate the full diminishing-community series for params.
+
+    Each step after the first builds its snapshot from the previous one's
+    edge arrays, with no n x n matrix: the edges with neither end a migrant
+    carry over, then come each migrant's out-row draws (all targets but
+    itself, migrants included), then each migrant's in-column draws over
+    the non-migrant sources. Every draw is a fresh uniform row of n, taken
+    in that order whatever gets accepted.
+    """
     rng = Rng(params.seed)
     n = params.node_num
     labels = params.initial_labels()
-    adj = kernels.block_sample(
-        rng.random((n, n)), labels, params.p_in, params.p_out
-    )
-
-    snapshots = [_snapshot_from_dense(adj)]
+    snapshots = [generate_sbm_snapshot(labels, params.p_in, params.p_out, rng)]
     label_history = [labels.copy()]
     migrations: list = [[]]
     others = [c for c in range(params.community_num) if c != params.diminish_community]
@@ -116,25 +122,20 @@ def diminish_series(params: SbmParams) -> DynamicSbmSeries:
             step_records.append((m, int(labels[m]), dest))
             labels[m] = dest
 
-        adj = adj.copy()
+        g = snapshots[-1]
         mover_mask = np.zeros(n, dtype=bool)
         mover_mask[movers] = True
-        # Out-rows first (covers migrant-migrant pairs), then in-columns for
-        # the remaining non-migrant sources; one fresh uniform row per draw
-        # keeps the stream layout independent of what gets accepted.
-        for m in movers.tolist():
-            u = rng.random(n)
-            probs = np.where(labels == labels[m], params.p_in, params.p_out)
-            row = (u < probs).astype(np.float64)
-            row[m] = 0.0
-            adj[m, :] = row
-        for m in movers.tolist():
-            u = rng.random(n)
-            probs = np.where(labels == labels[m], params.p_in, params.p_out)
-            col = (u < probs).astype(np.float64)
-            adj[~mover_mask, m] = col[~mover_mask]
-
-        snapshots.append(_snapshot_from_dense(adj))
+        probs = np.where(labels[movers][:, None] == labels[None, :], params.p_in, params.p_out)
+        out_rows = rng.random((movers.size, n)) < probs
+        out_rows[np.arange(movers.size), movers] = False
+        in_cols = rng.random((movers.size, n)) < probs
+        in_cols[:, mover_mask] = False
+        keep = ~(mover_mask[g.rows] | mover_mask[g.cols])
+        out_m, out_v = np.nonzero(out_rows)
+        in_m, in_u = np.nonzero(in_cols)
+        rows = np.concatenate([g.rows[keep], movers[out_m], in_u])
+        cols = np.concatenate([g.cols[keep], out_v, movers[in_m]])
+        snapshots.append(GraphSnapshot(n, rows, cols, np.ones(rows.size)))
         label_history.append(labels.copy())
         migrations.append(step_records)
 

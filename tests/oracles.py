@@ -11,10 +11,13 @@ the package's update step with no restart test; and the prefix re-embed,
 which runs the package's methods on a prefix of the sequence, as link
 prediction once did; and the autoencoder's sigmoid, forward pass, gradient
 and weight step as the numpy expressions they were before the kernels reused
-their buffers, on the package's parameter type; and the model file reader,
+their buffers, on the package's parameter type; and the training loop as
+it was when every epoch ended with a full forward pass, on the package's
+gradient; and the model file reader,
 which only the tests use, also on that type; and the truncated SVD as the
 full LAPACK decomposition (gesdd) cut to its top d triples, on the package's
-factor type.
+factor type; and the diminishing-community SBM as it was when every step
+rewrote a dense adjacency matrix, on the package's Rng and series types.
 """
 
 import itertools
@@ -22,11 +25,12 @@ import math
 
 import numpy as np
 
-from dynembed import ae, svd_embed
+from dynembed import ae, kernels, svd_embed
 from dynembed.evaluation import EvalError, EvalReport, ScoredPairs, static_lp_split
 from dynembed.graphs import GraphSnapshot, SnapshotSequence, dense_adjacency, edge_delta
 from dynembed.numerics import TruncatedSvd
 from dynembed.rng import Rng
+from dynembed.sbm import DynamicSbmSeries
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -497,6 +501,37 @@ def ae_gradient_ref(params, x, targets, cfg):
     return grads_w, grads_b
 
 
+def train_dense_ref(x, targets, cfg, init, rng):
+    """ae.train_dense as it was when each epoch ended with ae_loss over every
+    row, also summing each minibatch's weighted squared error of
+    reconstruct(params, rows) before its step, plus the penalty of the
+    epoch's final weights: (params, those per-epoch sums)."""
+    if init is None:
+        params = ae.fresh_params(x.shape[1], cfg, rng, output_dim=targets.shape[1])
+    else:
+        params = init.copy()
+    losses = []
+    for epoch in range(cfg.n_iter):
+        order = rng.permutation(x.shape[0])
+        total = 0.0
+        for bi, start in enumerate(range(0, x.shape[0], cfg.n_batch)):
+            idx = order[start : start + cfg.n_batch]
+            gw, gb = ae.ae_gradient(params, x[idx], targets[idx], cfg)
+            if not all(np.all(np.isfinite(g)) for g in gw):
+                raise ae.AeTrainingError(epoch, bi)
+            total += kernels.weighted_sq_error(ae.reconstruct(params, x[idx]), targets[idx],
+                                               cfg.beta)
+            for i in range(params.n_layers):
+                gw[i] *= cfg.xeta
+                params.weights[i] -= gw[i]
+                gb[i] *= cfg.xeta
+                params.biases[i] -= gb[i]
+        if not np.isfinite(ae.ae_loss(params, x, targets, cfg)):
+            raise ae.AeTrainingError(epoch, -1)
+        losses.append(total + ae._reg_terms(params, cfg))
+    return params, losses
+
+
 def train_epoch_ref(params, x, targets, cfg, rng):
     """One epoch of ae.train_dense on params, in place: shuffled minibatches,
     each followed by the step W - xeta * grad."""
@@ -550,3 +585,50 @@ def truncated_svd_ref(a, d: int):
         raise ValueError(f"rank d={d} outside [1, {min(a.shape)}]")
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     return TruncatedSvd(U=u[:, :d].copy(), S=s[:d].copy(), V=vh[:d].T.copy())
+
+
+# --- the SBM step through a dense matrix ------------------------------------
+
+
+def diminish_series_ref(params):
+    """sbm.diminish_series as it was when each step copied the dense n x n
+    adjacency, overwrote the migrants' rows and columns one draw at a time,
+    and read the snapshot back with np.nonzero."""
+    rng = Rng(params.seed)
+    n = params.node_num
+    labels = params.initial_labels()
+    same = labels[:, None] == labels[None, :]
+    adj = (rng.random((n, n)) < np.where(same, params.p_in, params.p_out)).astype(np.float64)
+    np.fill_diagonal(adj, 0.0)
+
+    def snap(a):
+        us, vs = np.nonzero(a)
+        return GraphSnapshot(n, us, vs, a[us, vs])
+
+    snapshots, label_history, migrations = [snap(adj)], [labels.copy()], [[]]
+    others = [c for c in range(params.community_num) if c != params.diminish_community]
+    for _ in range(1, params.length):
+        members = np.flatnonzero(labels == params.diminish_community)
+        movers = np.sort(rng.choice_no_replace(members, params.node_change_num))
+        step_records = []
+        for m in movers.tolist():
+            dest = others[rng.integers(len(others))]
+            step_records.append((m, int(labels[m]), dest))
+            labels[m] = dest
+        adj = adj.copy()
+        mover_mask = np.zeros(n, dtype=bool)
+        mover_mask[movers] = True
+        for m in movers.tolist():
+            u = rng.random(n)
+            row = (u < np.where(labels == labels[m], params.p_in, params.p_out)).astype(np.float64)
+            row[m] = 0.0
+            adj[m, :] = row
+        for m in movers.tolist():
+            u = rng.random(n)
+            col = (u < np.where(labels == labels[m], params.p_in, params.p_out)).astype(np.float64)
+            adj[~mover_mask, m] = col[~mover_mask]
+        snapshots.append(snap(adj))
+        label_history.append(labels.copy())
+        migrations.append(step_records)
+    return DynamicSbmSeries(sequence=SnapshotSequence(snapshots), labels=label_history,
+                            migrations=migrations)

@@ -28,7 +28,7 @@ from dynembed.rng import Rng
 from dynembed.sbm import generate_sbm_snapshot
 
 from oracles import (ae_gradient_ref, fd_gradient, load_mlp_params, random_orthogonal,
-                     save_mlp_params_ref, train_epoch_ref)
+                     save_mlp_params_ref, train_dense_ref, train_epoch_ref)
 
 TINY = AeConfig(d=2, enc_units=(3,), dec_units=(3,), nu1=0.0, nu2=0.0,
                 n_iter=0, seed=0)
@@ -323,6 +323,88 @@ def test_divergent_step_size_raises():
         fit_snapshot(dense_adjacency(g), cfg, 0)
     assert exc.value.epoch >= 0
     assert exc.value.batch >= -1
+
+
+def _one_unit_model(b0):
+    """input -> 1 (identity) -> 1 (sigmoid) with zero weights and embedding
+    bias b0, so that only the last layer's weight (when b0 != 0) and bias
+    get a nonzero gradient at nu1 = nu2 = 0."""
+    return MlpParams(weights=[np.zeros((3, 1)), np.zeros((1, 1))],
+                     biases=[np.array([b0]), np.zeros(1)], n_encoder_layers=1)
+
+
+@pytest.mark.parametrize("b0, xeta, overflowed", [
+    (1e10, 1e300, "weight"),  # |gw| = 1e10 |gb|: only the weight overflows
+    (0.0, 1e308, "bias"),     # gw = 0 and gb != 0: only the bias overflows
+])
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_epoch_ending_on_an_overflowed_parameter_raises_at_batch_minus_one(b0, xeta,
+                                                                          overflowed):
+    cfg = AeConfig(d=1, enc_units=(), dec_units=(), nu1=0.0, nu2=0.0, n_iter=1,
+                   xeta=xeta, n_batch=8, seed=0)
+    x = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    targets = np.ones((2, 1))
+    init = _one_unit_model(b0)
+    gw, gb = ae_gradient(init, x, targets, cfg)
+    assert all(np.all(np.isfinite(g)) for g in gw + gb)
+    after = train_epoch_ref(init.copy(), x, targets, cfg, Rng(1))
+    assert np.isinf(after.weights[1][0, 0]) == (overflowed == "weight")
+    assert np.isinf(after.biases[1][0]) == (overflowed == "bias")
+    assert all(np.all(np.isfinite(a)) for a in after.weights[:1] + after.biases[:1])
+    with pytest.raises(AeTrainingError) as exc:
+        train_dense(x, targets, cfg, init, Rng(1))
+    assert (exc.value.epoch, exc.value.batch) == (0, -1)
+
+
+@st.composite
+def training_runs(draw):
+    """(x, targets, cfg, init, seed) of a few epochs on drawn shapes, from
+    fresh weights or from a drawn warm start."""
+    dims = st.lists(st.integers(1, 6), max_size=2).map(tuple)
+    cfg = AeConfig(d=draw(st.integers(1, 3)), enc_units=draw(dims), dec_units=draw(dims),
+                   beta=draw(st.sampled_from([1.0, 5.0])),
+                   nu1=draw(st.sampled_from([0.0, 1e-6, 0.3])),
+                   nu2=draw(st.sampled_from([0.0, 1e-6, 0.3])),
+                   xeta=draw(st.sampled_from([1e-3, 0.05])),
+                   n_batch=draw(st.integers(1, 7)), n_iter=draw(st.integers(1, 4)))
+    n_in, n_out, n_rows = draw(st.integers(1, 8)), draw(st.integers(1, 8)), draw(st.integers(1, 20))
+    seed = draw(st.integers(0, 2**32 - 1))
+    g = np.random.default_rng(seed)
+    x = (g.random((n_rows, n_in)) < 0.4).astype(np.float64)
+    targets = (g.random((n_rows, n_out)) < 0.4).astype(np.float64)
+    init = fresh_params(n_in, cfg, Rng(seed + 1), output_dim=n_out) if draw(st.booleans()) else None
+    return x, targets, cfg, init, seed
+
+
+def _assert_matches_reference_loop(x, targets, cfg, init, seed):
+    got = train_dense(x, targets, cfg, init, Rng(seed))
+    params, losses = train_dense_ref(x, targets, cfg, init, Rng(seed))
+    _assert_arrays_same_bits(got.params.weights + got.params.biases,
+                             params.weights + params.biases)
+    assert len(got.epoch_losses) == len(losses) == cfg.n_iter
+    for a, b in zip(got.epoch_losses, losses):
+        assert a == pytest.approx(b, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(training_runs())
+def test_training_matches_the_reference_loop(case):
+    _assert_matches_reference_loop(*case)
+
+
+@pytest.mark.parametrize("case", ["d2v", "d2v_warm", "dyngem_warm"])
+def test_pipeline_trainings_match_the_reference_loop(small_sbm, case):
+    cfg = _small_cfg(n_iter=4, n_batch=7)
+    seq = small_sbm.sequence
+    if case == "dyngem_warm":
+        adj0, adj1 = dense_adjacency(seq[0]), dense_adjacency(seq[1])
+        _assert_matches_reference_loop(adj1, adj1, cfg, fit_snapshot(adj0, cfg, 0), cfg.seed + 1)
+        return
+    x, targets = build_lookback_pairs(seq, cfg.lookback)
+    init = None
+    if case == "d2v_warm":
+        init = train_dense(x, targets, replace(cfg, n_iter=2), None, Rng(8)).params
+    _assert_matches_reference_loop(x, targets, cfg, init, cfg.seed)
 
 
 # --- series variants --------------------------------------------------------

@@ -17,6 +17,11 @@ from dynembed.numerics import (ORTHO_TOL, DegenerateInputWarning, TruncatedSvd,
                                pca_project_2d, procrustes_rotation,
                                truncated_svd)
 
+from dynembed.graphs import GraphSnapshot, dense_adjacency
+from dynembed.rng import Rng
+from dynembed.sbm import generate_sbm_snapshot
+from dynembed.svd_embed import optimal_svd_embed
+
 from oracles import random_orthogonal, truncated_svd_ref
 
 S_TOL = 1e-13
@@ -110,7 +115,10 @@ def svd_inputs(draw):
 @settings(max_examples=300, deadline=None)
 @given(svd_inputs())
 def test_top_d_route_matches_full_decomposition(case):
-    a, d = case
+    _assert_matches_full_decomposition(*case)
+
+
+def _assert_matches_full_decomposition(a, d):
     f = truncated_svd(a, d)
     ref = truncated_svd_ref(a, d)
     sigma = np.append(np.linalg.svd(a, compute_uv=False), 0.0)
@@ -126,6 +134,40 @@ def test_top_d_route_matches_full_decomposition(case):
             assert np.max(np.abs(diff)) <= RECONSTRUCTION_TOL * scale
     for m in (f.U, f.V):
         assert np.max(np.abs(m.T @ m - np.eye(d))) <= ORTHO_TOL
+    return f
+
+
+def _assert_exact_zeros_where_the_input_is_zero(a, f):
+    zero_rows, zero_cols = ~a.any(axis=1), ~a.any(axis=0)
+    if min(np.count_nonzero(~zero_rows), np.count_nonzero(~zero_cols)) >= f.S.size:
+        assert np.all(f.U[zero_rows] == 0.0) and np.all(f.V[zero_cols] == 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(svd_inputs(), st.data())
+def test_zero_rows_and_columns_give_exactly_zero_factor_rows(case, data):
+    a, d = case
+    a = a.copy()
+    a[data.draw(st.lists(st.integers(0, a.shape[0] - 1), max_size=3))] = 0.0
+    a[:, data.draw(st.lists(st.integers(0, a.shape[1] - 1), max_size=3))] = 0.0
+    _assert_exact_zeros_where_the_input_is_zero(a, _assert_matches_full_decomposition(a, d))
+
+
+@pytest.mark.parametrize("view", ["square", "tall", "wide"])
+def test_a_stripped_node_has_exactly_zero_factor_rows(view):
+    # the SBM snapshot of the static LP report test at scale, with node 0
+    # stripped of its edges and node 1 of its out-edges only
+    a = dense_adjacency(generate_sbm_snapshot(np.repeat([0, 1], 85), 0.3, 0.05, Rng(21)))
+    a[0] = a[:, 0] = a[1] = 0.0
+    a = {"square": a, "tall": a[:, :120], "wide": a[:120]}[view]
+    f = _assert_matches_full_decomposition(a, 32)
+    _assert_exact_zeros_where_the_input_is_zero(a, f)
+    assert np.all(f.U[:2] == 0.0) and np.all(f.V[0] == 0.0) and np.any(f.V[1] != 0.0)
+    if view == "square":
+        us, vs = np.nonzero(a)
+        y_src, y_tgt, _ = optimal_svd_embed(GraphSnapshot(170, us, vs, a[us, vs]), 8)
+        scores = y_src @ y_tgt.T
+        assert np.all(scores[:2] == 0.0) and np.all(scores[:, 0] == 0.0)
 
 
 @pytest.mark.parametrize("power", [560, -560])

@@ -14,7 +14,7 @@ from dynembed.rng import Rng
 from dynembed.sbm import (DynamicSbmSeries, SbmParams, diminish_series,
                           generate_sbm_snapshot, load_labels, load_migrations,
                           save_labels, save_migrations)
-from oracles import save_labels_ref, save_migrations_ref
+from oracles import diminish_series_ref, save_labels_ref, save_migrations_ref
 
 
 def _params(**kw):
@@ -179,6 +179,44 @@ def test_bookkeeping_invariants_property(params):
             assert prev_lab[node] == old and cur_lab[node] == new
     sizes = [int(np.sum(lab == dim)) for lab in series.labels]
     assert sizes == [sizes[0] - t * params.node_change_num for t in range(params.length)]
+
+
+@st.composite
+def _stepped_params(draw):
+    """_valid_params with drawn probabilities and up to 6 communities."""
+    community_num = draw(st.integers(min_value=2, max_value=6))
+    node_num = draw(st.integers(min_value=community_num * 5, max_value=90))
+    length = draw(st.integers(min_value=2, max_value=5))
+    diminish = draw(st.integers(min_value=0, max_value=community_num - 1))
+    init_size = SbmParams(node_num=node_num, community_num=community_num, length=2,
+                          diminish_community=0, node_change_num=1).community_sizes()[diminish]
+    change = draw(st.integers(min_value=1, max_value=(init_size - 1) // (length - 1)))
+    p_out = draw(st.sampled_from([0.0, 0.01, 0.2]))
+    p_in = draw(st.sampled_from([0.3, 0.9, 1.0]))
+    return SbmParams(node_num=node_num, community_num=community_num, length=length,
+                     diminish_community=diminish, node_change_num=change,
+                     p_in=p_in, p_out=p_out,
+                     seed=draw(st.integers(min_value=0, max_value=2**32 - 1)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_stepped_params())
+def test_series_matches_the_dense_reference(params):
+    got, want = diminish_series(params), diminish_series_ref(params)
+    assert len(got.sequence) == len(want.sequence)
+    for g, w in zip(got.sequence, want.sequence):
+        assert g == w
+    assert all(np.array_equal(a, b) for a, b in zip(got.labels, want.labels))
+    assert got.migrations == want.migrations
+
+
+@pytest.mark.parametrize("n, change", [(300, 10), (200, 1)])
+def test_series_matches_the_dense_reference_at_size(n, change):
+    params = SbmParams(node_num=n, community_num=3, length=6, diminish_community=1,
+                       node_change_num=change, seed=5)
+    got, want = diminish_series(params), diminish_series_ref(params)
+    assert all(g == w for g, w in zip(got.sequence, want.sequence))
+    assert got.migrations == want.migrations
 
 
 def test_non_migrated_edges_carry_over():
