@@ -38,7 +38,7 @@ class TruncatedSvd:
         return (self.U * self.S) @ self.V.T
 
 
-def truncated_svd(a: np.ndarray, d: int) -> TruncatedSvd:
+def truncated_svd(a: np.ndarray, d: int, tail: int = 0):
     """Best rank-d approximation factors of a dense matrix.
 
     Only the top d singular triples are computed, through the Gram matrix
@@ -67,6 +67,12 @@ def truncated_svd(a: np.ndarray, d: int) -> TruncatedSvd:
     error of sigma_1. Where singular values repeat, the vectors are any
     orthonormal basis of their space, and the sign of each singular pair is
     free.
+
+    With tail > 0 the result is (factor, energy), energy being the sum of
+    the squared singular values d+1 .. d+tail of a (those beyond the rank of
+    a count as zero). It is read from the eigenvalues of the same Gram
+    matrix, scaled back by 4^e, with no second decomposition, so its
+    absolute error is a rounding error of sigma_1^2.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
@@ -85,7 +91,8 @@ def truncated_svd(a: np.ndarray, d: int) -> TruncatedSvd:
     if min(rows.size, cols.size) < d or rows.size * cols.size == b.size:
         rows = cols = slice(None)
     sub = b[rows][:, cols]
-    v0 = np.linalg.eigh(sub.T @ sub)[1][:, ::-1][:, :d]
+    lam, vecs = np.linalg.eigh(sub.T @ sub)
+    v0 = vecs[:, ::-1][:, :d]
     u_sub, s, wh = np.linalg.svd(sub @ v0, full_matrices=False)
     u = np.zeros((b.shape[0], d))
     v = np.zeros((b.shape[1], d))
@@ -94,7 +101,11 @@ def truncated_svd(a: np.ndarray, d: int) -> TruncatedSvd:
     s = np.ldexp(s, e)
     if wide:
         u, v = v, u
-    return TruncatedSvd(U=u, S=s, V=v)
+    factor = TruncatedSvd(U=u, S=s, V=v)
+    if not tail:
+        return factor
+    energy = np.sum(np.maximum(lam[::-1][d:d + tail], 0.0))
+    return factor, float(np.ldexp(energy, 2 * e))
 
 
 def procrustes_rotation(x: np.ndarray, y: np.ndarray) -> np.ndarray:

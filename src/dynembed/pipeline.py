@@ -9,9 +9,9 @@ Every task reads the method's one run. All methods but d2v_ae are causal
 folds, whose state at t has seen nothing after t: temporal link prediction
 scores snapshot t from the run, and static link prediction takes one step
 from the run's state at t-1 onto the train split of G_t (at t = 0, a fresh
-start). For the SVD folds that step is usually a wide update: the hidden
-edges touch almost every row, so r + k >= n and the update takes one dense
-n x n SVD. d2v_ae trains on windows from the whole sequence, so it alone
+start). For the SVD folds that step is usually a batch step: the hidden
+edges touch almost every row, so the update would take the epoch's width to
+n and is the batch SVD of the train split. d2v_ae trains on windows from the whole sequence, so it alone
 retrains on the prefix ending at t for both tasks.
 
 Labels and migration records read from files are checked against the

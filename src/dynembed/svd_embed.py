@@ -1,91 +1,123 @@
-"""SVD-family embeddings: per-snapshot optimal SVD, additive incremental
-updates, and the rerun variant with a tolerance-triggered restart.
+"""SVD-family embeddings: per-snapshot optimal SVD, incremental updates by a
+Rayleigh-Ritz step, and the rerun variant with a certified restart.
 
 The embedding of a snapshot with adjacency A and factorization U S V^T is the
 asymmetric pair Y_src = U sqrt(S), Y_tgt = V sqrt(S), so Y_src Y_tgt^T is the
-best rank-d approximation of A.
+best rank-d approximation of A. The factor state holds the snapshot it
+tracks, shared and not copied.
 
-The incremental state maintains the factorization at rank min(4d, n), a
-truncation buffer that keeps tail directions that repeated rank-d cuts would
-otherwise discard; without it the tracking error grows a few percent per
-update. Embeddings, reconstruction losses, and the restart log always come
-from the top-d view, so reported numbers describe the rank-d embedding.
-The state holds the snapshot it tracks, shared and not copied, and each
-step reads its loss and bound from the target snapshot.
+Epochs. A batch step takes the top r = min(4d, n) triples of the snapshot
+A_r and starts an epoch: the orthonormal basis Q = V_r, its image
+A_r Q = U_r S_r, and the tail tau = sum_{i=r+1}^{r+d} sigma_i(A_r)^2, all
+from one truncated_svd. The batch steps are t = 0 and every update that
+would take the epoch's width, r plus the widths of its updates, to n.
 
-Each update factors the change between snapshots exactly as P Q^T, one
-column per vertex of a minimum row/column cover of the changed entries, and
-costs O(n (r + k)^2) for a factor of width k. The cover is never larger than
-the set of touched rows or of touched columns; for the SBM drift, where each
-migrant's out-row and in-column are resampled, it is one row and one column
-per migrant, so k = 20 for 10 migrants, which is the rank of the change.
-An update with r + k >= n is not low-rank: it takes the top-r SVD of the
-n x n tracked factor plus change instead (numerics.truncated_svd: one
-eigendecomposition of the n x n Gram matrix and one n x r SVD), which costs
-what a restart costs and less than Brand's update at that width.
+Steps. An update factors the change exactly as P Q_D^T over a minimum
+row/column cover of the changed entries: for the SBM drift, one row and one
+column per migrant, k = 20 for 10 migrants, the rank of the change. The
+image stays exact, A_t Q = A_{t-1} Q + P (Q_D^T Q); the directions of
+span(Q_D) outside span(Q) join the basis, with their image one dense
+product with A_t. The sum rounds relative to the largest ||A_s|| it ran
+over, so when ||A_t||_F^2 falls below IMAGE_RTOL times that, A_t Q is
+formed afresh. The factor is the top-d SVD of A_t Q = U S W^T with
+V = Q W, the best rank-d approximation of A_t whose row space lies in
+span(Q) (Rayleigh-Ritz; Zha and Simon, SIAM J. Sci. Comput. 1999). Its
+reconstruction A_t V V^T is an orthogonal projection of A_t, so its loss is
 
-The restart rule maintains a lower bound on the optimal rank-d loss without
-recomputing a decomposition. By Weyl's inequality, each singular value of the
-current adjacency is at most the corresponding value at the last restart plus
-the accumulated perturbation norm (spectral norm bounded by Frobenius):
+    cur_loss = ||A_t||_F^2 - sum_{i<=d} sigma_i(A_t Q)^2,
 
-    L_bound(t) = max(0, ||A_t||_F^2 - sum_{i<=d} (max(0, sigma_i(restart) + pert))^2)
+with no n x n residual. A step costs O(n^2 k + n w^2) at basis width w.
+Brand's additive update (LAA 2006), which this replaced, is kept in
+tests/oracles.py; while the first epoch lasts its factor lies in span(Q),
+so its loss is never below the Ritz loss.
 
-A restart fires whenever L_bound > 0 and cur_loss / L_bound - 1 > theta.
+Certificate. Every change since A_r has its row space in span(Q), so
+A_t (I - QQ^T) = A_r (I - QQ^T), whose singular values are at most
+sigma_{r+i}(A_r) since V_r lies in span(Q). A_t A_t^T is the sum of the
+positive semidefinite A_t QQ^T A_t^T and A_t (I - QQ^T) A_t^T, so by Ky
+Fan's inequality (PNAS 1949; Weyl's inequality in sum form) its top d
+eigenvalues sum to at most sum_{i<=d} sigma_i(A_t Q)^2 + tau. Hence
+
+    opt_d(A_t) = ||A_t||_F^2 - sum_{i<=d} sigma_i(A_t)^2 >= cur_loss - tau.
+
+Drift moves only cur_loss, which is exact; the slack is at most tau.
+
+Restarts. The rerun fold restarts when the bound is positive and
+cur_loss / bound - 1 > theta (TIMERS, Zhang et al., AAAI 2018): it takes
+the batch SVD of the snapshot, whose V_r joins the basis. Both snapshots'
+tails then bound the slack, and the smaller is kept. A restart drops no
+basis direction and does not count toward the epoch's width, so the rerun
+fold's basis contains the plain fold's and its loss is never above it.
 """
-
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .graphs import EdgeDelta, GraphSnapshot, SnapshotSequence, dense_adjacency, edge_delta
-from .numerics import TruncatedSvd, truncated_svd
+from .numerics import ORTHO_TOL, TruncatedSvd, truncated_svd
 from .series import EmbeddingSeries, format_rows
 
-# Residual directions below this norm are discarded during the update.
+# A unit column of a change whose residual against the basis is no larger
+# than this lies in the basis already.
 RESIDUAL_TOL = 1e-12
-# Factor drift beyond this triggers re-orthogonalization.
-REORTH_TOL = 1e-11
-# Maintained rank is BUFFER_FACTOR * d, capped at the matrix dimension.
+# Rounding margin of the certificate, relative to ||A_t||_F^2.
+BOUND_RTOL = 1e-9
+# The image is formed afresh once ||A_t||_F^2 falls below this fraction of
+# its scale, so that its rounding stays within about 100 eps of ||A_t|| a step.
+IMAGE_RTOL = 1e-4
+# The epoch's basis starts at rank BUFFER_FACTOR * d, capped at n.
 BUFFER_FACTOR = 4
 
 
 @dataclass(frozen=True)
 class SvdFactorState:
-    """Maintained truncated factorization plus restart bookkeeping.
+    """The top-d factor of the tracked snapshot and the epoch it lies in.
 
-    factor holds the buffered rank; truncated() is the top-d view that all
-    reported quantities use. snapshot is the graph the factor tracks at
-    t_cur; cur_loss is the loss of the rank-d view against it.
+    factor is the top-d Ritz factor of snapshot, the graph tracked at t_cur,
+    and cur_loss its loss against it. basis is the epoch's orthonormal
+    Q (n x w), image is snapshot's adjacency times Q, and image_scale the
+    largest ||A_s||_F^2 of the snapshots it was summed over. tail is the
+    epoch's tail energy tau, and epoch_width is r plus the widths of the
+    epoch's updates. batch is True at a batch step and a restart, where
+    factor is the batch SVD and cur_loss the optimal loss.
     """
 
     factor: TruncatedSvd
     d: int
     t_cur: int
-    sigma_restart: np.ndarray
-    pert_norm_sum: float
     cur_loss: float
     snapshot: GraphSnapshot
+    basis: np.ndarray
+    image: np.ndarray
+    image_scale: float
+    tail: float
+    epoch_width: int
+    batch: bool
 
     def __post_init__(self):
-        if not self.factor.U.shape[0] == self.factor.V.shape[0] == self.snapshot.n:
-            raise ValueError(f"factor rows {self.factor.U.shape[0]}, {self.factor.V.shape[0]} "
-                             f"do not match the snapshot's {self.snapshot.n} nodes")
-        if not (math.isfinite(self.pert_norm_sum) and math.isfinite(self.cur_loss)):
-            raise ValueError(f"t={self.t_cur}: loss or perturbation norm overflows float64 "
-                             f"(cur_loss {self.cur_loss}, pert_norm_sum {self.pert_norm_sum})")
-        if self.pert_norm_sum < 0 or self.cur_loss < -1e-12:
-            raise ValueError("negative accumulator in factor state")
-
-    def truncated(self) -> TruncatedSvd:
-        return _top_view(self.factor, self.d)
+        t, n = self.t_cur, self.snapshot.n
+        if not self.factor.U.shape[0] == self.factor.V.shape[0] == n:
+            raise ValueError(f"t={t}: factor rows {self.factor.U.shape[0]}, "
+                             f"{self.factor.V.shape[0]} do not match the snapshot's {n} nodes")
+        if not math.isfinite(self.cur_loss):
+            raise ValueError(f"t={t}: loss overflows float64 (cur_loss {self.cur_loss})")
+        if self.cur_loss < 0.0:
+            raise ValueError(f"t={t}: negative loss {self.cur_loss}")
+        w = self.basis.shape[1]
+        if self.basis.shape[0] != n or self.image.shape != (n, w) or w > n:
+            raise ValueError(f"t={t}: basis {self.basis.shape} and image {self.image.shape} "
+                             f"must both be n x w with w <= n = {n}")
+        drift = np.max(np.abs(self.basis.T @ self.basis - np.eye(w)), initial=0.0)
+        if drift > ORTHO_TOL:
+            raise ValueError(f"t={t}: basis columns not orthonormal (drift {drift:.2e})")
+        if not (math.isfinite(self.tail) and self.tail >= 0.0):
+            raise ValueError(f"t={t}: tail energy {self.tail} is not finite and >= 0")
 
     def embedding(self):
-        """(Y_src, Y_tgt) of the rank-d view."""
-        view = self.truncated()
-        root = np.sqrt(view.S)
-        return view.U * root, view.V * root
+        """(Y_src, Y_tgt) of the factor."""
+        root = np.sqrt(self.factor.S)
+        return self.factor.U * root, self.factor.V * root
 
 
 @dataclass(frozen=True)
@@ -96,35 +128,33 @@ class RestartLogEntry:
     bound: float
 
 
-def _top_view(factor: TruncatedSvd, d: int) -> TruncatedSvd:
-    return TruncatedSvd(U=factor.U[:, :d], S=factor.S[:d], V=factor.V[:, :d])
+def _norm_sq(g: GraphSnapshot) -> float:
+    return float(np.sum(np.square(g.weights)))
 
 
-def _exact_loss(adj: np.ndarray, factor: TruncatedSvd) -> float:
-    resid = adj - factor.reconstruct()
-    return float(np.sum(resid * resid))
+def _closed_form_loss(norm_sq: float, s: np.ndarray) -> float:
+    """||A||_F^2 - sum s_i^2, floored at 0 against rounding: the loss of a
+    factor with singular values s whose reconstruction is an orthogonal
+    projection of A. NaN stays NaN."""
+    return float(np.maximum(norm_sq - np.sum(s * s), 0.0))
 
 
 def optimal_svd_embed(g: GraphSnapshot, d: int, t: int = 0):
     """Batch truncated SVD of one snapshot; returns (Y_src, Y_tgt, state).
 
-    The state's factor carries the truncation buffer; the embeddings and the
-    recorded loss are the rank-d view, which here is the optimal one.
+    The top r = min(4d, n) triples start the state's epoch; the embeddings
+    and the recorded loss are those of the top d, which here are optimal.
     """
     adj = dense_adjacency(g)
     if not 1 <= d <= min(adj.shape):
         raise ValueError(f"rank d={d} outside [1, {min(adj.shape)}]")
-    factor = truncated_svd(adj, min(BUFFER_FACTOR * d, min(adj.shape)))
-    view = _top_view(factor, d)
-    state = SvdFactorState(
-        factor=factor,
-        d=d,
-        t_cur=t,
-        sigma_restart=factor.S[:d].copy(),
-        pert_norm_sum=0.0,
-        cur_loss=_exact_loss(adj, view),
-        snapshot=g,
-    )
+    top, tail = truncated_svd(adj, min(BUFFER_FACTOR * d, min(adj.shape)), tail=d)
+    factor = TruncatedSvd(U=top.U[:, :d], S=top.S[:d], V=top.V[:, :d])
+    norm_sq = _norm_sq(g)
+    state = SvdFactorState(factor=factor, d=d, t_cur=t,
+                           cur_loss=_closed_form_loss(norm_sq, factor.S), snapshot=g,
+                           basis=top.V, image=top.U * top.S, image_scale=norm_sq,
+                           tail=tail, epoch_width=top.S.shape[0], batch=True)
     return (*state.embedding(), state)
 
 
@@ -230,125 +260,76 @@ def delta_factor(delta: EdgeDelta, n: int):
     return p, q
 
 
-def _orthonormal_residual(basis: np.ndarray, block: np.ndarray):
-    """Split block into its component in span(basis) and an orthonormal
-    remainder: block ~ basis @ coef + q @ r with q^T basis = 0.
+def _new_directions(basis: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Orthonormal columns, orthogonal to basis, spanning the part of
+    span(block) outside span(basis).
 
-    Directions with singular value below RESIDUAL_TOL are dropped, which
-    also absorbs linearly dependent update columns.
+    The columns of block are scaled to unit norm first, so RESIDUAL_TOL is
+    relative to each column's scale: weights of 1e-170 keep their
+    directions. A thin SVD of the residual drops the directions it holds
+    below RESIDUAL_TOL, dependent columns included. Dividing by a small
+    singular value magnifies what the projection left along basis, so the
+    kept directions are projected again and orthonormalized by a QR.
     """
-    coef = basis.T @ block
-    resid = block - basis @ coef
-    # second projection pass for orthogonality at machine precision
-    corr = basis.T @ resid
-    coef = coef + corr
-    resid = resid - basis @ corr
-    if resid.shape[1] == 0:
-        return coef, np.zeros((basis.shape[0], 0)), np.zeros((0, block.shape[1]))
-    u, s, vh = np.linalg.svd(resid, full_matrices=False)
-    keep = int(np.sum(s > RESIDUAL_TOL))
-    q = u[:, :keep]
-    r = s[:keep, None] * vh[:keep]
-    return coef, q, r
-
-
-def _reorthogonalized(u, s, v):
-    qu, ru = np.linalg.qr(u)
-    qv, rv = np.linalg.qr(v)
-    f, s2, gh = np.linalg.svd(ru * s @ rv.T)
-    return qu @ f, s2, qv @ gh.T
-
-
-def _brand_update(factor: TruncatedSvd, p: np.ndarray, q: np.ndarray) -> TruncatedSvd:
-    """Top rank-r SVD of U S V^T + P Q^T by Brand's additive update, r being
-    the rank of factor.
-
-    The update residuals of P against U and Q against V are orthonormalized,
-    an (r+kp) x (r+kq) core matrix is formed from diag(S) plus the projected
-    update, and its SVD rotates and re-truncates the factors back to rank r.
-    Costs O(n (r + k)^2) for an update of width k.
-    """
-    u0, s0, v0 = factor.U, factor.S, factor.V
-    r = s0.shape[0]
-    up, qp, rp = _orthonormal_residual(u0, p)
-    vq, qq, rq = _orthonormal_residual(v0, q)
-    kp, kq = qp.shape[1], qq.shape[1]
-
-    core = np.zeros((r + kp, r + kq))
-    core[:r, :r] = np.diag(s0)
-    left = np.vstack([up, rp])    # (r+kp) x k
-    right = np.vstack([vq, rq])   # (r+kq) x k
-    core += left @ right.T
-
-    f, s_new, gh = np.linalg.svd(core)
-    u_new = np.hstack([u0, qp]) @ f[:, :r]
-    v_new = np.hstack([v0, qq]) @ gh[:r].T
-    s_new = s_new[:r]
-
-    drift = max(
-        np.max(np.abs(u_new.T @ u_new - np.eye(r))),
-        np.max(np.abs(v_new.T @ v_new - np.eye(r))),
-    )
-    if drift > REORTH_TOL:
-        u_new, s_new, v_new = _reorthogonalized(u_new, s_new, v_new)
-    return TruncatedSvd(U=u_new, S=s_new, V=v_new)
+    scale = np.max(np.abs(block), axis=0)
+    block = block[:, scale > 0.0] / scale[scale > 0.0]
+    block /= np.linalg.norm(block, axis=0)
+    u, s, _ = np.linalg.svd(block - basis @ (basis.T @ block), full_matrices=False)
+    u = u[:, s > RESIDUAL_TOL]
+    u -= basis @ (basis.T @ u)
+    return np.linalg.qr(u)[0]
 
 
 def incremental_update(state: SvdFactorState, p: np.ndarray, q: np.ndarray,
                        g: GraphSnapshot) -> SvdFactorState:
-    """Additive modification of the maintained SVD onto g, whose adjacency
-    is the tracked snapshot's plus P Q^T.
-
-    The new factor is the top rank-r SVD of U S V^T + P Q^T, r being the
-    maintained rank. While r + k < n for an update of width k, Brand's
-    update (_brand_update) computes it at O(n (r + k)^2). Once r + k >= n
-    the update basis can span all of R^n and the update is no longer
-    low-rank, so the n x n matrix U S V^T + P Q^T is formed and its top r
-    triples are taken by truncated_svd, the cost of a restart; Brand's core
-    SVD is that matrix written in an orthonormal basis, so both give the
-    same factor. Neither is a restart: the matrix is the tracked factor plus
-    the change, not g's adjacency. The reported loss is recomputed exactly
-    against g's adjacency from the rank-d view. An empty update keeps the
-    factor and the state's own loss; one whose norm underflows keeps the
-    factor.
+    """The Ritz step onto g, whose adjacency is the tracked snapshot's plus
+    P Q^T (see the module docstring). An update that would take the epoch's
+    width to n (epoch_width + k >= n) may span all of R^n, where the Ritz
+    step is the batch SVD of g: it takes that and starts a new epoch. An
+    empty update keeps the factor, epoch and loss.
     """
     n = state.snapshot.n
     if g.n != n:
         raise ValueError(f"snapshot has {g.n} nodes, the factor state tracks {n}")
     if p.shape[0] != n or q.shape[0] != n or p.shape[1] != q.shape[1]:
         raise ValueError("P, Q must be n x k")
+    t = state.t_cur + 1
     if p.shape[1] == 0:
-        return replace(state, t_cur=state.t_cur + 1, snapshot=g)
-
-    pert_sq = float(np.sum((p.T @ p) * (q.T @ q)))
-    pert_norm = math.sqrt(max(pert_sq, 0.0))
-    r = state.factor.S.shape[0]
-    if pert_norm == 0.0:  # the change underflows: the factor stays
-        factor = state.factor
-    elif r + p.shape[1] >= n:
-        updated = state.factor.reconstruct()
-        updated += p @ q.T
-        factor = truncated_svd(updated, r)
+        return replace(state, t_cur=t, snapshot=g)
+    if state.epoch_width + p.shape[1] >= n:
+        return optimal_svd_embed(g, state.d, t)[2]
+    new = _new_directions(state.basis, q)
+    basis = np.hstack([state.basis, new])
+    norm_sq = _norm_sq(g)
+    scale = max(state.image_scale, norm_sq)
+    if norm_sq < IMAGE_RTOL * scale:  # the sum would cancel
+        image, scale = dense_adjacency(g) @ basis, norm_sq
     else:
-        factor = _brand_update(state.factor, p, q)
-    return replace(state, factor=factor, t_cur=state.t_cur + 1,
-                   pert_norm_sum=state.pert_norm_sum + pert_norm,
-                   cur_loss=_exact_loss(dense_adjacency(g), _top_view(factor, state.d)),
-                   snapshot=g)
+        image = np.hstack([state.image + p @ (q.T @ state.basis), dense_adjacency(g) @ new])
+    ritz = truncated_svd(image, state.d)
+    factor = TruncatedSvd(U=ritz.U, S=ritz.S, V=basis @ ritz.V)
+    return replace(state, factor=factor, t_cur=t, cur_loss=_closed_form_loss(norm_sq, ritz.S),
+                   snapshot=g, basis=basis, image=image, image_scale=scale,
+                   epoch_width=state.epoch_width + p.shape[1], batch=False)
 
 
 def loss_lower_bound(state: SvdFactorState) -> float:
-    """Weyl-inequality lower bound on the optimal rank-d loss at t_cur."""
-    total = float(np.sum(np.square(state.snapshot.weights)))
-    if not math.isfinite(total):
-        raise ValueError(f"t={state.t_cur}: ||A||_F^2 overflows float64, so no loss bound exists")
-    shifted = np.maximum(state.sigma_restart + state.pert_norm_sum, 0.0)
-    return max(0.0, total - float(np.sum(shifted * shifted)))
+    """Ky Fan lower bound on the optimal rank-d loss of the tracked snapshot,
+
+        max(0, cur_loss - tail - BOUND_RTOL * ||A_t||_F^2),
+
+    the last term a margin for rounding (see the module docstring); at a
+    batch step, where the factor is optimal, cur_loss itself."""
+    if state.batch:
+        return state.cur_loss
+    return max(0.0, state.cur_loss - state.tail - BOUND_RTOL * _norm_sq(state.snapshot))
 
 
 def rerun_svd_step(state: SvdFactorState, cur: GraphSnapshot, theta: float):
     """One step of the rerun fold from state onto cur, the update being the
-    change from the snapshot state tracks; returns (state, log entry)."""
+    change from the snapshot state tracks; returns (state, log entry). A
+    restart keeps the epoch's basis and width and adds cur's top r right
+    singular vectors to the basis (see the module docstring)."""
     t = state.t_cur + 1
     p, q = delta_factor(edge_delta(state.snapshot, cur), cur.n)
     state = incremental_update(state, p, q, cur)
@@ -357,7 +338,12 @@ def rerun_svd_step(state: SvdFactorState, cur: GraphSnapshot, theta: float):
         math.isfinite(theta) and bound > 0.0 and state.cur_loss / bound - 1.0 > theta
     )
     if restarted:
-        _, _, state = optimal_svd_embed(cur, state.d, t=t)
+        _, _, fresh = optimal_svd_embed(cur, state.d, t=t)
+        new = _new_directions(state.basis, fresh.basis)
+        state = replace(fresh, basis=np.hstack([state.basis, new]),
+                        image=np.hstack([state.image, dense_adjacency(cur) @ new]),
+                        image_scale=max(state.image_scale, fresh.image_scale),
+                        tail=min(state.tail, fresh.tail), epoch_width=state.epoch_width)
         bound = loss_lower_bound(state)
     return state, RestartLogEntry(t, restarted, state.cur_loss, bound)
 

@@ -7,7 +7,11 @@ SnapshotRef, a dict of (u, v) -> w, with the delta, dense adjacency, text
 writer and static link prediction split built on it. The exceptions are at
 the end: the ranking evaluation as it was before it was vectorised, which
 fills the package's report type; the plain incremental SVD fold, built from
-the package's update step with no restart test; and the prefix re-embed,
+the package's update step with no restart test; Brand's additive update,
+the paper's incremental step that the Ritz step replaced, and two reference
+folds, Brand's and a Ritz fold rebuilt from scratch at every step, both
+starting from the package's batch SVD and delta factor; and the prefix
+re-embed,
 which runs the package's methods on a prefix of the sequence, as link
 prediction once did; and the autoencoder's sigmoid, forward pass, gradient
 and weight step as the numpy expressions they were before the kernels reused
@@ -28,7 +32,7 @@ import numpy as np
 from dynembed import ae, kernels, svd_embed
 from dynembed.evaluation import EvalError, EvalReport, ScoredPairs, static_lp_split
 from dynembed.graphs import GraphSnapshot, SnapshotSequence, dense_adjacency, edge_delta
-from dynembed.numerics import TruncatedSvd
+from dynembed.numerics import TruncatedSvd, truncated_svd
 from dynembed.rng import Rng
 from dynembed.sbm import DynamicSbmSeries
 
@@ -389,6 +393,147 @@ def plain_incremental_fold(seq, d: int):
     log = [svd_embed.RestartLogEntry(t, False, s.cur_loss, svd_embed.loss_lower_bound(s))
            for t, s in enumerate(states)]
     return [s.embedding() for s in states], log
+
+
+# Brand's additive update as the package ran it before the Ritz step.
+BRAND_RESIDUAL_TOL = 1e-12
+BRAND_REORTH_TOL = 1e-11
+
+
+def _orthonormal_residual(basis, block):
+    """Split block into its component in span(basis) and an orthonormal
+    remainder: block ~ basis @ coef + q @ r with q^T basis = 0.
+
+    Directions with singular value below BRAND_RESIDUAL_TOL are dropped,
+    which also absorbs linearly dependent update columns.
+    """
+    coef = basis.T @ block
+    resid = block - basis @ coef
+    # second projection pass for orthogonality at machine precision
+    corr = basis.T @ resid
+    coef = coef + corr
+    resid = resid - basis @ corr
+    if resid.shape[1] == 0:
+        return coef, np.zeros((basis.shape[0], 0)), np.zeros((0, block.shape[1]))
+    u, s, vh = np.linalg.svd(resid, full_matrices=False)
+    keep = int(np.sum(s > BRAND_RESIDUAL_TOL))
+    q = u[:, :keep]
+    r = s[:keep, None] * vh[:keep]
+    return coef, q, r
+
+
+def _reorthogonalized(u, s, v):
+    qu, ru = np.linalg.qr(u)
+    qv, rv = np.linalg.qr(v)
+    f, s2, gh = np.linalg.svd(ru * s @ rv.T)
+    return qu @ f, s2, qv @ gh.T
+
+
+def brand_update_ref(factor, p, q):
+    """Top rank-r SVD of U S V^T + P Q^T by Brand's additive update, r being
+    the rank of factor.
+
+    The update residuals of P against U and Q against V are orthonormalized,
+    an (r+kp) x (r+kq) core matrix is formed from diag(S) plus the projected
+    update, and its SVD rotates and re-truncates the factors back to rank r.
+    Costs O(n (r + k)^2) for an update of width k.
+    """
+    u0, s0, v0 = factor.U, factor.S, factor.V
+    r = s0.shape[0]
+    up, qp, rp = _orthonormal_residual(u0, p)
+    vq, qq, rq = _orthonormal_residual(v0, q)
+    kp, kq = qp.shape[1], qq.shape[1]
+
+    core = np.zeros((r + kp, r + kq))
+    core[:r, :r] = np.diag(s0)
+    left = np.vstack([up, rp])    # (r+kp) x k
+    right = np.vstack([vq, rq])   # (r+kq) x k
+    core += left @ right.T
+
+    f, s_new, gh = np.linalg.svd(core)
+    u_new = np.hstack([u0, qp]) @ f[:, :r]
+    v_new = np.hstack([v0, qq]) @ gh[:r].T
+    s_new = s_new[:r]
+
+    drift = max(
+        np.max(np.abs(u_new.T @ u_new - np.eye(r))),
+        np.max(np.abs(v_new.T @ v_new - np.eye(r))),
+    )
+    if drift > BRAND_REORTH_TOL:
+        u_new, s_new, v_new = _reorthogonalized(u_new, s_new, v_new)
+    return TruncatedSvd(U=u_new, S=s_new, V=v_new)
+
+
+def _adjacency(g):
+    a = np.zeros((g.n, g.n))
+    a[g.rows, g.cols] = g.weights
+    return a
+
+
+def _loss(a, u, s, v):
+    resid = a - (u * s) @ v.T
+    return float(np.sum(resid * resid))
+
+
+def brand_fold_ref(seq, d: int) -> list:
+    """Rank-d loss per snapshot of Brand's fold with no restart: the top
+    r = min(4d, n) triples of snapshot 0 (from the package's truncated_svd,
+    the factor the package's fold starts from), then one brand_update_ref
+    per step with the package's delta factor, truncating back to rank r."""
+    a = _adjacency(seq[0])
+    factor = truncated_svd(a, min(4 * d, seq.n))
+    losses = [_loss(a, factor.U[:, :d], factor.S[:d], factor.V[:, :d])]
+    for t in range(1, len(seq)):
+        p, q = svd_embed.delta_factor(edge_delta(seq[t - 1], seq[t]), seq.n)
+        if p.shape[1]:
+            factor = brand_update_ref(factor, p, q)
+        a = _adjacency(seq[t])
+        losses.append(_loss(a, factor.U[:, :d], factor.S[:d], factor.V[:, :d]))
+    return losses
+
+
+def _unit_columns(m):
+    """The nonzero columns of m scaled to unit norm, whatever their scale."""
+    m = m[:, np.any(m != 0.0, axis=0)]
+    m = m / np.max(np.abs(m), axis=0)
+    return m / np.sqrt(np.sum(m * m, axis=0))
+
+
+def ritz_fold_ref(seq, d: int) -> list:
+    """Rank-d loss per snapshot of the Ritz fold with no restart, rebuilt
+    from scratch at every step.
+
+    An epoch starts from the top r = min(4d, n) right singular vectors V_r
+    of its first snapshot (from the package's truncated_svd, so that where
+    sigma_r repeats both folds start from the same basis), and its loss is
+    that snapshot's optimum, from a full gesdd. A step appends the Q of the
+    package's delta factor to the stack [V_r, Q_1, ...], takes an
+    orthonormal basis B of the stack by a thin SVD of its unit columns,
+    forms A_t B densely, and takes the loss against A_t of the top d
+    triples of its gesdd, mapped back through B. A step that would take r
+    plus the epoch's update widths to n starts a new epoch instead.
+    """
+    n = seq.n
+    r = min(4 * d, n)
+    losses = []
+    for t in range(len(seq)):
+        a = _adjacency(seq[t])
+        q = svd_embed.delta_factor(edge_delta(seq[t - 1], seq[t]), n)[1] if t else None
+        if t and q.shape[1] == 0:
+            losses.append(losses[-1])
+        elif t and width + q.shape[1] < n:
+            stack.append(q)
+            width += q.shape[1]
+            u, s, _ = np.linalg.svd(_unit_columns(np.hstack(stack)), full_matrices=False)
+            basis = u[:, s > 1e-12 * s[0]]
+            u2, s2, wh = np.linalg.svd(a @ basis, full_matrices=False)
+            losses.append(_loss(a, u2[:, :d], s2[:d], basis @ wh[:d].T))
+        else:
+            stack = [truncated_svd(a, r).V]
+            width = r
+            s = np.linalg.svd(a, compute_uv=False)
+            losses.append(float(np.sum(s[d:] ** 2)))
+    return losses
 
 
 # --- link prediction by re-embedding the prefix --------------------------

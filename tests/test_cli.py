@@ -228,7 +228,7 @@ def test_overflowing_svd_loss_exits_1(tmp_path, capsys, weight, code):
     )
     assert main(["run", "--config", config]) == code
     if code:
-        assert "t=0: loss or perturbation norm overflows" in capsys.readouterr().err
+        assert "t=0: loss overflows" in capsys.readouterr().err
     else:
         for line in (outdir / "restart_log.txt").read_text().splitlines():
             assert all(math.isfinite(float(x)) for x in line.split())

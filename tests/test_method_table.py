@@ -192,7 +192,14 @@ def test_benchmark_trace_hooks_see_one_run(tmp_path, monkeypatch):
                             "reconstruction": {}}, tmp_path)
     calls, trace = _traced_run(cfg, monkeypatch)
     assert calls["pipeline.embed"] == 1 and calls["svd_embed.series"] == 1
-    assert calls["svd_embed.batch_embed"] == calls["numerics.truncated_svd"]
+    # each batch embed runs one truncated SVD; every other one is the Ritz
+    # step of an update
+    spans = trace["spans"]
+    parents = [spans[parent][0] for name, _, _, parent in spans
+               if name == "numerics.truncated_svd"]
+    assert parents.count("svd_embed.batch_embed") == calls["svd_embed.batch_embed"]
+    assert parents.count("svd_embed.update") > 0
+    assert set(parents) == {"svd_embed.batch_embed", "svd_embed.update"}
     assert trace["series_length"] == LENGTH
     assert trace["counters"]["pipeline.snapshots_embedded"] == LENGTH
     log = np.loadtxt(tmp_path / "restart_log.txt")

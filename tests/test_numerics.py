@@ -170,6 +170,45 @@ def test_a_stripped_node_has_exactly_zero_factor_rows(view):
         assert np.all(scores[:2] == 0.0) and np.all(scores[:, 0] == 0.0)
 
 
+# tail energies are held to this tolerance times sigma_1^2
+TAIL_TOL = 1e-12
+
+
+def _tail_from_all_singular_values(a, d, tail):
+    s = truncated_svd_ref(a, min(a.shape)).S
+    return float(np.sum(s[d:d + tail] ** 2)), (s[0] ** 2 if s.size else 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(svd_inputs(), st.integers(min_value=1, max_value=12), st.data())
+def test_tail_energy_matches_the_full_decomposition(case, tail, data):
+    a, d = case
+    a = a.copy()
+    a[data.draw(st.lists(st.integers(0, a.shape[0] - 1), max_size=3))] = 0.0
+    a[:, data.draw(st.lists(st.integers(0, a.shape[1] - 1), max_size=3))] = 0.0
+    f, energy = truncated_svd(a, d, tail=tail)
+    plain = truncated_svd(a, d)
+    assert all(np.array_equal(x, y) for x, y in zip((f.U, f.S, f.V), (plain.U, plain.S, plain.V)))
+    want, top = _tail_from_all_singular_values(a, d, tail)
+    assert abs(energy - want) <= TAIL_TOL * top
+
+
+@pytest.mark.parametrize("view", ["square", "tall", "wide"])
+def test_tail_energy_of_a_stripped_snapshot(view):
+    # the snapshot of the stripped-node test: zero rows and columns are left
+    # out of the eigendecomposition and add only zeros to the tail
+    a = dense_adjacency(generate_sbm_snapshot(np.repeat([0, 1], 85), 0.3, 0.05, Rng(21)))
+    a[0] = a[:, 0] = a[1] = 0.0
+    a = {"square": a, "tall": a[:, :120], "wide": a[:120]}[view]
+    _, energy = truncated_svd(a, 32, tail=8)
+    want, top = _tail_from_all_singular_values(a, 32, 8)
+    assert abs(energy - want) <= TAIL_TOL * top
+    # beyond the rank of a the tail is zero
+    _, all_of_it = truncated_svd(a, 100, tail=200)
+    want, _ = _tail_from_all_singular_values(a, 100, 200)
+    assert abs(all_of_it - want) <= TAIL_TOL * top
+
+
 @pytest.mark.parametrize("power", [560, -560])
 def test_extreme_scales_match_the_unit_scale_factor(power):
     # the Gram matrix of a scaled by 2^560 overflows and that of a scaled by

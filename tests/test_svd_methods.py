@@ -1,14 +1,23 @@
 """SVD-family embeddings: batch, incremental, and restart behavior.
 
 The block-constant fixtures have exactly known rank (rank of the block
-weight matrix), which is what the d >= rank exactness tests need. The
-restart fixture keeps per-step perturbations tiny so the Weyl lower bound
-decays slowly and stays positive long enough for the ratio test to fire.
+weight matrix), which is what the d >= rank exactness tests need.
 
-An update takes Brand's path while r + k < n and one dense SVD from there
-on. The restart fixture has r = n = 16, so it runs the dense path on every
-step. Each path has its own exactness test, and the two are checked against
-each other on drawn factors.
+An update is a Rayleigh-Ritz step on the epoch's growing basis while the
+epoch's width r + k stays below n, and a batch SVD of the snapshot from
+there on. Each path has its own exactness test. The Ritz fold is checked
+against ritz_fold_ref, which rebuilds the basis and the factor from scratch
+at every step, and against Brand's additive update (brand_fold_ref), which
+it replaced and whose loss it never exceeds until its first batch step. The
+Ky Fan certificate is checked against the exact optimum on drawn sequences
+with added, removed and reweighted edges, at weights scaled by 1e-170 and
+1e150, with r < n and r = n.
+
+The restart fixtures: _restart_fixture has r = n = 16, so every step there
+is a batch step, exact, and no restart can fire. Criterion 2's fixture
+(n = 200, d = 8) with 10 migrants per step is where a restart fires at
+theta = 0.1; with one migrant per step the bound stays positive and no
+restart fires at theta = 1.
 """
 
 import math
@@ -25,11 +34,17 @@ from dynembed.graphs import (GraphSnapshot, SnapshotSequence, dense_adjacency,
 from dynembed.numerics import TruncatedSvd, truncated_svd
 from dynembed.rng import Rng
 from dynembed.sbm import SbmParams, _snapshot_from_dense, diminish_series, generate_sbm_snapshot
-from dynembed.svd_embed import (RestartLogEntry, SvdFactorState, _exact_loss, _top_view,
-                                delta_factor, incremental_update, optimal_svd_embed,
+from dynembed.svd_embed import (BOUND_RTOL, RestartLogEntry, delta_factor,
+                                incremental_update, loss_lower_bound, optimal_svd_embed,
                                 rerun_svd_series, save_restart_log)
-from oracles import (brute_min_cover_size, plain_incremental_fold, row_indicator_factor,
+from oracles import (brand_fold_ref, brand_update_ref, brute_min_cover_size,
+                     plain_incremental_fold, ritz_fold_ref, row_indicator_factor,
                      save_restart_log_ref, snapshot, truncated_svd_ref)
+
+# The closed-form loss ||A||^2 - sum sigma_i^2 subtracts two sums of about
+# ||A||^2, so it is compared with a loss computed another way to this
+# tolerance relative to ||A_t||^2.
+LOSS_RTOL = 1e-10
 
 
 def _block_constant(groups, b):
@@ -40,7 +55,8 @@ def _block_constant(groups, b):
 
 
 def _restart_fixture():
-    """Dense-ish base graph plus tiny single-edge reweights each step."""
+    """Dense-ish base graph plus tiny single-edge reweights each step, on
+    16 nodes: at d = 4, r = n and every step is a batch step."""
     g0 = generate_sbm_snapshot(np.zeros(16, dtype=np.int64), 0.35, 0.0, Rng(0))
     snaps = [g0]
     for t in range(1, 8):
@@ -178,13 +194,24 @@ def test_delta_factor_migrant_width(drift_sbm_50):
 
 
 def _scores(state):
-    """Y_src Y_tgt^T of the rank-d view."""
-    view = state.truncated()
-    root = np.sqrt(view.S)
-    return (view.U * root) @ (view.V * root).T
+    """Y_src Y_tgt^T of the factor."""
+    y_src, y_tgt = state.embedding()
+    return y_src @ y_tgt.T
+
+
+def _norm_sq(a):
+    return float(np.sum(a * a))
+
+
+def _optimum(a, d):
+    """Optimal rank-d loss of a from all of its singular values (gesdd)."""
+    return float(np.sum(np.linalg.svd(a, compute_uv=False)[d:] ** 2))
 
 
 def test_cover_and_row_factor_give_the_same_series(drift_sbm_50):
+    # both factors span the change's row space, so the Ritz steps agree; the
+    # row factor is wider, so its epoch reaches n sooner, and from that
+    # batch step on its loss is the optimum
     seq = drift_sbm_50.sequence
     _, _, cover = optimal_svd_embed(seq[0], 6)
     rows = cover
@@ -192,8 +219,12 @@ def test_cover_and_row_factor_give_the_same_series(drift_sbm_50):
         delta = edge_delta(seq[t - 1], seq[t])
         cover = incremental_update(cover, *delta_factor(delta, seq.n), seq[t])
         rows = incremental_update(rows, *row_indicator_factor(delta, seq.n), seq[t])
+        if rows.batch:
+            break
         assert cover.cur_loss == pytest.approx(rows.cur_loss, rel=1e-9)
         assert np.max(np.abs(_scores(cover) - _scores(rows))) <= 1e-9
+    assert 1 < t < len(seq) - 1 and rows.batch and not cover.batch
+    assert rows.cur_loss <= cover.cur_loss
 
 
 # --- incremental updates --------------------------------------------------
@@ -205,8 +236,9 @@ def test_empty_delta_short_circuit():
     new = incremental_update(state, np.zeros((16, 0)), np.zeros((16, 0)), g)
     assert new.t_cur == state.t_cur + 1
     assert new.factor is state.factor
-    assert new.pert_norm_sum == state.pert_norm_sum
-    assert new.cur_loss == pytest.approx(state.cur_loss, rel=1e-12)
+    assert new.basis is state.basis and new.image is state.image
+    assert (new.tail, new.epoch_width, new.batch) == (state.tail, state.epoch_width, True)
+    assert new.cur_loss == state.cur_loss
 
 
 def test_incremental_rejects_bad_shapes():
@@ -234,9 +266,26 @@ def test_factor_state_rejects_a_factor_of_another_size():
         replace(state, factor=short)
 
 
+@pytest.mark.parametrize("changes, message", [
+    (lambda s: {"basis": s.basis * (1.0 + 1e-9)}, "basis columns not orthonormal"),
+    (lambda s: {"basis": s.basis[:, :-1]}, r"basis \(12, 7\) and image \(12, 8\)"),
+    (lambda s: {"image": s.image[:-1]}, r"basis \(12, 8\) and image \(11, 8\)"),
+    (lambda s: {"basis": np.ones((12, 13)), "image": np.ones((12, 13))},
+     r"basis \(12, 13\) and image \(12, 13\) must both be n x w with w <= n = 12"),
+    (lambda s: {"tail": -1e-300}, "tail energy -1e-300 is not finite and >= 0"),
+    (lambda s: {"tail": math.inf}, "tail energy inf is not finite"),
+    (lambda s: {"tail": math.nan}, "tail energy nan is not finite"),
+])
+def test_factor_state_rejects_a_bad_epoch(changes, message):
+    g = generate_sbm_snapshot(np.repeat([0, 1], 6), 0.5, 0.1, Rng(4))
+    _, _, state = optimal_svd_embed(g, 2, t=5)
+    with pytest.raises(ValueError, match=f"t=5: .*{message}"):
+        replace(state, **changes(state))
+
+
 def _update_exactly(groups):
     """Check that one update between block-constant snapshots of rank 3 at
-    d = 4 is exact; returns (state before, P)."""
+    d = 4 is exact; returns (state before, P, Q, state after, A1, A2)."""
     b1 = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 3.0]])
     b2 = np.array([[1.0, 2.0, 0.0], [0.0, 1.5, 0.5], [0.0, 0.0, 3.0]])
     a1, a2 = _block_constant(groups, b1), _block_constant(groups, b2)
@@ -245,89 +294,44 @@ def _update_exactly(groups):
     _, _, before = optimal_svd_embed(g1, 4)
     p, q = delta_factor(edge_delta(g1, g2), a1.shape[0])
     after = incremental_update(before, p, q, g2)
-    view = after.truncated()
-    assert after.cur_loss <= 1e-16
-    assert np.max(np.abs(view.reconstruct() - a2)) <= 1e-8
+    assert after.cur_loss <= LOSS_RTOL * _norm_sq(a2)
+    assert np.max(np.abs(after.factor.reconstruct() - a2)) <= 1e-8
     oracle = truncated_svd_ref(a2, 4).reconstruct()
-    assert np.max(np.abs(view.reconstruct() - oracle)) <= 1e-8
-    return before, p
+    assert np.max(np.abs(after.factor.reconstruct() - oracle)) <= 1e-8
+    return before, p, q, after, a1, a2
 
 
 def test_update_exact_when_d_covers_rank():
-    # n = 10 and r = min(4d, n) = n: the dense path
-    before, p = _update_exactly((4, 3, 3))
-    assert before.factor.S.shape[0] + p.shape[1] >= 10
+    # n = 10 and r = min(4d, n) = n: the batch step
+    before, p, _, after, _, _ = _update_exactly((4, 3, 3))
+    assert before.epoch_width + p.shape[1] >= 10 and after.batch
 
 
 def test_brand_update_exact_when_d_covers_rank():
-    # n = 40, r = 16, and the delta is one block row of 12 rows: Brand's path
-    before, p = _update_exactly((16, 12, 12))
-    assert (before.factor.S.shape[0], p.shape[1]) == (16, 12)
-
-
-@st.composite
-def factor_updates(draw):
-    """A factor state of rank r on n nodes and an update P Q^T whose width
-    lies within a few columns of n - r, on either side of the switch."""
-    n = draw(st.integers(min_value=2, max_value=12))
-    r = draw(st.integers(min_value=1, max_value=n))
-    k = max(1, n - r + draw(st.integers(min_value=-3, max_value=1)))
-    d = draw(st.integers(min_value=1, max_value=r))
-    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
-    u = np.linalg.qr(rng.normal(size=(n, r)))[0]
-    v = np.linalg.qr(rng.normal(size=(n, r)))[0]
-    s = np.sort(rng.uniform(0.1, 10.0, size=r))[::-1]
-    factor = TruncatedSvd(U=u, S=s, V=v)
-    # the tracked snapshot is not the factor, as after a truncating update
-    g = _snapshot_from_dense(rng.uniform(0.1, 2.0, size=(n, n)) * (rng.random((n, n)) < 0.5))
-    state = SvdFactorState(factor=factor, d=d, t_cur=0, sigma_restart=s[:d].copy(),
-                           pert_norm_sum=0.0,
-                           cur_loss=_exact_loss(dense_adjacency(g), _top_view(factor, d)),
-                           snapshot=g)
-    return state, rng.normal(size=(n, k)), rng.normal(size=(n, k))
-
-
-# singular gap above which a rank-j reconstruction is compared, relative to sigma_1
-RECONSTRUCTION_GAP = 1e-3
-
-
-@settings(max_examples=200, deadline=None)
-@given(factor_updates())
-def test_dense_and_brand_updates_agree(update):
-    state, p, q = update
-    n, r = state.snapshot.n, state.factor.S.shape[0]
-    updated = state.factor.reconstruct() + p @ q.T
-    new = incremental_update(state, p, q, state.snapshot)
-    if r + p.shape[1] >= n:
-        other = svd_embed._brand_update(state.factor, p, q)
-    else:
-        other = truncated_svd(updated, r)
-    sigma = np.append(np.linalg.svd(updated, compute_uv=False), 0.0)
-
-    assert np.max(np.abs(new.factor.S - other.S)) <= 1e-12 * new.factor.S[0]
-    other_loss = _exact_loss(dense_adjacency(new.snapshot), _top_view(other, state.d))
-    assert new.cur_loss == pytest.approx(other_loss, rel=1e-9)
-    for j in range(1, r + 1):
-        if sigma[j - 1] - sigma[j] > RECONSTRUCTION_GAP * sigma[0]:
-            diff = (_top_view(new.factor, j).reconstruct()
-                    - _top_view(other, j).reconstruct())
-            assert np.max(np.abs(diff)) <= 1e-9
-    for f in (new.factor, other):
-        TruncatedSvd(U=f.U, S=f.S, V=f.V)  # raises unless U and V are orthonormal
+    # n = 40, r = 16, and the delta is one block row of 12 rows: the Ritz
+    # step, and Brand's update that it replaced, are both exact
+    before, p, q, after, a1, a2 = _update_exactly((16, 12, 12))
+    assert (before.epoch_width, p.shape[1], after.batch) == (16, 12, False)
+    brand = brand_update_ref(truncated_svd(a1, 16), p, q)
+    top = TruncatedSvd(U=brand.U[:, :4], S=brand.S[:4], V=brand.V[:, :4])
+    assert np.max(np.abs(top.reconstruct() - a2)) <= 1e-8
 
 
 @pytest.mark.parametrize("width", [2, 3, 4, 5])
 def test_dense_path_fires_exactly_when_the_update_spans_the_space(monkeypatch, width):
     g = generate_sbm_snapshot(np.repeat([0, 1], 6), 0.5, 0.1, Rng(4))
     _, _, state = optimal_svd_embed(g, 2)
-    n, r = 12, state.factor.S.shape[0]
+    n, r = 12, state.epoch_width
     assert r == 8
-    calls = []
+    shapes = []
     monkeypatch.setattr(svd_embed, "truncated_svd",
-                        lambda a, rank: calls.append(rank) or truncated_svd(a, rank))
+                        lambda a, rank, **kw: shapes.append(a.shape)
+                        or truncated_svd(a, rank, **kw))
     rng = np.random.default_rng(width)
-    incremental_update(state, rng.normal(size=(n, width)), rng.normal(size=(n, width)), g)
-    assert calls == ([r] if r + width >= n else [])
+    new = incremental_update(state, rng.normal(size=(n, width)), rng.normal(size=(n, width)), g)
+    # the batch step decomposes the n x n adjacency, the Ritz step the n x w image
+    assert shapes == [(n, n) if r + width >= n else (n, r + width)]
+    assert new.batch == (r + width >= n)
 
 
 def test_incremental_tracks_batch_loss_on_drift(drift_sbm_50):
@@ -341,19 +345,17 @@ def test_incremental_tracks_batch_loss_on_drift(drift_sbm_50):
 
 
 def test_cur_loss_is_exact_after_updates(drift_sbm_50):
-    # cur_loss must match the rank-d view, not the buffered factor
+    # the closed-form cur_loss is the loss of the factor itself
     seq = SnapshotSequence(drift_sbm_50.sequence[:3])
     _, _, state = optimal_svd_embed(seq[0], 5)
     for t in range(1, len(seq)):
         p, q = delta_factor(edge_delta(seq[t - 1], seq[t]), seq.n)
         state = incremental_update(state, p, q, seq[t])
-        view = state.truncated()
-        assert view.S.shape == (5,)
-        recomputed = float(np.sum((dense_adjacency(seq[t]) - view.reconstruct()) ** 2))
+        assert not state.batch and state.factor.S.shape == (5,)
+        recomputed = float(np.sum((dense_adjacency(seq[t]) - state.factor.reconstruct()) ** 2))
         assert state.cur_loss == pytest.approx(recomputed, rel=1e-8)
-        r = state.factor.S.shape[0]
-        drift = np.max(np.abs(state.factor.U.T @ state.factor.U - np.eye(r)))
-        assert drift <= 1e-8
+        w = state.basis.shape[1]
+        assert np.max(np.abs(state.basis.T @ state.basis - np.eye(w))) <= 1e-12
 
 
 @st.composite
@@ -380,82 +382,215 @@ def weighted_sequences(draw, max_n=10):
     return seq, draw(st.integers(min_value=1, max_value=n))
 
 
+@st.composite
+def ritz_cases(draw):
+    """(sequence, d) on up to 16 nodes; half the draws take d < n / 4, so
+    that r = 4d < n and the steps are Ritz steps, the others any d."""
+    seq, d = draw(weighted_sequences(max_n=16))
+    if draw(st.booleans()):
+        d = max(1, min(d, (seq.n - 1) // 4))
+    return seq, d
+
+
+def _scaled(seq, scale):
+    return SnapshotSequence([GraphSnapshot(g.n, g.rows, g.cols, g.weights * scale) for g in seq])
+
+
 @settings(max_examples=200, deadline=None)
 @given(weighted_sequences(), st.sampled_from([math.inf, 0.05]))
 def test_loss_and_bound_are_the_snapshots_own(case, theta):
     seq, d = case
     _, _, state = optimal_svd_embed(seq[0], d)
     for t in range(1, len(seq)):
-        state, _ = svd_embed.rerun_svd_step(state, seq[t], theta)
+        state, entry = svd_embed.rerun_svd_step(state, seq[t], theta)
         assert state.snapshot is seq[t]
         a = dense_adjacency(seq[t])
-        assert state.cur_loss == _exact_loss(a, state.truncated())  # bitwise
-        # with no restart spectrum the bound is ||A||_F^2 itself
-        norm_sq = svd_embed.loss_lower_bound(
-            replace(state, sigma_restart=np.zeros(d), pert_norm_sum=0.0))
-        if np.all(seq[t].weights == 1.0):  # integer partial sums: exact in any order
-            assert norm_sq == float(np.sum(a * a))
-        else:
-            assert norm_sq == pytest.approx(float(np.sum(a * a)), rel=1e-13)
+        norm_sq = _norm_sq(a)
+        # the image is this snapshot's adjacency times the basis, and the
+        # loss that of the factor against it
+        assert np.max(np.abs(state.image - a @ state.basis), initial=0.0) <= 1e-12 * max(
+            1.0, np.max(np.abs(a), initial=0.0))
+        resid = a - state.factor.reconstruct()
+        assert abs(state.cur_loss - _norm_sq(resid)) <= LOSS_RTOL * norm_sq
+        assert entry.bound == loss_lower_bound(state)
+        if not state.batch:
+            want = max(0.0, state.cur_loss - state.tail - BOUND_RTOL * norm_sq)
+            assert entry.bound == pytest.approx(want, rel=1e-13, abs=1e-300)
+
+
+# --- the Ritz step against its references and the certificate -------------
+
+
+def _fold_states(seq, d):
+    """The factor states of the incremental fold with no restart."""
+    _, _, state = optimal_svd_embed(seq[0], d)
+    states = [state]
+    for t in range(1, len(seq)):
+        p, q = delta_factor(edge_delta(seq[t - 1], seq[t]), seq.n)
+        states.append(incremental_update(states[-1], p, q, seq[t]))
+    return states
+
+
+def test_ritz_fold_matches_its_reference_on_drift(drift_sbm_50):
+    seq = drift_sbm_50.sequence
+    states = _fold_states(seq, 6)
+    assert not any(s.batch for s in states[1:])  # every step is a Ritz step
+    for t, (state, want) in enumerate(zip(states, ritz_fold_ref(seq, 6))):
+        assert abs(state.cur_loss - want) <= LOSS_RTOL * _norm_sq(dense_adjacency(seq[t]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(ritz_cases())
+def test_ritz_fold_matches_its_reference(case):
+    seq, d = case
+    for t, (state, want) in enumerate(zip(_fold_states(seq, d), ritz_fold_ref(seq, d))):
+        assert abs(state.cur_loss - want) <= LOSS_RTOL * _norm_sq(dense_adjacency(seq[t]))
+
+
+def test_ritz_loss_never_exceeds_brands_on_drift(drift_sbm_50):
+    seq = drift_sbm_50.sequence
+    ritz, brand = [s.cur_loss for s in _fold_states(seq, 6)], brand_fold_ref(seq, 6)
+    for t in range(len(seq)):
+        assert ritz[t] <= brand[t] * (1.0 + 1e-9)
+    assert ritz[-1] < brand[-1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(ritz_cases())
+def test_ritz_loss_never_exceeds_brands(case):
+    # Brand's factor lies in the span of V_r and every change since t = 0,
+    # which is the Ritz basis until the epoch's first batch step, and the
+    # Ritz factor is the best one there. A batch step is exact; after it
+    # the bases differ, and so Brand's loss can be lower. The absolute term
+    # is the closed form's rounding.
+    seq, d = case
+    for t, (state, brand) in enumerate(zip(_fold_states(seq, d), brand_fold_ref(seq, d))):
+        norm_sq = _norm_sq(dense_adjacency(seq[t]))
+        assert state.cur_loss <= brand * (1.0 + 1e-9) + LOSS_RTOL * norm_sq
+        if t and state.batch:
+            break
+
+
+def test_a_collapsing_snapshot_keeps_its_loss_exact():
+    # one edge of weight 1e8 falls to 1: summed from the old adjacency, the
+    # image would keep rounding of order 1e8 eps, so it is formed afresh
+    light = generate_sbm_snapshot(np.repeat([0, 1], 15), 0.4, 0.1, Rng(5))
+    heavy = GraphSnapshot(light.n, light.rows, light.cols,
+                          np.where(np.arange(len(light)) == 0, 1e8, light.weights))
+    seq = SnapshotSequence([heavy, light])
+    before, after = _fold_states(seq, 2)
+    assert not after.batch
+    a = dense_adjacency(light)
+    assert after.image_scale == _norm_sq(a) < before.image_scale
+    assert np.max(np.abs(after.image - a @ after.basis)) <= 1e-13
+    resid = a - after.factor.reconstruct()
+    assert abs(after.cur_loss - _norm_sq(resid)) <= LOSS_RTOL * _norm_sq(a)
+    assert abs(after.cur_loss - ritz_fold_ref(seq, 2)[1]) <= LOSS_RTOL * _norm_sq(a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ritz_cases(), st.sampled_from([1.0, 1e-170, 1e150]), st.sampled_from([math.inf, 0.05]))
+def test_certificate_is_at_most_the_optimum(case, scale, theta):
+    seq, d = case
+    seq = _scaled(seq, scale)
+    _, log, _ = rerun_svd_series(seq, d, theta)
+    r = min(4 * d, seq.n)
+    for e in log:
+        a = dense_adjacency(seq[e.t])
+        norm_sq = _norm_sq(a)
+        opt = _optimum(a, d)
+        assert 0.0 <= e.bound <= e.cur_loss
+        assert e.bound <= opt + BOUND_RTOL * norm_sq
+        assert abs(e.cur_loss - opt) <= 0.5 * norm_sq + LOSS_RTOL * norm_sq or e.bound == 0.0
+        if r == seq.n:  # the basis is all of R^n: every step is exact
+            assert e.bound == e.cur_loss
+            assert abs(e.cur_loss - opt) <= LOSS_RTOL * norm_sq
+
+
+def test_tail_is_the_restart_snapshots_spectrum(drift_sbm_50):
+    g = drift_sbm_50.sequence[0]
+    _, _, state = optimal_svd_embed(g, 6)
+    s = np.linalg.svd(dense_adjacency(g), compute_uv=False)
+    assert state.tail == pytest.approx(float(np.sum(s[24:30] ** 2)), abs=1e-12 * s[0] ** 2)
+    assert state.epoch_width == state.basis.shape[1] == 24
+    assert loss_lower_bound(state) == state.cur_loss  # a batch step is exact
 
 
 # --- restart behavior -----------------------------------------------------
 
 
-def test_restart_fires_on_slow_bound_decay():
-    seq = _restart_fixture()
-    series, log, _ = rerun_svd_series(seq, 4, theta=0.08)
+def _migrant_fixture(migrants):
+    """Criterion 2's SBM (n = 200, 2 communities, T = 10) with the given
+    number of migrants per step."""
+    params = SbmParams(node_num=200, community_num=2, length=10, diminish_community=1,
+                       node_change_num=migrants, seed=0)
+    return diminish_series(params).sequence
+
+
+def test_restart_fires_where_the_certificate_fails():
+    # with 10 migrants per step the first Ritz step's certificate reads
+    # above 1.1, so theta = 0.1 restarts there
+    seq = _migrant_fixture(10)
+    _, log, _ = rerun_svd_series(seq, 8, theta=0.1)
     assert not log[0].restarted
-    assert any(e.restarted for e in log[1:])
+    assert log[1].restarted
     for e in log:
         assert e.bound > 0.0
-        assert e.cur_loss <= (1.0 + 0.08) * e.bound * (1.0 + 1e-12)
-    for e in log:
+        assert e.cur_loss <= (1.0 + 0.1) * e.bound * (1.0 + 1e-12)
         if e.restarted:
-            a = dense_adjacency(seq[e.t])
-            opt = float(np.sum((a - truncated_svd_ref(a, 4).reconstruct()) ** 2))
+            opt = _optimum(dense_adjacency(seq[e.t]), 8)
             assert e.cur_loss == pytest.approx(opt, rel=1e-8)
-            assert e.bound == pytest.approx(opt, rel=1e-8)  # fresh accumulators
+            assert e.bound == e.cur_loss
+
+
+def test_restart_fixture_steps_are_exact():
+    # r = n, so every update is a batch step: the bound is the optimum and
+    # no theta, however small, restarts
+    seq = _restart_fixture()
+    _, inc_log = plain_incremental_fold(seq, 4)
+    for theta in (0.08, 1e-9):
+        _, log, _ = rerun_svd_series(seq, 4, theta)
+        for e, inc in zip(log, inc_log):
+            opt = _optimum(dense_adjacency(seq[e.t]), 4)
+            assert not e.restarted
+            assert e.bound == e.cur_loss == pytest.approx(opt, rel=1e-8)
+            assert e.cur_loss <= inc.cur_loss
 
 
 def test_tiny_theta_restarts_every_step():
-    seq = _restart_fixture()
-    _, log, _ = rerun_svd_series(seq, 4, theta=1e-9)
+    # one migrant per step: the epoch never reaches n, so every step is a
+    # Ritz step whose certificate fails at theta = 1e-9
+    seq = _migrant_fixture(1)
+    _, log, _ = rerun_svd_series(seq, 8, theta=1e-9)
     assert all(e.restarted for e in log[1:])
     for e in log[1:]:
-        a = dense_adjacency(seq[e.t])
-        opt = float(np.sum((a - truncated_svd_ref(a, 4).reconstruct()) ** 2))
+        opt = _optimum(dense_adjacency(seq[e.t]), 8)
         assert e.cur_loss == pytest.approx(opt, rel=1e-8)
 
 
-def test_monotone_loss_dominance():
-    seq = _restart_fixture()
-    _, log_inc, _ = rerun_svd_series(seq, 4, math.inf)
-    _, log_rerun, _ = rerun_svd_series(seq, 4, theta=0.08)
+@pytest.mark.parametrize("fixture, d, theta", [("restart", 4, 0.08), ("migrants", 8, 0.1)])
+def test_monotone_loss_dominance(fixture, d, theta):
+    seq = _restart_fixture() if fixture == "restart" else _migrant_fixture(10)
+    _, log_inc, _ = rerun_svd_series(seq, d, math.inf)
+    _, log_rerun, _ = rerun_svd_series(seq, d, theta=theta)
     for t in range(len(seq)):
-        a = dense_adjacency(seq[t])
-        opt = float(np.sum((a - truncated_svd_ref(a, 4).reconstruct()) ** 2))
+        opt = _optimum(dense_adjacency(seq[t]), d)
         assert opt <= log_rerun[t].cur_loss * (1.0 + 1e-9)
         assert log_rerun[t].cur_loss <= log_inc[t].cur_loss * (1.0 + 1e-9)
 
 
 def test_restart_contract_holds_where_the_bound_is_positive():
     # criterion 2's fixture with one migrant per step: there the bound stays
-    # positive and restarts fire, so each check below can fail
-    params = SbmParams(node_num=200, community_num=2, length=10, diminish_community=1,
-                       node_change_num=1, seed=0)
-    seq = diminish_series(params).sequence
+    # positive, below the optimum, and within 1 + theta of the loss
+    seq = _migrant_fixture(1)
     _, log, _ = rerun_svd_series(seq, 8, theta=1.0)
     _, inc_log = plain_incremental_fold(seq, 8)
-    assert any(e.restarted for e in log[1:])
+    assert not any(e.restarted for e in log)
     for e, inc in zip(log, inc_log):
-        a = dense_adjacency(seq[e.t])
-        opt = float(np.sum((a - truncated_svd_ref(a, 8).reconstruct()) ** 2))
+        opt = _optimum(dense_adjacency(seq[e.t]), 8)
         assert 0.0 < e.bound <= opt * (1.0 + 1e-9)
-        if e.restarted:
-            assert e.cur_loss == pytest.approx(opt, rel=1e-9)
+        assert e.cur_loss <= (1.0 + 1.0) * e.bound
         assert e.cur_loss <= inc.cur_loss
-    assert any(e.cur_loss < inc.cur_loss for e, inc in zip(log, inc_log))
 
 
 def test_infinite_theta_is_bitwise_incremental(drift_sbm_50):
@@ -496,18 +631,17 @@ def _scaled_sequence(scales):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("scales, t", [((1e170,) * 3, 0), ((1.0, 1.0, 1e170), 2)])
 def test_overflowing_loss_is_an_error_naming_t(scales, t):
-    with pytest.raises(ValueError, match=f"t={t}: loss or perturbation norm overflows"):
+    with pytest.raises(ValueError, match=f"t={t}: loss overflows"):
         rerun_svd_series(_scaled_sequence(scales), 2, 1.0)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_overflowing_norm_is_an_error_of_the_bound():
-    # rank 1, so the rank-2 loss is a rounding error while ||A||^2 overflows
+def test_overflowing_norm_is_an_error_naming_t():
+    # rank 1, so the rank-2 loss is a rounding error, but the closed form
+    # subtracts from ||A||^2, which overflows
     g = _snapshot_from_dense(np.full((30, 30), 1e160))
-    _, _, state = optimal_svd_embed(g, 2)
-    assert math.isfinite(state.cur_loss)
-    with pytest.raises(ValueError, match="t=0: .*overflows"):
-        svd_embed.loss_lower_bound(state)
+    with pytest.raises(ValueError, match="t=3: loss overflows"):
+        optimal_svd_embed(g, 2, t=3)
 
 
 def test_tiny_weights_keep_working():
@@ -518,6 +652,15 @@ def test_tiny_weights_keep_working():
     oracle = truncated_svd_ref(a, 2)
     got = series.src_at(0) @ series.tgt_at(0).T
     assert np.max(np.abs(got - oracle.reconstruct())) <= 1e-9 * oracle.S[0]
+    # scaling by a power of two is exact, so the Ritz steps keep every
+    # direction of a change of weight 2^-560 and give the unit-scale factor
+    tiny, _, _ = rerun_svd_series(_scaled_sequence((2.0**-560,) * 3), 2, math.inf)
+    unit, unit_log, _ = rerun_svd_series(_scaled_sequence((1.0,) * 3), 2, math.inf)
+    assert not unit_log[2].bound == unit_log[2].cur_loss  # t = 2 is a Ritz step
+    for t in range(3):
+        want = unit.src_at(t) @ unit.tgt_at(t).T
+        got = np.ldexp(tiny.src_at(t) @ tiny.tgt_at(t).T, 560)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_theta_validation():
