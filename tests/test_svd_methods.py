@@ -568,15 +568,22 @@ def test_tiny_theta_restarts_every_step():
         assert e.cur_loss == pytest.approx(opt, rel=1e-8)
 
 
-@pytest.mark.parametrize("fixture, d, theta", [("restart", 4, 0.08), ("migrants", 8, 0.1)])
-def test_monotone_loss_dominance(fixture, d, theta):
-    seq = _restart_fixture() if fixture == "restart" else _migrant_fixture(10)
+def _assert_loss_dominance(seq, d, theta):
     _, log_inc, _ = rerun_svd_series(seq, d, math.inf)
     _, log_rerun, _ = rerun_svd_series(seq, d, theta=theta)
     for t in range(len(seq)):
         opt = _optimum(dense_adjacency(seq[t]), d)
         assert opt <= log_rerun[t].cur_loss * (1.0 + 1e-9)
         assert log_rerun[t].cur_loss <= log_inc[t].cur_loss * (1.0 + 1e-9)
+
+
+def test_monotone_loss_dominance():
+    _assert_loss_dominance(_restart_fixture(), 4, 0.08)
+
+
+def test_monotone_loss_dominance_with_restarts():
+    # 10 migrants per step at theta = 0.1, where restarts fire
+    _assert_loss_dominance(_migrant_fixture(10), 8, 0.1)
 
 
 def test_restart_contract_holds_where_the_bound_is_positive():
