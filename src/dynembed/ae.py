@@ -18,6 +18,7 @@ Methods built on top:
   * d2v AE     - one model over lookback windows predicting the next row.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,15 +121,18 @@ def fresh_params(input_dim: int, cfg: AeConfig, rng: Rng, output_dim: int | None
     return MlpParams(weights=weights, biases=biases, n_encoder_layers=len(cfg.enc_units) + 1)
 
 
-def _forward_activations(params: MlpParams, x: np.ndarray, n_layers: int | None = None) -> list:
-    """Input and the output of each of the first n_layers layers (all by default)."""
+def _forward_activations(params: MlpParams, x: np.ndarray, n_layers: int | None = None,
+                         out: list | None = None) -> list:
+    """Input and the output of each of the first n_layers layers (all by
+    default), written into out's arrays when given."""
     acts = [x]
     h = x
     for i in range(params.n_layers if n_layers is None else n_layers):
+        buf = None if out is None else out[i]
         if params.is_sigmoid_layer(i):
-            h = kernels.affine_sigmoid(h, params.weights[i], params.biases[i])
+            h = kernels.affine_sigmoid(h, params.weights[i], params.biases[i], out=buf)
         else:
-            h = h @ params.weights[i]
+            h = np.matmul(h, params.weights[i], out=buf)
             h += params.biases[i]
         acts.append(h)
     return acts
@@ -145,9 +149,13 @@ def reconstruct(params: MlpParams, x: np.ndarray) -> np.ndarray:
     return _forward_activations(params, np.asarray(x, dtype=np.float64))[-1]
 
 
-def _reg_terms(params: MlpParams, cfg: AeConfig) -> float:
-    l1 = sum(float(np.sum(np.abs(w))) for w in params.weights)
-    l2 = sum(float(np.sum(w * w)) for w in params.weights)
+def _reg_terms(params: MlpParams, cfg: AeConfig, ws: "_Workspace | None" = None) -> float:
+    """nu1 sum|W| + nu2 sum W^2; with ws, |W| and W^2 go through its scratch."""
+    l1 = l2 = 0.0
+    for w in params.weights:
+        buf = None if ws is None else _view(ws.scratch, w.shape)
+        l1 += float(np.sum(np.abs(w, out=buf)))
+        l2 += float(np.sum(np.multiply(w, w, out=buf)))
     return cfg.nu1 * l1 + cfg.nu2 * l2
 
 
@@ -163,41 +171,100 @@ def ae_loss(params: MlpParams, x: np.ndarray, targets: np.ndarray, cfg: AeConfig
     return kernels.weighted_sq_error(xhat, targets, cfg.beta) + _reg_terms(params, cfg)
 
 
+def _view(flat: np.ndarray, shape) -> np.ndarray:
+    """The leading entries of a flat buffer, as an array of `shape`."""
+    return flat[:math.prod(shape)].reshape(shape)
+
+
+class _Workspace:
+    """Every array one minibatch step writes, allocated once for minibatches
+    of up to `rows` rows; a minibatch of m rows uses the first m rows of each.
+
+    It holds the gathered input and target rows, each layer's activations,
+    two delta buffers that backprop alternates between, the gradients, the
+    error's beta weights, and a float and a bool scratch (the regulariser's
+    sign(W), (2 nu2) W, |W| and W^2; the mask of positive targets and the
+    finite checks). No parameter aliases any of them.
+    """
+
+    def __init__(self, params: MlpParams, rows: int):
+        widths = [w.shape[1] for w in params.weights]
+        n_in, n_out = params.weights[0].shape[0], widths[-1]
+        self.x_rows = np.empty((rows, n_in))
+        self.t_rows = np.empty((rows, n_out))
+        self.acts = [np.empty((rows, k)) for k in widths]
+        self.deltas = [np.empty(rows * max(widths)) for _ in range(2)]
+        self.grads_w = [np.empty_like(w) for w in params.weights]
+        self.grads_b = [np.empty_like(b) for b in params.biases]
+        self.beta_weights = np.empty((rows, n_out))
+        largest = max(rows * n_out, *(w.size for w in params.weights))
+        self.scratch = np.empty(largest)
+        self.mask = np.empty(largest, dtype=bool)
+
+    def gather(self, x: np.ndarray, targets: np.ndarray, idx: np.ndarray):
+        """x[idx] and targets[idx] in the row buffers; the gradient's rows
+        are the same either way. An autoencoder's targets are its inputs,
+        gathered once."""
+        m = len(idx)
+        # idx is in range; with the default mode="raise" take would copy
+        # through a temporary of its own
+        xb = np.take(x, idx, axis=0, out=self.x_rows[:m], mode="clip")
+        if targets is x:
+            return xb, xb
+        return xb, np.take(targets, idx, axis=0, out=self.t_rows[:m], mode="clip")
+
+    def all_finite(self, arrays) -> bool:
+        return all(np.isfinite(a, out=_view(self.mask, a.shape)).all() for a in arrays)
+
+
 def ae_gradient(params: MlpParams, x: np.ndarray, targets: np.ndarray, cfg: AeConfig):
     """Exact gradients of ae_loss for every weight matrix and bias.
 
     The L1 subgradient uses sign(W) with sign(0) = 0. The penalty terms are
     added into the matmul's buffer in the order of the expression
     acts.T @ delta + nu1 * sign(W) + (2 * nu2) * W, so the result is bitwise
-    that expression's.
+    that expression's. The arrays are fresh: they belong to a workspace of
+    this call alone.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-    return _gradient_and_error(params, x, targets, cfg)[:2]
+    return _gradient_and_error(params, x, targets, cfg, _Workspace(params, x.shape[0]))[:2]
 
 
-def _gradient_and_error(params: MlpParams, x: np.ndarray, targets: np.ndarray, cfg: AeConfig):
+def _gradient_and_error(params: MlpParams, x: np.ndarray, targets: np.ndarray, cfg: AeConfig,
+                        ws: _Workspace):
     """(grads_w, grads_b, err): ae_gradient's result for 2-D float64 rows,
-    and the weighted squared error of the forward pass it ran."""
-    acts = _forward_activations(params, x)
-    err = kernels.weighted_sq_error(acts[-1], targets, cfg.beta)
-    delta = kernels.weighted_error_grad(acts[-1], targets, cfg.beta)
-    grads_w = [None] * params.n_layers
-    grads_b = [None] * params.n_layers
+    and the weighted squared error of the forward pass it ran, computed in
+    ws's arrays; grads_w and grads_b are ws's gradient arrays."""
+    m = x.shape[0]
+    acts = _forward_activations(params, x, out=[a[:m] for a in ws.acts])
+    xhat = acts[-1]
+    # kernels.weighted_sq_error's (b * d) * d, in the workspace
+    pos = np.greater(targets, 0.0, out=_view(ws.mask, targets.shape))
+    sq = ws.beta_weights[:m]
+    np.copyto(sq, 1.0)
+    np.copyto(sq, cfg.beta, where=pos)
+    d = np.subtract(xhat, targets, out=_view(ws.deltas[1], xhat.shape))
+    sq *= d
+    sq *= d
+    err = float(np.sum(sq))
+    cur = 0
+    delta = kernels.weighted_error_grad(xhat, targets, cfg.beta,
+                                        out=_view(ws.deltas[cur], xhat.shape))
     for i in range(params.n_layers - 1, -1, -1):
         if params.is_sigmoid_layer(i):
-            delta = kernels.sigmoid_grad(delta, acts[i + 1])
+            delta = kernels.sigmoid_grad(delta, acts[i + 1], out=delta)
         w = params.weights[i]
-        gw = acts[i].T @ delta
-        reg = np.sign(w)
+        gw = np.matmul(acts[i].T, delta, out=ws.grads_w[i])
+        reg = np.sign(w, out=_view(ws.scratch, w.shape))
         reg *= cfg.nu1
         gw += reg
         gw += np.multiply(w, 2.0 * cfg.nu2, out=reg)
-        grads_w[i] = gw
-        grads_b[i] = delta.sum(axis=0)
+        np.sum(delta, axis=0, out=ws.grads_b[i])
         if i:
-            delta = delta @ w.T
-    return grads_w, grads_b, err
+            cur = 1 - cur
+            delta = np.matmul(delta, w.T, out=_view(ws.deltas[cur], (m, w.shape[0])))
+    return ws.grads_w, ws.grads_b, err
 
 
 @dataclass
@@ -216,6 +283,9 @@ def train_dense(x: np.ndarray, targets: np.ndarray, cfg: AeConfig, init: MlpPara
     the epoch's final weights, which would take another forward pass over
     every row.
 
+    Every minibatch runs in one workspace of this call (_Workspace), so the
+    only arrays it allocates are the sigmoid kernels' own temporaries.
+
     AeTrainingError(epoch, batch) is raised when a minibatch's weight
     gradient is non-finite, and AeTrainingError(epoch, -1) when an epoch
     ends with a non-finite weight (the penalty is then NaN, even at
@@ -231,14 +301,15 @@ def train_dense(x: np.ndarray, targets: np.ndarray, cfg: AeConfig, init: MlpPara
     else:
         params = init.copy()
     n_rows = x.shape[0]
+    ws = _Workspace(params, min(cfg.n_batch, n_rows))
     losses = []
     for epoch in range(cfg.n_iter):
         order = rng.permutation(n_rows)
         loss = 0.0
         for bi, start in enumerate(range(0, n_rows, cfg.n_batch)):
-            idx = order[start : start + cfg.n_batch]
-            gw, gb, err = _gradient_and_error(params, x[idx], targets[idx], cfg)
-            if not all(np.all(np.isfinite(g)) for g in gw):
+            xb, tb = ws.gather(x, targets, order[start : start + cfg.n_batch])
+            gw, gb, err = _gradient_and_error(params, xb, tb, cfg, ws)
+            if not ws.all_finite(gw):
                 raise AeTrainingError(epoch, bi)
             loss += err
             for i in range(params.n_layers):
@@ -246,8 +317,8 @@ def train_dense(x: np.ndarray, targets: np.ndarray, cfg: AeConfig, init: MlpPara
                 params.weights[i] -= gw[i]
                 gb[i] *= cfg.xeta
                 params.biases[i] -= gb[i]
-        loss += _reg_terms(params, cfg)
-        if not (np.isfinite(loss) and all(np.all(np.isfinite(b)) for b in params.biases)):
+        loss += _reg_terms(params, cfg, ws)
+        if not (np.isfinite(loss) and ws.all_finite(params.biases)):
             raise AeTrainingError(epoch, -1)
         losses.append(loss)
     return TrainResult(params=params, epoch_losses=losses)
@@ -259,20 +330,28 @@ def fit_snapshot(adj: np.ndarray, cfg: AeConfig, t: int, init: MlpParams | None 
     return train_dense(adj, adj, cfg, init, Rng(cfg.seed + t)).params
 
 
-def _snapshot_fold(seq: SnapshotSequence, cfg: AeConfig, warm: bool):
+def _snapshot_fold(seq: SnapshotSequence, cfg: AeConfig, warm: bool, keep=None):
     """One model per snapshot, from fresh weights or, with warm, from the
-    previous snapshot's model; returns (series, params per t)."""
+    previous snapshot's model; returns (series, models). models[t] is the
+    model of snapshot t when t is in keep or is the last t, and None
+    otherwise; keep None keeps every model. A model that is not kept is
+    dropped once the next snapshot has started from it."""
     ys, models = [], []
+    prev = None
+    last = len(seq) - 1
     for t in range(len(seq)):
         adj = dense_adjacency(seq[t])
-        models.append(fit_snapshot(adj, cfg, t, models[-1] if warm and models else None))
-        ys.append(encode(models[-1], adj))
+        model = fit_snapshot(adj, cfg, t, prev)
+        ys.append(encode(model, adj))
+        models.append(model if keep is None or t in keep or t == last else None)
+        prev = model if warm else None
     return EmbeddingSeries(y_src=ys, y_tgt=[y.copy() for y in ys]), models
 
 
-def static_ae_series(seq: SnapshotSequence, cfg: AeConfig):
-    """Independent static AE per snapshot; returns (series, params per t)."""
-    return _snapshot_fold(seq, cfg, False)
+def static_ae_series(seq: SnapshotSequence, cfg: AeConfig, keep=None):
+    """Independent static AE per snapshot; returns (series, models) as
+    _snapshot_fold keeps them."""
+    return _snapshot_fold(seq, cfg, False, keep)
 
 
 def chain_align(ys: list) -> list:
@@ -283,17 +362,17 @@ def chain_align(ys: list) -> list:
     return out
 
 
-def aealign_series(seq: SnapshotSequence, cfg: AeConfig):
+def aealign_series(seq: SnapshotSequence, cfg: AeConfig, keep=None):
     """Static AE per snapshot, then Procrustes-align each step to the last."""
-    raw, models = static_ae_series(seq, cfg)
+    raw, models = static_ae_series(seq, cfg, keep)
     aligned = chain_align(raw.y_src)
     return EmbeddingSeries(y_src=aligned, y_tgt=[y.copy() for y in aligned]), models
 
 
-def dyngem_series(seq: SnapshotSequence, cfg: AeConfig):
+def dyngem_series(seq: SnapshotSequence, cfg: AeConfig, keep=None):
     """Train t=0 from scratch, then carry weights forward as the init of each
     following snapshot."""
-    return _snapshot_fold(seq, cfg, True)
+    return _snapshot_fold(seq, cfg, True, keep)
 
 
 def build_lookback_pairs(seq: SnapshotSequence, lookback: int):

@@ -8,8 +8,10 @@ The sigmoid kernels are bitwise equal to the expression forms kept as
 oracles in ``tests/oracles.py`` (``sigmoid_ref``, ``affine_sigmoid_ref``,
 ``sigmoid_grad_ref``): they do the same IEEE operations in the same order
 and only reuse buffers, so every trained model and embedding is
-byte-identical to those forms. They never write into their arguments; the
-buffers they reuse are their own temporaries.
+byte-identical to those forms. They never write into their arguments,
+except into an `out` buffer the caller passes: the AE's training workspace
+(`ae.train_dense`) hands each minibatch's activations and deltas to them
+that way, so that its layers' arrays are allocated once per call.
 """
 
 import numpy as np
@@ -38,16 +40,18 @@ def sigmoid(z):
     return _sigmoid_inplace(np.array(z, dtype=np.float64))
 
 
-def sigmoid_grad(g, h):
-    """Backprop through sigmoid given upstream gradient g and activation h."""
-    out = g * h
+def sigmoid_grad(g, h, out=None):
+    """Backprop through sigmoid given upstream gradient g and activation h,
+    written into out when given; out may be g itself."""
+    out = np.multiply(g, h, out=out)
     out *= 1.0 - h
     return out
 
 
-def affine_sigmoid(x, w, b):
-    """sigmoid(x @ w + b) for a batch of row vectors."""
-    z = x @ w
+def affine_sigmoid(x, w, b, out=None):
+    """sigmoid(x @ w + b) for a batch of row vectors, written into out when
+    given; out must not overlap x."""
+    z = np.matmul(x, w, out=out)
     z += b
     return _sigmoid_inplace(z)
 
@@ -59,10 +63,19 @@ def weighted_sq_error(xhat, target, beta):
     return float(np.sum(w * d * d))
 
 
-def weighted_error_grad(xhat, target, beta):
-    """Gradient of weighted_sq_error with respect to xhat."""
-    w = np.where(target > 0.0, beta, 1.0)
-    return 2.0 * w * (xhat - target)
+def weighted_error_grad(xhat, target, beta, out=None):
+    """Gradient of weighted_sq_error with respect to xhat, written into out
+    when given; out must not overlap xhat or target.
+
+    This is 2 b (xhat - target) with b = beta where target > 0, else 1. The
+    factor 2 b takes two values, 2 * beta and 2, so each coordinate is one
+    product (xhat - target) * (2 b), the same IEEE operations as the
+    expression's, with a mask as the only temporary.
+    """
+    out = np.subtract(xhat, target, out=out)
+    pos = target > 0.0
+    np.multiply(out, 2.0 * beta, out=out, where=pos)
+    return np.multiply(out, 2.0, out=out, where=np.logical_not(pos, out=pos))
 
 
 def block_sample(urand, labels, p_in, p_out):

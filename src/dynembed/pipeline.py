@@ -14,6 +14,10 @@ edges touch almost every row, so the update would take the epoch's width to
 n and is the batch SVD of the train split. d2v_ae trains on windows from the whole sequence, so it alone
 retrains on the prefix ending at t for both tasks.
 
+A run keeps only the per-step state its configured tasks read
+(_kept_steps): the SVD folds one factor state, the per-snapshot AE families
+the models of those steps plus the last one, which model.txt holds.
+
 Labels and migration records read from files are checked against the
 sequence and against each other. A run first deletes the outputs an earlier
 run left in its outdir. The manifest records the resolved config, package
@@ -136,19 +140,24 @@ def _optsvd_refit(cfg, seq, series, extras, t, g):
     return y_src @ y_tgt.T
 
 
-def _static_lp_branch(cfg, seq) -> int | None:
-    """The step static LP refits from, the one before its t, when configured.
-    An out-of-range t is left for the task to reject."""
-    spec = cfg.tasks.get("static_lp")
-    return None if spec is None else _from_end(spec["t"], len(seq) - 1) - 1
+def _kept_steps(cfg, seq, tasks) -> set:
+    """The steps whose state the configured tasks among `tasks` read from
+    the run: the t of reconstruction and temporal LP, and static LP's t - 1,
+    the step its refit branches from. An out-of-range t is left for the task
+    to reject."""
+    last = len(seq) - 1
+    # task -> (the highest t it may resolve to, how far before t it reads)
+    reads = {"reconstruction": (last, 0), "temporal_lp": (last - 1, 0), "static_lp": (last, 1)}
+    return {_from_end(cfg.tasks[name]["t"], reads[name][0]) - reads[name][1]
+            for name in tasks if name in cfg.tasks}
 
 
 def _svd_fold_record(theta) -> Method:
     """The incremental SVD fold; theta(cfg) is its restart tolerance. The run
     keeps one factor state, the one static LP branches from."""
     def embed(cfg, seq):
-        series, log, state = rerun_svd_series(seq, cfg.d, theta(cfg),
-                                              keep=_static_lp_branch(cfg, seq))
+        keep = min(_kept_steps(cfg, seq, ("static_lp",)), default=None)
+        series, log, state = rerun_svd_series(seq, cfg.d, theta(cfg), keep=keep)
         return series, {"restart_log": log, "state": state}
 
     def refit(cfg, seq, series, extras, t, g):
@@ -164,20 +173,30 @@ def _svd_fold_record(theta) -> Method:
     return Method(embed=embed, scores=_svd_scores, refit=refit, forecast=_svd_scores)
 
 
+def _kept_model(extras, t: int):
+    model = extras["models"][t]
+    if model is None:
+        raise PipelineError(f"the run kept no model for t={t}")
+    return model
+
+
 def _ae_scores(cfg, seq, series, extras, t):
-    return reconstruct(extras["models"][t], dense_adjacency(seq[t]))
+    return reconstruct(_kept_model(extras, t), dense_adjacency(seq[t]))
 
 
 def _ae_record(series_fn, warm: bool = False) -> Method:
     """A static AE family; with warm, a refit starts from the run's model of
-    t - 1 (dynGEM), else from fresh weights."""
+    t - 1 (dynGEM), else from fresh weights. The run keeps the models its
+    tasks read and the last one, which model.txt holds."""
+    reads = ("reconstruction", "temporal_lp") + (("static_lp",) if warm else ())
+
     def embed(cfg, seq):
-        series, models = series_fn(seq, cfg.ae)
+        series, models = series_fn(seq, cfg.ae, keep=_kept_steps(cfg, seq, reads))
         return series, {"models": models}
 
     def refit(cfg, seq, series, extras, t, g):
         adj = dense_adjacency(g)
-        init = extras["models"][t - 1] if warm and t else None
+        init = _kept_model(extras, t - 1) if warm and t else None
         return reconstruct(fit_snapshot(adj, cfg.ae, t, init), adj)
 
     return Method(embed=embed, scores=_ae_scores, refit=refit, forecast=_ae_scores)
@@ -222,8 +241,9 @@ METHOD_TABLE = {
 def embed_series(cfg: ExperimentConfig, seq: SnapshotSequence):
     """Run the configured method; returns (series, extras). extras may hold
     'restart_log' and 'state', the factor state static LP branches from
-    (incsvd/rerunsvd), or 'models' (the AE families: one per snapshot, or
-    d2v_ae's one model)."""
+    (incsvd/rerunsvd), or 'models' (d2v_ae's one model, or per snapshot of
+    the other AE families the model its tasks read, the last one, and None
+    elsewhere)."""
     return METHOD_TABLE[cfg.method].embed(cfg, seq)
 
 

@@ -625,6 +625,10 @@ def affine_sigmoid_ref(x, w, b):
     return sigmoid_ref(x @ w + b)
 
 
+def weighted_error_grad_ref(xhat, target, beta):
+    return 2.0 * np.where(target > 0.0, beta, 1.0) * (xhat - target)
+
+
 def ae_gradient_ref(params, x, targets, cfg):
     """ae.ae_gradient with every product and sum a fresh array."""
     acts = [x]
@@ -632,7 +636,7 @@ def ae_gradient_ref(params, x, targets, cfg):
         w, b = params.weights[i], params.biases[i]
         acts.append(affine_sigmoid_ref(acts[-1], w, b) if params.is_sigmoid_layer(i)
                     else acts[-1] @ w + b)
-    delta = 2.0 * np.where(targets > 0.0, cfg.beta, 1.0) * (acts[-1] - targets)
+    delta = weighted_error_grad_ref(acts[-1], targets, cfg.beta)
     grads_w = [None] * params.n_layers
     grads_b = [None] * params.n_layers
     for i in range(params.n_layers - 1, -1, -1):

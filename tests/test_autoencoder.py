@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynembed import ae
 from dynembed.ae import (AeConfig, AeTrainingError, MlpParams,
                          ae_gradient, ae_loss,
                          aealign_series, build_lookback_pairs, chain_align,
@@ -314,15 +315,32 @@ def test_loss_trend_is_downward():
         assert losses[i + 10] <= losses[i] + 1e-6
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
+def _divergence_point(n, n_batch, nu2, xeta):
+    """(epoch, batch) at which train_dense and the reference loop each stop
+    on the two-block graph of n nodes."""
+    adj = dense_adjacency(_two_block_graph(n))
+    cfg = AeConfig(d=2, enc_units=(4,), dec_units=(4,), nu1=0.0, nu2=nu2,
+                   n_iter=200, xeta=xeta, n_batch=n_batch, seed=0)
+    with pytest.raises(AeTrainingError) as got:
+        fit_snapshot(adj, cfg, 0)
+    with pytest.raises(AeTrainingError) as want:
+        train_dense_ref(adj, adj, cfg, None, Rng(cfg.seed))
+    return (got.value.epoch, got.value.batch), (want.value.epoch, want.value.batch)
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_divergent_step_size_raises():
-    g = _two_block_graph(8)
-    cfg = AeConfig(d=2, enc_units=(4,), dec_units=(4,), nu1=0.0, nu2=1e8,
-                   n_iter=200, xeta=1e8, n_batch=8, seed=0)
-    with pytest.raises(AeTrainingError) as exc:
-        fit_snapshot(dense_adjacency(g), cfg, 0)
-    assert exc.value.epoch >= 0
-    assert exc.value.batch >= -1
+    # the parameters overflow in an epoch's last step
+    got, want = _divergence_point(8, 8, 1e8, 1e8)
+    assert got == want == (9, -1)
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_divergence_inside_an_epoch_raises_at_its_minibatch():
+    # a step overflows a weight, and a later minibatch's gradient is the
+    # first non-finite one: the finite check on the workspace's mask
+    got, want = _divergence_point(16, 4, 1.0, 1e300)
+    assert got == want == (0, 2)
 
 
 def _one_unit_model(b0):
@@ -390,6 +408,48 @@ def _assert_matches_reference_loop(x, targets, cfg, init, seed):
 @given(training_runs())
 def test_training_matches_the_reference_loop(case):
     _assert_matches_reference_loop(*case)
+
+
+@settings(max_examples=30, deadline=None)
+@given(training_runs(), training_runs())
+def test_back_to_back_trainings_match_each_run_alone(first, second):
+    # each call trains in a workspace of its own: calls of other shapes in
+    # between change no bit of a model
+    alone = [train_dense_ref(x, t, cfg, init, Rng(seed))[0]
+             for x, t, cfg, init, seed in (first, second)]
+    for (x, t, cfg, init, seed), want in zip((first, second, first), alone + alone[:1]):
+        got = train_dense(x, t, cfg, init, Rng(seed)).params
+        _assert_arrays_same_bits(got.weights + got.biases, want.weights + want.biases)
+
+
+def _arrays_of(workspace):
+    for value in vars(workspace).values():
+        yield from value if isinstance(value, list) else [value]
+
+
+def test_parameters_and_gradients_alias_no_workspace_buffer(monkeypatch):
+    made = []
+
+    class Recording(ae._Workspace):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(ae, "_Workspace", Recording)
+    x = dense_adjacency(_two_block_graph())
+    cfg = _small_cfg(n_iter=2, n_batch=5)
+    init = fresh_params(x.shape[1], cfg, Rng(4))
+    params = train_dense(x, x, cfg, init, Rng(5)).params
+    (ws,) = made
+    owned = params.weights + params.biases
+    for a in owned:
+        for b in [*_arrays_of(ws), *init.weights, *init.biases, x]:
+            assert not np.shares_memory(a, b)
+    # ae_gradient's arrays are fresh on every call
+    grads = [g for call in range(2) for part in ae_gradient(params, x, x, cfg) for g in part]
+    for i, a in enumerate(grads):
+        for b in grads[i + 1:] + owned + [x]:
+            assert not np.shares_memory(a, b)
 
 
 @pytest.mark.parametrize("case", ["d2v", "d2v_warm", "dyngem_warm"])

@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from dynembed import kernels
 
-from oracles import affine_sigmoid_ref, sigmoid_grad_ref, sigmoid_ref
+from oracles import affine_sigmoid_ref, sigmoid_grad_ref, sigmoid_ref, weighted_error_grad_ref
 
 SPECIAL = [0.0, -0.0, 745.0, -745.0, 800.0, -800.0, np.inf, -np.inf, np.nan]
 _float64s = arrays(
@@ -63,7 +63,38 @@ def test_affine_kernels_match_oracles_bitwise_and_keep_their_arguments(n, k, m, 
     z = x @ w
     z_before = z.copy()
     kernels.sigmoid(z)
+    # the out= forms give the same bits in the caller's buffer: a row block
+    # of a larger one, as a training workspace passes, and, for sigmoid_grad,
+    # the upstream gradient itself
+    block = np.full((n + 2, m), np.nan)
+    assert kernels.affine_sigmoid(x, w, b, out=block[:n]).base is block
+    _assert_same_bits(block[:n], affine_sigmoid_ref(x, w, b))
+    assert kernels.sigmoid_grad(g, h, out=block[:n]).base is block
+    _assert_same_bits(block[:n], sigmoid_grad_ref(g, h))
+    g_inplace = g.copy()
+    assert kernels.sigmoid_grad(g_inplace, h, out=g_inplace) is g_inplace
+    _assert_same_bits(g_inplace, sigmoid_grad_ref(g, h))
     for a, a0 in zip(args + [z], before + [z_before]):
+        assert np.array_equal(a.view(np.uint64), a0.view(np.uint64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(xhat=_float64s, data=st.data(), beta=st.sampled_from([1.0, 5.0, 1.1, 1e300]))
+@example(xhat=np.array(SPECIAL), data=None, beta=5.0)
+def test_weighted_error_grad_matches_oracle_bitwise(xhat, data, beta):
+    # targets of the same shape, with nonpositive, NaN and infinite entries
+    target = (np.array(SPECIAL[::-1]) if data is None else
+              data.draw(arrays(np.float64, xhat.shape, elements=st.one_of(
+                  st.sampled_from(SPECIAL), st.floats(-2.0, 2.0)))))
+    before = [xhat.copy(), target.copy()]
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = weighted_error_grad_ref(xhat, target, beta)
+        got = kernels.weighted_error_grad(xhat, target, beta)
+        out = np.full(xhat.shape, np.nan)
+        assert kernels.weighted_error_grad(xhat, target, beta, out=out) is out
+    _assert_same_bits(got, want)
+    _assert_same_bits(out, want)
+    for a, a0 in zip([xhat, target], before):
         assert np.array_equal(a.view(np.uint64), a0.view(np.uint64))
 
 

@@ -7,9 +7,11 @@ equal it bitwise for every method, and a causal method must embed the
 sequence exactly once.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +23,7 @@ from dynembed.graphs import GraphSnapshot, SnapshotSequence, dense_adjacency, sa
 from dynembed.pipeline import embed_series, prepare_data, run_experiment
 from dynembed.svd_embed import rerun_svd_series, save_restart_log
 
-from oracles import prefix_static_lp_scores, prefix_temporal_lp_scores
+from oracles import _prefix_embed, prefix_static_lp_scores, prefix_temporal_lp_scores
 
 CAUSAL = [m for m in METHODS if m != "d2v_ae"]
 LENGTH = 6
@@ -85,6 +87,99 @@ def test_static_lp_needs_the_state_the_run_kept(kept):
     spec = _cfg("rerunsvd", {"static_lp": {"t": 4}}).tasks["static_lp"]
     with pytest.raises(pipeline.PipelineError, match="kept no factor state for t=3"):
         pipeline.task_static_lp(cfg, seq, series, extras, spec)
+
+
+PER_SNAPSHOT_AE = ["ae_static", "aealign", "dyngem"]
+# tasks -> the steps whose models a run reads: (static AE and AEalign, dynGEM)
+KEPT_CASES = {
+    "none": ({}, set(), set()),
+    "reconstruction": ({"reconstruction": {"t": 1}}, {1}, {1}),
+    "temporal_lp_middle": ({"temporal_lp": {"t": 2}}, {2}, {2}),
+    # dynGEM's refit warm-starts from the model of t - 1, the others' from
+    # fresh weights
+    "static_lp_first": ({"static_lp": {"t": 0}}, set(), set()),
+    "static_lp_middle": ({"static_lp": {"t": 3}}, set(), {2}),
+    "static_lp_last": ({"static_lp": {"t": -1}}, set(), {LENGTH - 2}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KEPT_CASES))
+@pytest.mark.parametrize("method", PER_SNAPSHOT_AE)
+def test_ae_run_keeps_only_the_models_its_tasks_read(tmp_path, monkeypatch, method, case):
+    tasks, static_reads, warm_reads = KEPT_CASES[case]
+    cfg = _cfg(method, tasks, tmp_path / "kept")
+    models = embed_series(cfg, prepare_data(cfg)[0])[1]["models"]
+    reads = warm_reads if method == "dyngem" else static_reads
+    assert [t for t, m in enumerate(models) if m is not None] == sorted(reads | {LENGTH - 1})
+    kept = run_experiment(cfg)["files"]
+    # every report, model.txt and embedding is the one of a run that keeps
+    # every model
+    monkeypatch.setitem(pipeline.METHOD_TABLE, method,
+                        dataclasses.replace(pipeline.METHOD_TABLE[method], embed=_prefix_embed))
+    assert run_experiment(_cfg(method, tasks, tmp_path / "all"))["files"] == kept
+
+
+@pytest.mark.parametrize("method", PER_SNAPSHOT_AE)
+def test_ae_tasks_need_the_models_the_run_kept(method):
+    # the run keeps the models of t = 1 and of the last t; its out-of-range
+    # static LP spec is left for that task to reject
+    cfg = _cfg(method, {"temporal_lp": {"t": 1}, "static_lp": {"t": LENGTH}})
+    seq = prepare_data(cfg)[0]
+    series, extras = embed_series(cfg, seq)
+
+    def run(task, t):
+        spec = _cfg(method, {task: {"t": t}}).tasks[task]
+        return getattr(pipeline, f"task_{task}")(cfg, seq, series, extras, spec)
+
+    for task in ("reconstruction", "temporal_lp"):
+        with pytest.raises(pipeline.PipelineError, match="kept no model for t=2"):
+            run(task, 2)
+        run(task, 1)
+    if method == "dyngem":
+        with pytest.raises(pipeline.PipelineError, match="kept no model for t=2"):
+            run("static_lp", 3)
+    else:
+        run("static_lp", 3)
+    # an out-of-range t is the task's own error, before any model is read
+    for task, hi in (("reconstruction", LENGTH - 1), ("temporal_lp", LENGTH - 2),
+                     ("static_lp", LENGTH - 1)):
+        with pytest.raises(pipeline.PipelineError,
+                           match=rf"{task}: t={LENGTH} resolves to {LENGTH}, outside \[0, {hi}\]"):
+            run(task, LENGTH)
+
+
+def _embed_and_score_peak(length):
+    """tracemalloc's peak, in bytes, of a dyngem run over a sequence of
+    `length` snapshots and its reconstruction and temporal LP, with the
+    sequence built before tracing starts; and the bytes of one model."""
+    cfg = from_dict({
+        "seed": 3,
+        "data": {"sbm": {"node_num": 80, "community_num": 2, "length": length,
+                         "node_change_num": 1, "p_in": 0.3, "p_out": 0.02}},
+        "method": {"name": "dyngem", "d": 2, "enc_units": [40], "dec_units": [40],
+                   "n_iter": 1, "n_batch": 16},
+        "tasks": {"reconstruction": {}, "temporal_lp": {}},
+    })
+    seq = prepare_data(cfg)[0]
+    tracemalloc.start()
+    try:
+        series, extras = embed_series(cfg, seq)
+        for name in ("reconstruction", "temporal_lp"):
+            getattr(pipeline, f"task_{name}")(cfg, seq, series, extras, cfg.tasks[name])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    model = extras["models"][-1]
+    return peak, sum(a.nbytes for a in model.weights + model.biases)
+
+
+def test_ae_run_memory_does_not_grow_with_the_models_it_drops():
+    # numpy reports its buffers to tracemalloc. From T = 8 to T = 16 the run
+    # holds 16 more embeddings of 80 x 2 and as many models as before; one
+    # model of 80 -> 40 -> 2 -> 40 -> 80 takes 54 KB.
+    short, model_bytes = _embed_and_score_peak(8)
+    long, _ = _embed_and_score_peak(16)
+    assert long - short < 2 * model_bytes
 
 
 def _last_model(cfg, seq):
