@@ -27,7 +27,7 @@ from . import kernels
 from .graphs import SnapshotSequence, dense_adjacency
 from .numerics import procrustes_rotation
 from .rng import Rng
-from .series import EmbeddingSeries, format_matrix, format_rows
+from .series import EmbeddingSeries, write_matrix, write_rows
 
 
 class AeTrainingError(RuntimeError):
@@ -121,39 +121,41 @@ def fresh_params(input_dim: int, cfg: AeConfig, rng: Rng, output_dim: int | None
     return MlpParams(weights=weights, biases=biases, n_encoder_layers=len(cfg.enc_units) + 1)
 
 
-def _forward_activations(params: MlpParams, x: np.ndarray, n_layers: int | None = None,
-                         out: list | None = None) -> list:
-    """Input and the output of each of the first n_layers layers (all by
-    default), written into out's arrays when given."""
-    acts = [x]
+def _layer(params: MlpParams, i: int, h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Output of layer i for its input rows h, written into out when given."""
+    if params.is_sigmoid_layer(i):
+        return kernels.affine_sigmoid(h, params.weights[i], params.biases[i], out=out)
+    z = np.matmul(h, params.weights[i], out=out)
+    z += params.biases[i]
+    return z
+
+
+def _forward(params: MlpParams, x: np.ndarray, n_layers: int | None = None) -> np.ndarray:
+    """Output of the first n_layers layers (all by default). Only the
+    current layer's input and output are held: each input is dropped once
+    its layer's output exists."""
     h = x
     for i in range(params.n_layers if n_layers is None else n_layers):
-        buf = None if out is None else out[i]
-        if params.is_sigmoid_layer(i):
-            h = kernels.affine_sigmoid(h, params.weights[i], params.biases[i], out=buf)
-        else:
-            h = np.matmul(h, params.weights[i], out=buf)
-            h += params.biases[i]
-        acts.append(h)
-    return acts
+        h = _layer(params, i, h)
+    return h
 
 
 def encode(params: MlpParams, x: np.ndarray) -> np.ndarray:
     """Embedding-layer output for a batch of row vectors."""
-    x = np.asarray(x, dtype=np.float64)
-    return _forward_activations(params, x, params.n_encoder_layers)[-1]
+    return _forward(params, np.asarray(x, dtype=np.float64), params.n_encoder_layers)
 
 
 def reconstruct(params: MlpParams, x: np.ndarray) -> np.ndarray:
     """Decoder output for a batch of row vectors."""
-    return _forward_activations(params, np.asarray(x, dtype=np.float64))[-1]
+    return _forward(params, np.asarray(x, dtype=np.float64))
 
 
 def _reg_terms(params: MlpParams, cfg: AeConfig, ws: "_Workspace | None" = None) -> float:
-    """nu1 sum|W| + nu2 sum W^2; with ws, |W| and W^2 go through its scratch."""
+    """nu1 sum|W| + nu2 sum W^2; with ws, |W| and W^2 go through its
+    gradient buffer."""
     l1 = l2 = 0.0
     for w in params.weights:
-        buf = None if ws is None else _view(ws.scratch, w.shape)
+        buf = None if ws is None else _view(ws.grad_w, w.shape)
         l1 += float(np.sum(np.abs(w, out=buf)))
         l2 += float(np.sum(np.multiply(w, w, out=buf)))
     return cfg.nu1 * l1 + cfg.nu2 * l2
@@ -165,7 +167,7 @@ def ae_loss(params: MlpParams, x: np.ndarray, targets: np.ndarray, cfg: AeConfig
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     if x.shape[0] != targets.shape[0]:
         raise ValueError("input/target row counts differ")
-    xhat = _forward_activations(params, x)[-1]
+    xhat = _forward(params, x)
     if xhat.shape != targets.shape:
         raise ValueError(f"target width {targets.shape[1]} != output {xhat.shape[1]}")
     return kernels.weighted_sq_error(xhat, targets, cfg.beta) + _reg_terms(params, cfg)
@@ -176,15 +178,27 @@ def _view(flat: np.ndarray, shape) -> np.ndarray:
     return flat[:math.prod(shape)].reshape(shape)
 
 
+# weight-gradient cells per block of rows that the regulariser, the finite
+# check and the step run through together
+_STEP_CELLS = 1 << 14
+
+
+def _block_rows(w: np.ndarray) -> int:
+    """Rows per block of w: _STEP_CELLS cells, or one row where a row is wider."""
+    return max(1, _STEP_CELLS // max(1, w.shape[1]))
+
+
 class _Workspace:
     """Every array one minibatch step writes, allocated once for minibatches
     of up to `rows` rows; a minibatch of m rows uses the first m rows of each.
 
     It holds the gathered input and target rows, each layer's activations,
-    two delta buffers that backprop alternates between, the gradients, the
-    error's beta weights, and a float and a bool scratch (the regulariser's
-    sign(W), (2 nu2) W, |W| and W^2; the mask of positive targets and the
-    finite checks). No parameter aliases any of them.
+    two delta buffers that backprop alternates between, one weight and one
+    bias gradient sized to the largest layer (one layer's gradient is live
+    at a time), the error's beta weights, and a float and a bool scratch of
+    one row block (the regulariser's sign(W) and (2 nu2) W; the mask of
+    positive targets and the finite checks). No parameter aliases any of
+    them.
     """
 
     def __init__(self, params: MlpParams, rows: int):
@@ -194,12 +208,12 @@ class _Workspace:
         self.t_rows = np.empty((rows, n_out))
         self.acts = [np.empty((rows, k)) for k in widths]
         self.deltas = [np.empty(rows * max(widths)) for _ in range(2)]
-        self.grads_w = [np.empty_like(w) for w in params.weights]
-        self.grads_b = [np.empty_like(b) for b in params.biases]
+        self.grad_w = np.empty(max(w.size for w in params.weights))
+        self.grad_b = np.empty(max(widths))
         self.beta_weights = np.empty((rows, n_out))
-        largest = max(rows * n_out, *(w.size for w in params.weights))
-        self.scratch = np.empty(largest)
-        self.mask = np.empty(largest, dtype=bool)
+        block = max(min(w.shape[0], _block_rows(w)) * w.shape[1] for w in params.weights)
+        self.scratch = np.empty(block)
+        self.mask = np.empty(max(rows * n_out, block, max(widths)), dtype=bool)
 
     def gather(self, x: np.ndarray, targets: np.ndarray, idx: np.ndarray):
         """x[idx] and targets[idx] in the row buffers; the gradient's rows
@@ -223,21 +237,41 @@ def ae_gradient(params: MlpParams, x: np.ndarray, targets: np.ndarray, cfg: AeCo
     The L1 subgradient uses sign(W) with sign(0) = 0. The penalty terms are
     added into the matmul's buffer in the order of the expression
     acts.T @ delta + nu1 * sign(W) + (2 * nu2) * W, so the result is bitwise
-    that expression's. The arrays are fresh: they belong to a workspace of
-    this call alone.
+    that expression's. The arrays are fresh: _backprop's blocks are copied
+    into them.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-    return _gradient_and_error(params, x, targets, cfg, _Workspace(params, x.shape[0]))[:2]
+    grads_w = [np.empty_like(w) for w in params.weights]
+    grads_b = [np.empty_like(b) for b in params.biases]
+
+    def copy_w(i, rows, g):
+        grads_w[i][rows] = g
+
+    def copy_b(i, g):
+        grads_b[i][:] = g
+
+    _backprop(params, x, targets, cfg, _Workspace(params, x.shape[0]), copy_w, copy_b)
+    return grads_w, grads_b
 
 
-def _gradient_and_error(params: MlpParams, x: np.ndarray, targets: np.ndarray, cfg: AeConfig,
-                        ws: _Workspace):
-    """(grads_w, grads_b, err): ae_gradient's result for 2-D float64 rows,
-    and the weighted squared error of the forward pass it ran, computed in
-    ws's arrays; grads_w and grads_b are ws's gradient arrays."""
+def _backprop(params: MlpParams, x: np.ndarray, targets: np.ndarray, cfg: AeConfig,
+              ws: _Workspace, take_w, take_b) -> float:
+    """Backpropagate the 2-D float64 rows x against targets in ws's arrays;
+    returns the weighted squared error of the forward pass it ran.
+
+    From the last layer down, once layer i's gradient is complete and the
+    delta of layer i - 1 has been formed from the current W_i, it is handed
+    over: take_w(i, rows, g) for each block of rows (_block_rows) of W_i,
+    with g ae_gradient's gradient of W_i[rows], then take_b(i, g) with the
+    gradient of b_i. Either may step layer i's parameters in place, since
+    nothing below layer i reads them; g lives in ws and is overwritten
+    after the call.
+    """
     m = x.shape[0]
-    acts = _forward_activations(params, x, out=[a[:m] for a in ws.acts])
+    acts = [x]
+    for i, out in enumerate(ws.acts):
+        acts.append(_layer(params, i, acts[-1], out=out[:m]))
     xhat = acts[-1]
     # kernels.weighted_sq_error's (b * d) * d, in the workspace
     pos = np.greater(targets, 0.0, out=_view(ws.mask, targets.shape))
@@ -255,16 +289,22 @@ def _gradient_and_error(params: MlpParams, x: np.ndarray, targets: np.ndarray, c
         if params.is_sigmoid_layer(i):
             delta = kernels.sigmoid_grad(delta, acts[i + 1], out=delta)
         w = params.weights[i]
-        gw = np.matmul(acts[i].T, delta, out=ws.grads_w[i])
-        reg = np.sign(w, out=_view(ws.scratch, w.shape))
-        reg *= cfg.nu1
-        gw += reg
-        gw += np.multiply(w, 2.0 * cfg.nu2, out=reg)
-        np.sum(delta, axis=0, out=ws.grads_b[i])
+        gw = np.matmul(acts[i].T, delta, out=_view(ws.grad_w, w.shape))
+        gb = np.sum(delta, axis=0, out=ws.grad_b[:w.shape[1]])
         if i:
             cur = 1 - cur
             delta = np.matmul(delta, w.T, out=_view(ws.deltas[cur], (m, w.shape[0])))
-    return ws.grads_w, ws.grads_b, err
+        per_block = _block_rows(w)
+        for lo in range(0, w.shape[0], per_block):
+            rows = slice(lo, lo + per_block)
+            g, wr = gw[rows], w[rows]
+            reg = np.sign(wr, out=_view(ws.scratch, g.shape))
+            reg *= cfg.nu1
+            g += reg
+            g += np.multiply(wr, 2.0 * cfg.nu2, out=reg)
+            take_w(i, rows, g)
+        take_b(i, gb)
+    return err
 
 
 @dataclass
@@ -284,15 +324,18 @@ def train_dense(x: np.ndarray, targets: np.ndarray, cfg: AeConfig, init: MlpPara
     every row.
 
     Every minibatch runs in one workspace of this call (_Workspace), so the
-    only arrays it allocates are the sigmoid kernels' own temporaries.
+    only arrays it allocates are the sigmoid kernels' own temporaries. Each
+    layer is stepped as soon as its gradient is complete (_backprop), one
+    block of rows at a time, so only one layer's gradient is ever held.
 
     AeTrainingError(epoch, batch) is raised when a minibatch's weight
     gradient is non-finite, and AeTrainingError(epoch, -1) when an epoch
     ends with a non-finite weight (the penalty is then NaN, even at
-    nu1 = nu2 = 0) or bias. A model whose parameters are finite but whose
-    forward pass overflows is caught by the next minibatch's gradient check;
-    after the last epoch, only by the caller (EmbeddingSeries rejects a
-    non-finite embedding).
+    nu1 = nu2 = 0) or bias. The blocks checked before the non-finite one
+    have been stepped by then, but only in this call's copy of init. A
+    model whose parameters are finite but whose forward pass overflows is
+    caught by the next minibatch's gradient check; after the last epoch,
+    only by the caller (EmbeddingSeries rejects a non-finite embedding).
     """
     x = np.asarray(x, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
@@ -302,21 +345,26 @@ def train_dense(x: np.ndarray, targets: np.ndarray, cfg: AeConfig, init: MlpPara
         params = init.copy()
     n_rows = x.shape[0]
     ws = _Workspace(params, min(cfg.n_batch, n_rows))
+
+    def step_w(i, rows, g):
+        # epoch and bi are those of the minibatch the loop below is at
+        if not ws.all_finite([g]):
+            raise AeTrainingError(epoch, bi)
+        g *= cfg.xeta
+        w = params.weights[i][rows]
+        w -= g
+
+    def step_b(i, g):
+        g *= cfg.xeta
+        params.biases[i] -= g
+
     losses = []
     for epoch in range(cfg.n_iter):
         order = rng.permutation(n_rows)
         loss = 0.0
         for bi, start in enumerate(range(0, n_rows, cfg.n_batch)):
             xb, tb = ws.gather(x, targets, order[start : start + cfg.n_batch])
-            gw, gb, err = _gradient_and_error(params, xb, tb, cfg, ws)
-            if not ws.all_finite(gw):
-                raise AeTrainingError(epoch, bi)
-            loss += err
-            for i in range(params.n_layers):
-                gw[i] *= cfg.xeta
-                params.weights[i] -= gw[i]
-                gb[i] *= cfg.xeta
-                params.biases[i] -= gb[i]
+            loss += _backprop(params, xb, tb, cfg, ws, step_w, step_b)
         loss += _reg_terms(params, cfg, ws)
         if not (np.isfinite(loss) and ws.all_finite(params.biases)):
             raise AeTrainingError(epoch, -1)
@@ -417,8 +465,10 @@ def d2v_ae_series(seq: SnapshotSequence, cfg: AeConfig):
 
 def save_mlp_params(params: MlpParams, path) -> None:
     """Text model format: layer count, then per layer `rows cols`, the weight
-    rows, and the bias row; encoder layers first."""
+    rows, and the bias row; encoder layers first. Each matrix is written
+    block by block (series.write_rows)."""
     with open(path, "wb") as fh:
         fh.write(b"%d\n" % params.n_layers)
         for w, b in zip(params.weights, params.biases):
-            fh.write(format_matrix(w) + format_rows(b[None, :]))
+            write_matrix(fh, w)
+            write_rows(fh, b[None, :])

@@ -133,8 +133,9 @@ def _pair_array(pairs) -> np.ndarray:
     return flat.reshape(-1, 2)
 
 
-# cells per block of rows that MAP sorts at once, to bound its temporaries
-_BLOCK_CELLS = 1 << 18
+# cells per block of rows that MAP sorts at once, so that each of its
+# temporaries stays near 256 KiB
+_BLOCK_CELLS = 1 << 15
 
 
 def _cell_keys(sp: ScoredPairs, n: int) -> np.ndarray:

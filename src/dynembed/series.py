@@ -13,6 +13,8 @@ the same float64). It works on whole blocks of values with exact integer
 arithmetic; see the comment above _layout_tables. Embeddings, models,
 projections and the restart log all go through it, and the tests hold each
 of those files byte for byte to the per-value writers in tests/oracles.py.
+write_rows and write_matrix write the same text to a file one block at a
+time; the embedding and model files are written that way.
 """
 
 import os
@@ -85,7 +87,9 @@ class EmbeddingSeries:
 # Every other value (zero, -0, subnormals, exponent form, |x| >= 1e15, the
 # misses) is formatted by Python's "%.17g" itself and spliced in.
 
-_BLOCK = 1 << 14  # values per block, so that temporaries stay a few MB
+# values per block; a block's temporaries take about 160 bytes per value,
+# about 2.5 MiB here
+_BLOCK = 1 << 14
 _U = np.uint64
 _P10 = 10.0 ** np.arange(23)  # exact in float64
 _P5 = np.array([5**k for k in range(23)], dtype=np.uint64)
@@ -153,9 +157,9 @@ def _digits8(v: np.ndarray) -> np.ndarray:
     return hi | ((v - hi * _U(10)) << _U(8))
 
 
-def _format_block(x: np.ndarray, newline: np.ndarray) -> bytearray:
-    """Each x as "%.17g" text, then a space, or a newline where newline is 1."""
-    n = x.shape[0]
+def _significands(x: np.ndarray):
+    """(dec, e10, fast): the 17-digit decimal significand D and exponent X
+    of each |x|, and whether x takes the fast path."""
     ax = np.abs(x)
     fast = (ax >= 1e-4) & (ax < 1e15)
     ax[~fast] = 1.0  # keeps every intermediate below in range
@@ -174,8 +178,14 @@ def _format_block(x: np.ndarray, newline: np.ndarray) -> bytearray:
     rem = diff & ((half << _U(1)) - _U(1))
     dec = floor + (rem + (floor & _U(1)) > half)  # round half to even
     fast &= (dec - _U(10**16)) < _U(9 * 10**16)  # 10^16 <= dec < 10^17
+    return dec, e10, fast
 
-    # the 17 digits: dec = d0 * 10^16 + hi * 10^8 + lo
+
+def _digit_words(dec: np.ndarray):
+    """(digits, last): the 17 digits of each dec as ASCII in 3 little-endian
+    words, and the index of the last nonzero one."""
+    n = dec.shape[0]
+    # dec = d0 * 10^16 + hi * 10^8 + lo
     head = dec // _U(10**8)
     d0 = head // _U(10**8)
     parts = _digits8(np.concatenate([head - d0 * _U(10**8), dec - head * _U(10**8)]))
@@ -190,6 +200,16 @@ def _format_block(x: np.ndarray, newline: np.ndarray) -> bytearray:
     digits = np.stack([(d0 | _U(0x30)) | (parts[:n] << _U(8)),
                        (parts[:n] >> _U(56)) | (parts[n:] << _U(8)),
                        parts[n:] >> _U(56)])
+    return digits, last
+
+
+def _format_block(x: np.ndarray, newline: np.ndarray) -> bytearray:
+    """Each x as "%.17g" text, then a space, or a newline where newline is 1."""
+    n = x.shape[0]
+    # two functions of their own, so that the intermediates of each step
+    # are freed when it returns: that halves the block's peak memory
+    dec, e10, fast = _significands(x)
+    digits, last = _digit_words(dec)
 
     neg = np.signbit(x)
     key = (((e10 + 5) * 2 + neg) * 17 + last) * 2 + newline
@@ -210,30 +230,42 @@ def _format_block(x: np.ndarray, newline: np.ndarray) -> bytearray:
     return out.translate(None, b"\0")
 
 
-def format_rows(m: np.ndarray) -> bytes:
-    """One line per row of m, its entries as "%.17g" joined by spaces."""
+def _text_blocks(m: np.ndarray):
+    """format_rows(m), one block of _BLOCK values at a time."""
     m = np.asarray(m, dtype=np.float64)
     rows, cols = m.shape
     if cols == 0:
-        return b"\n" * rows
+        yield b"\n" * rows
+        return
     flat = m.ravel()
-    out = []
     for i in range(0, flat.size, _BLOCK):
         x = flat[i:i + _BLOCK]
         newline = np.zeros(x.size, dtype=np.int64)
         newline[cols - 1 - i % cols::cols] = 1
-        out.append(_format_block(x, newline))
-    return b"".join(out)
+        yield _format_block(x, newline)
 
 
-def format_matrix(m: np.ndarray) -> bytes:
-    """A `rows cols` header line, then format_rows(m)."""
-    return b"%d %d\n" % m.shape + format_rows(m)
+def format_rows(m: np.ndarray) -> bytes:
+    """One line per row of m, its entries as "%.17g" joined by spaces."""
+    return b"".join(_text_blocks(m))
+
+
+def write_rows(fh, m: np.ndarray) -> None:
+    """format_rows(m) written to the binary file fh block by block, so that
+    only one block's text is held at a time."""
+    for text in _text_blocks(m):
+        fh.write(text)
+
+
+def write_matrix(fh, m: np.ndarray) -> None:
+    """A `rows cols` header line, then write_rows(fh, m)."""
+    fh.write(b"%d %d\n" % m.shape)
+    write_rows(fh, m)
 
 
 def _write_matrix(path, m: np.ndarray) -> None:
     with open(path, "wb") as fh:
-        fh.write(format_matrix(m))
+        write_matrix(fh, m)
 
 
 def _read_matrix(path) -> np.ndarray:

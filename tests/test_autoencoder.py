@@ -7,6 +7,7 @@ two-sided limit there.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynembed import ae
+from dynembed import ae, series
 from dynembed.ae import (AeConfig, AeTrainingError, MlpParams,
                          ae_gradient, ae_loss,
                          aealign_series, build_lookback_pairs, chain_align,
@@ -27,6 +28,7 @@ from dynembed.graphs import GraphSnapshot, SnapshotSequence, dense_adjacency
 from dynembed.pipeline import METHOD_TABLE
 from dynembed.rng import Rng
 from dynembed.sbm import generate_sbm_snapshot
+from dynembed.series import format_rows
 
 from oracles import (ae_gradient_ref, fd_gradient, load_mlp_params, random_orthogonal,
                      save_mlp_params_ref, train_dense_ref, train_epoch_ref)
@@ -343,6 +345,33 @@ def test_divergence_inside_an_epoch_raises_at_its_minibatch():
     assert got == want == (0, 2)
 
 
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_divergence_below_a_stepped_layer_raises_at_its_minibatch():
+    # input -> 1 (identity) -> 1 (sigmoid). The rows of 1e308 meet only
+    # W_0[0], which no other row moves from 0, so the forward pass stays
+    # finite; but they overflow layer 0's gradient x.T @ delta, while the
+    # last layer's stays finite. So the second minibatch steps the last
+    # layer before it finds layer 0's gradient non-finite.
+    cfg = AeConfig(d=1, enc_units=(), dec_units=(), nu1=0.0, nu2=0.0, n_iter=3,
+                   xeta=1e-3, n_batch=2, seed=0)
+    x = np.array([[0.0, 1.0], [0.0, 0.5], [1e308, 0.0], [1e308, 0.0], [0.0, 1.0]])
+    targets = np.array([[1.0], [0.0], [1.0], [0.0], [1.0]])
+    init = MlpParams(weights=[np.zeros((2, 1)), np.array([[4.0]])],
+                     biases=[np.array([0.1]), np.zeros(1)], n_encoder_layers=1)
+    before = init.copy()
+    gw, gb = ae_gradient(init, x[2:4], targets[2:4], cfg)
+    assert not np.all(np.isfinite(gw[0]))
+    assert all(np.all(np.isfinite(g)) for g in gw[1:] + gb)
+    rng_seed = 2  # minibatches: rows (4, 0), then (2, 1), then (3,)
+    assert Rng(rng_seed).permutation(5)[:4].tolist() == [4, 0, 2, 1]
+    with pytest.raises(AeTrainingError) as got:
+        train_dense(x, targets, cfg, init, Rng(rng_seed))
+    with pytest.raises(AeTrainingError) as want:
+        train_dense_ref(x, targets, cfg, init, Rng(rng_seed))
+    assert (got.value.epoch, got.value.batch) == (want.value.epoch, want.value.batch) == (0, 1)
+    _assert_arrays_same_bits(init.weights + init.biases, before.weights + before.biases)
+
+
 def _one_unit_model(b0):
     """input -> 1 (identity) -> 1 (sigmoid) with zero weights and embedding
     bias b0, so that only the last layer's weight (when b0 != 0) and bias
@@ -400,8 +429,7 @@ def _assert_matches_reference_loop(x, targets, cfg, init, seed):
     _assert_arrays_same_bits(got.params.weights + got.params.biases,
                              params.weights + params.biases)
     assert len(got.epoch_losses) == len(losses) == cfg.n_iter
-    for a, b in zip(got.epoch_losses, losses):
-        assert a == pytest.approx(b, rel=1e-12, abs=0.0)
+    assert got.epoch_losses == losses
 
 
 @settings(max_examples=100, deadline=None)
@@ -450,6 +478,50 @@ def test_parameters_and_gradients_alias_no_workspace_buffer(monkeypatch):
     for i, a in enumerate(grads):
         for b in grads[i + 1:] + owned + [x]:
             assert not np.shares_memory(a, b)
+
+
+def _traced_peak(fn, *args):
+    """(result of fn(*args), the most bytes it had allocated at once beyond
+    what was allocated before the call), as tracemalloc counts them; numpy
+    reports its array buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_training_holds_one_layer_of_gradient_not_a_model():
+    # beyond its result and the workspace's activations, a training run
+    # holds less than one model's weights: one layer's gradient, a row
+    # block of scratch, the deltas and the gathered rows
+    cfg = AeConfig(d=4, enc_units=(80, 80, 80), dec_units=(80, 80, 80), n_iter=2,
+                   n_batch=8, nu1=1e-6, nu2=1e-6, seed=0)
+    x = (np.random.default_rng(0).random((40, 60)) < 0.3).astype(np.float64)
+    init = fresh_params(60, cfg, Rng(1))
+    result, peak = _traced_peak(train_dense, x, x, cfg, init, Rng(2))
+    weight_bytes = sum(w.nbytes for w in init.weights)
+    result_bytes = sum(a.nbytes for a in result.params.weights + result.params.biases)
+    activation_bytes = 8 * cfg.n_batch * sum(w.shape[1] for w in init.weights)
+    assert peak - result_bytes - activation_bytes < weight_bytes
+
+
+def test_reconstruct_holds_two_consecutive_layers():
+    # widest layers next to each other: 200 -> 200 -> 200
+    cfg = AeConfig(d=4, enc_units=(200, 200, 200), dec_units=(200, 200, 200))
+    params = fresh_params(40, cfg, Rng(3))
+    x = np.random.default_rng(4).random((300, 40))
+    out, peak = _traced_peak(reconstruct, params, x)
+    assert out.shape == x.shape
+    dims = [40, 200, 200, 200, 4, 200, 200, 200, 40]
+    # a layer's input and output, plus the sigmoid's 1 + e temporary and
+    # its sign mask; 80 KiB for numpy's casting buffer (8192 values) and
+    # small objects
+    bound = max(x.shape[0] * (8 * a + 17 * b) for a, b in zip(dims, dims[1:])) + 80 * 1024
+    assert peak <= bound < 8 * x.shape[0] * sum(dims[1:])
 
 
 @pytest.mark.parametrize("case", ["d2v", "d2v_warm", "dyngem_warm"])
@@ -672,3 +744,21 @@ def test_model_load_rejects_bad_shapes(tmp_path):
     path.write_text("1\n2 2\n0 0\n0 0\n0\n")  # bias row too short
     with pytest.raises(ValueError, match="shape mismatch"):
         load_mlp_params(path, 1)
+
+
+B = series._BLOCK
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (1, B + 3), (B // 7 + 1, 7), (3, B // 3 + 1)])
+def test_model_writer_streams_the_joined_text(tmp_path, shape):
+    # value counts that are not a multiple of the block, so blocks end
+    # inside rows and the last one is short
+    rows, cols = shape
+    rng = np.random.default_rng(rows + cols)
+    params = MlpParams(weights=[rng.normal(size=(rows, cols)), rng.normal(size=(cols, rows))],
+                       biases=[rng.normal(size=cols), rng.normal(size=rows)],
+                       n_encoder_layers=1)
+    save_mlp_params(params, tmp_path / "model.txt")
+    want = b"2\n" + b"".join(b"%d %d\n" % w.shape + format_rows(w) + format_rows(b[None, :])
+                             for w, b in zip(params.weights, params.biases))
+    assert (tmp_path / "model.txt").read_bytes() == want

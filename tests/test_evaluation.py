@@ -297,6 +297,22 @@ def test_reconstruction_report_matches_reference_bytes_on_saturated_scores():
     assert got.to_json() == want.to_json()
 
 
+@pytest.mark.parametrize("n, seed", [(250, 0), (300, 1), (517, 2)])
+def test_row_aps_blocks_match_one_block(monkeypatch, n, seed):
+    # keys with ties among the finite ones, +inf off the candidates, and rows
+    # without true edges; the AP of a row must not depend on its block
+    rng = np.random.default_rng(seed)
+    keys = -np.round(rng.random((n, n)), 2)
+    keys[rng.random((n, n)) < 0.3] = np.inf
+    hits = (rng.random((n, n)) < 0.1) & (keys < np.inf)
+    n_true = hits.sum(axis=1) + rng.integers(0, 3, n) * (rng.random(n) < 0.8)
+    assert evaluation._BLOCK_CELLS // n < np.count_nonzero(n_true)  # more than one block
+    blocked = evaluation._row_aps(keys, hits, n_true)
+    monkeypatch.setattr(evaluation, "_BLOCK_CELLS", keys.size)
+    whole = evaluation._row_aps(keys, hits, n_true)
+    assert np.array_equal(blocked.view(np.uint64), whole.view(np.uint64))
+
+
 def test_reports_ignore_non_finite_scores_off_the_candidates():
     g = generate_sbm_snapshot(np.repeat([0, 1], 8), 0.5, 0.1, Rng(25))
     train, hidden = static_lp_split(g, 0.3, Rng(26))
