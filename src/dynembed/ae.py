@@ -427,18 +427,14 @@ def build_lookback_pairs(seq: SnapshotSequence, lookback: int):
     """Training pairs for the lookback model.
 
     For every node u and window end tau in [lookback-1, T-2], the input is
-    the concatenation of u's adjacency rows over the window and the target is
-    u's row at tau+1. Rows are grouped by window end, nodes in order.
+    u's row of window_inputs(seq, tau, lookback) and the target is u's row
+    at tau+1. Rows are grouped by window end, nodes in order.
     """
-    t_total = len(seq)
-    if t_total < lookback + 1:
-        raise ValueError(f"need at least lookback+1={lookback + 1} snapshots, have {t_total}")
-    dense = [dense_adjacency(g) for g in seq]
-    xs, ts = [], []
-    for tau in range(lookback - 1, t_total - 1):
-        xs.append(np.hstack(dense[tau - lookback + 1 : tau + 1]))
-        ts.append(dense[tau + 1])
-    return np.vstack(xs), np.vstack(ts)
+    if len(seq) < lookback + 1:
+        raise ValueError(f"need at least lookback+1={lookback + 1} snapshots, have {len(seq)}")
+    ends = range(lookback - 1, len(seq) - 1)
+    return (np.vstack([window_inputs(seq, tau, lookback) for tau in ends]),
+            np.vstack([dense_adjacency(seq[tau + 1]) for tau in ends]))
 
 
 def window_inputs(seq: SnapshotSequence, t_end: int, lookback: int) -> np.ndarray:

@@ -1,23 +1,30 @@
 """Experiment configuration: one JSON file drives generate/embed/evaluate.
 
 Exactly one data source (inline SBM parameters or a snapshot file), one
-method tag, and a task table. Validation errors name the offending field so
-the CLI can exit with a config failure rather than a runtime one.
+method tag, and a task table. Each section has one field table (TOP_FIELDS,
+DATA_FIELDS, SBM_FIELDS, METHOD_FIELDS, and TASKS per task) that declares a
+field's check and default once; _read fills in the default of an absent or
+null field and rejects a key its table does not name. Validation errors
+name the offending field so the CLI can exit with a config failure rather
+than a runtime one.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .ae import AeConfig
 from .sbm import SbmParams
 
-SVD_METHODS = ("optsvd", "incsvd", "rerunsvd")
-AE_METHODS = ("ae_static", "aealign", "dyngem", "d2v_ae")
-METHODS = SVD_METHODS + AE_METHODS
-TASKS = ("reconstruction", "static_lp", "temporal_lp", "classification",
-         "migration_stat", "projection")
+# The fields of the autoencoder methods' training (AeConfig) a config sets.
+_AE_FIELDS = ("beta", "nu1", "nu2", "enc_units", "dec_units", "n_iter", "xeta", "n_batch")
+# method -> the method fields it reads besides d, the ones resolved() records
+METHODS = {"optsvd": (), "incsvd": (), "rerunsvd": ("theta",),
+           "ae_static": _AE_FIELDS, "aealign": _AE_FIELDS, "dyngem": _AE_FIELDS,
+           "d2v_ae": _AE_FIELDS + ("lookback",)}
+AE_METHODS = tuple(name for name, reads in METHODS.items() if set(_AE_FIELDS) <= set(reads))
 
 DEFAULT_K_GRID = [10, 100, 1000]
+REQUIRED = object()  # the default of a field that has none
 
 
 class ConfigError(ValueError):
@@ -26,24 +33,87 @@ class ConfigError(ValueError):
         self.field = field_name
 
 
-def _require(raw: dict, key: str, kind, where: str):
-    if key not in raw:
-        raise ConfigError(f"{where}.{key}" if where else key, "missing")
-    value = raw[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    bad = not isinstance(value, bool) if kind is bool \
-        else not isinstance(value, kind) or isinstance(value, bool)
-    if bad:
-        raise ConfigError(f"{where}.{key}" if where else key,
-                          f"expected {kind.__name__}, got {type(value).__name__}")
-    return value
+def _kind(kind, test=None, rule: str = ""):
+    """The check that a value is a `kind` and, if given, passes test (else
+    fails with rule). An int passes as a float, and only a bool as a bool."""
+    def check(value):
+        if kind is float and type(value) is int:
+            value = float(value)
+        if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
+            raise ValueError(f"expected {kind.__name__}, got {type(value).__name__}")
+        if test is not None and not test(value):
+            raise ValueError(rule)
+        return value
+    return check
 
 
-def _optional(raw: dict, key: str, kind, default, where: str):
-    if key not in raw or raw[key] is None:
-        return default
-    return _require(raw, key, kind, where)
+def _positive_ints(normal):
+    """The check of a non-empty list of ints >= 1, which it hands to normal."""
+    def check(value):
+        if not isinstance(value, (list, tuple)) or not value or not all(
+                type(v) is int and v >= 1 for v in value):
+            raise ValueError("expected a non-empty list of ints >= 1")
+        return normal(value)
+    return check
+
+
+def _theta(value) -> float:
+    if value in ("inf", "Infinity"):
+        return float("inf")
+    if type(value) not in (int, float):
+        raise ValueError("expected a number or 'inf'")
+    if not value > 0:
+        raise ValueError("must be > 0")
+    return float(value)
+
+
+_FRACTION = _kind(float, lambda v: 0 < v < 1, "must be in (0, 1)")
+_T = {"t": (_kind(int), -1)}  # negative counts back from the last snapshot
+_K_GRID = {"k_grid": (_positive_ints(lambda k: sorted(set(k))), DEFAULT_K_GRID)}
+# task -> its fields: name -> (check, default)
+TASKS = {
+    "reconstruction": {**_T, **_K_GRID},
+    "static_lp": {**_T, **_K_GRID, "hide_fraction": (_FRACTION, 0.2)},
+    "temporal_lp": {**_T, **_K_GRID, "mode": (
+        _kind(str, lambda v: v in ("all", "new"), "expected 'all' or 'new'"), "all")},
+    "classification": {**_T, "train_frac": (_FRACTION, 0.5)},
+    # false: migrants of step t, embeddings at t (arrival view);
+    # true: migrants of step t+1, embeddings at t (anticipation view)
+    "migration_stat": {**_T, "anticipate": (_kind(bool), False)},
+    "projection": _T,
+}
+
+
+def _read(raw, fields: dict, where: str, **defaults) -> dict:
+    """The section `where` of a config, by its field table `fields` (name ->
+    (check, default)): a field that is absent or null takes its default (a
+    keyword here replaces the table's), and every field is checked. A key
+    the table does not name is an error."""
+    if not isinstance(raw, dict):
+        raise ConfigError(where or "<root>", "expected an object")
+    prefix = f"{where}." if where else ""
+    for key in raw:
+        if key not in fields:
+            raise ConfigError(prefix + key, "unknown field")
+    section = {}
+    for key, (check, default) in fields.items():
+        value = raw.get(key)
+        if value is None:
+            value = defaults.get(key, default)
+        if value is REQUIRED:
+            raise ConfigError(prefix + key, "missing")
+        try:
+            section[key] = None if value is None else check(value)
+        except ValueError as exc:
+            raise ConfigError(prefix + key, str(exc)) from exc
+    return section
+
+
+def _build(cls, where: str, fields: dict):
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise ConfigError(where, str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -58,6 +128,9 @@ class DataSource:
     def __post_init__(self):
         if (self.sbm is None) == (self.snapshots_path is None):
             raise ConfigError("data", "exactly one of 'sbm' or 'snapshots' required")
+        if self.sbm is not None and (self.labels_path, self.migrations_path) != (None, None):
+            raise ConfigError("data", "'labels' and 'migrations' go with 'snapshots'; "
+                              "SBM data makes its own")
 
 
 @dataclass(frozen=True)
@@ -85,29 +158,15 @@ class ExperimentConfig:
         Excludes outdir so the digest and manifest are location-independent.
         """
         if self.data.sbm is not None:
-            p = self.data.sbm
-            data = {"sbm": {
-                "node_num": p.node_num, "community_num": p.community_num,
-                "length": p.length, "diminish_community": p.diminish_community,
-                "node_change_num": p.node_change_num,
-                "p_in": p.p_in, "p_out": p.p_out, "seed": p.seed,
-            }}
+            data = {"sbm": asdict(self.data.sbm)}
         else:
             data = {"snapshots": self.data.snapshots_path,
                     "labels": self.data.labels_path,
                     "migrations": self.data.migrations_path}
+        values = {"theta": self.theta, **asdict(self.ae)}
         method = {"name": self.method, "d": self.d}
-        if self.method == "rerunsvd":
-            method["theta"] = self.theta
-        if self.method in AE_METHODS:
-            a = self.ae
-            method.update({
-                "beta": a.beta, "nu1": a.nu1, "nu2": a.nu2,
-                "enc_units": list(a.enc_units), "dec_units": list(a.dec_units),
-                "n_iter": a.n_iter, "xeta": a.xeta, "n_batch": a.n_batch,
-            })
-        if self.method == "d2v_ae":
-            method["lookback"] = self.ae.lookback
+        for key in METHODS[self.method]:
+            method[key] = list(values[key]) if isinstance(values[key], tuple) else values[key]
         return {
             "seed": self.seed,
             "data": data,
@@ -116,137 +175,58 @@ class ExperimentConfig:
         }
 
 
-def _parse_sbm(raw: dict, seed: int) -> SbmParams:
-    where = "data.sbm"
-    kwargs = dict(
-        node_num=_require(raw, "node_num", int, where),
-        community_num=_require(raw, "community_num", int, where),
-        length=_require(raw, "length", int, where),
-        diminish_community=_optional(raw, "diminish_community", int, 1, where),
-        node_change_num=_require(raw, "node_change_num", int, where),
-        p_in=_optional(raw, "p_in", float, 0.1, where),
-        p_out=_optional(raw, "p_out", float, 0.01, where),
-        seed=_optional(raw, "seed", int, seed, where),
-    )
-    try:
-        return SbmParams(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(where, str(exc)) from exc
-
-
-def _parse_tasks(raw: dict) -> dict:
-    tasks = {}
-    for name, params in raw.items():
-        if name not in TASKS:
-            raise ConfigError(f"tasks.{name}", f"unknown task; expected one of {', '.join(TASKS)}")
-        if params is None:
-            params = {}
-        if not isinstance(params, dict):
-            raise ConfigError(f"tasks.{name}", "expected an object of task parameters")
-        where = f"tasks.{name}"
-        spec = {"t": _optional(params, "t", int, -1, where)}
-        if name in ("reconstruction", "static_lp", "temporal_lp"):
-            grid = _optional(params, "k_grid", list, list(DEFAULT_K_GRID), where)
-            if not grid or not all(isinstance(k, int) and not isinstance(k, bool) and k >= 1 for k in grid):
-                raise ConfigError(f"{where}.k_grid", "expected a non-empty list of ints >= 1")
-            spec["k_grid"] = sorted(set(grid))
-        if name == "static_lp":
-            frac = _optional(params, "hide_fraction", float, 0.2, where)
-            if not 0 < frac < 1:
-                raise ConfigError(f"{where}.hide_fraction", "must be in (0, 1)")
-            spec["hide_fraction"] = frac
-        if name == "temporal_lp":
-            mode = _optional(params, "mode", str, "all", where)
-            if mode not in ("all", "new"):
-                raise ConfigError(f"{where}.mode", "expected 'all' or 'new'")
-            spec["mode"] = mode
-        if name == "classification":
-            frac = _optional(params, "train_frac", float, 0.5, where)
-            if not 0 < frac < 1:
-                raise ConfigError(f"{where}.train_frac", "must be in (0, 1)")
-            spec["train_frac"] = frac
-        if name == "migration_stat":
-            # false: migrants of step t, embeddings at t (arrival view);
-            # true: migrants of step t+1, embeddings at t (anticipation view)
-            spec["anticipate"] = _optional(params, "anticipate", bool, False, where)
-        for key in params:
-            if key not in spec:
-                raise ConfigError(f"{where}.{key}", "unknown parameter")
-        tasks[name] = spec
-    return tasks
+# The field tables of the other sections: name -> (check, default).
+TOP_FIELDS = {
+    "seed": (_kind(int), ExperimentConfig.seed),
+    "outdir": (_kind(str), ExperimentConfig.outdir),
+    "data": (_kind(dict), REQUIRED),
+    "method": (_kind(dict), REQUIRED),
+    "tasks": (_kind(dict), {}),
+}
+DATA_FIELDS = {"sbm": (_kind(dict), None), "snapshots": (_kind(str), None),
+               "labels": (_kind(str), None), "migrations": (_kind(str), None)}
+SBM_FIELDS = {
+    "node_num": (_kind(int), REQUIRED),
+    "community_num": (_kind(int), REQUIRED),
+    "length": (_kind(int), REQUIRED),
+    "diminish_community": (_kind(int), 1),
+    "node_change_num": (_kind(int), REQUIRED),
+    "p_in": (_kind(float), SbmParams.p_in),
+    "p_out": (_kind(float), SbmParams.p_out),
+    "seed": (_kind(int), REQUIRED),  # from_dict passes the config's seed
+}
+METHOD_FIELDS = {
+    "name": (_kind(str), REQUIRED),
+    "d": (_kind(int, lambda v: v >= 1, "must be >= 1"), ExperimentConfig.d),
+    "theta": (_theta, ExperimentConfig.theta),
+    "beta": (_kind(float), AeConfig.beta),
+    "nu1": (_kind(float), AeConfig.nu1),
+    "nu2": (_kind(float), AeConfig.nu2),
+    "enc_units": (_positive_ints(tuple), AeConfig.enc_units),
+    "dec_units": (_positive_ints(tuple), AeConfig.dec_units),
+    "n_iter": (_kind(int), AeConfig.n_iter),
+    "xeta": (_kind(float), AeConfig.xeta),
+    "n_batch": (_kind(int), AeConfig.n_batch),
+    "lookback": (_kind(int), AeConfig.lookback),
+}
 
 
 def from_dict(raw: dict) -> ExperimentConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("<root>", "top-level JSON value must be an object")
-    known = {"seed", "outdir", "data", "method", "tasks"}
-    for key in raw:
-        if key not in known:
-            raise ConfigError(key, "unknown field")
-    seed = _optional(raw, "seed", int, 0, "")
-    outdir = _optional(raw, "outdir", str, ".", "")
-
-    data_raw = _require(raw, "data", dict, "")
-    sbm = None
-    snapshots = labels = migrations = None
-    if "sbm" in data_raw and "snapshots" in data_raw:
-        raise ConfigError("data", "exactly one of 'sbm' or 'snapshots' required")
-    if "sbm" in data_raw:
-        sbm = _parse_sbm(_require(data_raw, "sbm", dict, "data"), seed)
-    elif "snapshots" in data_raw:
-        snapshots = _require(data_raw, "snapshots", str, "data")
-        labels = _optional(data_raw, "labels", str, None, "data")
-        migrations = _optional(data_raw, "migrations", str, None, "data")
-    else:
-        raise ConfigError("data", "exactly one of 'sbm' or 'snapshots' required")
-    data = DataSource(sbm=sbm, snapshots_path=snapshots, labels_path=labels,
-                      migrations_path=migrations)
-
-    method_raw = _require(raw, "method", dict, "")
-    name = _require(method_raw, "name", str, "method")
-    if name not in METHODS:
-        raise ConfigError("method.name", f"unknown method {name!r}; "
-                          f"expected one of {', '.join(METHODS)}")
-    d = _optional(method_raw, "d", int, 128, "method")
-    if d < 1:
-        raise ConfigError("method.d", "must be >= 1")
-    theta_raw = method_raw.get("theta")
-    if theta_raw is None:
-        theta = 0.1
-    elif isinstance(theta_raw, str) and theta_raw in ("inf", "Infinity"):
-        theta = float("inf")
-    elif isinstance(theta_raw, (int, float)) and not isinstance(theta_raw, bool):
-        theta = float(theta_raw)
-    else:
-        raise ConfigError("method.theta", "expected a number or 'inf'")
-    if theta <= 0:
-        raise ConfigError("method.theta", "must be > 0")
-
-    ae_kwargs = dict(d=d, seed=seed)
-    for key, kind in (("beta", float), ("nu1", float), ("nu2", float),
-                      ("n_iter", int), ("xeta", float), ("n_batch", int),
-                      ("lookback", int)):
-        if key in method_raw and method_raw[key] is not None:
-            ae_kwargs[key] = _require(method_raw, key, kind, "method")
-    for key in ("enc_units", "dec_units"):
-        if key in method_raw and method_raw[key] is not None:
-            units = _require(method_raw, key, list, "method")
-            if not units or not all(isinstance(u, int) and not isinstance(u, bool) and u >= 1 for u in units):
-                raise ConfigError(f"method.{key}", "expected a non-empty list of ints >= 1")
-            ae_kwargs[key] = tuple(units)
-    try:
-        ae = AeConfig(**ae_kwargs)
-    except ValueError as exc:
-        raise ConfigError("method", str(exc)) from exc
-    known_method = {"name", "d", "theta", "beta", "nu1", "nu2", "n_iter", "xeta",
-                    "n_batch", "lookback", "enc_units", "dec_units"}
-    for key in method_raw:
-        if key not in known_method:
-            raise ConfigError(f"method.{key}", "unknown field")
-
-    tasks = _parse_tasks(_optional(raw, "tasks", dict, {}, ""))
-    return ExperimentConfig(data=data, method=name, seed=seed, outdir=outdir,
-                            d=d, theta=theta, ae=ae, tasks=tasks)
+    top = _read(raw, TOP_FIELDS, "")
+    data = _read(top["data"], DATA_FIELDS, "data")
+    sbm = data["sbm"]
+    if sbm is not None:
+        sbm = _build(SbmParams, "data.sbm", _read(sbm, SBM_FIELDS, "data.sbm", seed=top["seed"]))
+    method = _read(top["method"], METHOD_FIELDS, "method")
+    name, theta = method.pop("name"), method.pop("theta")
+    # an unknown task is ExperimentConfig's to reject
+    tasks = {task: _read({} if spec is None else spec, TASKS.get(task, {}), f"tasks.{task}")
+             for task, spec in top["tasks"].items()}
+    return ExperimentConfig(
+        data=DataSource(sbm=sbm, snapshots_path=data["snapshots"],
+                        labels_path=data["labels"], migrations_path=data["migrations"]),
+        method=name, seed=top["seed"], outdir=top["outdir"], d=method["d"], theta=theta,
+        ae=_build(AeConfig, "method", {**method, "seed": top["seed"]}), tasks=tasks)
 
 
 def read_raw(path) -> dict:

@@ -1,9 +1,10 @@
 """End-to-end experiment pipeline: data, embeddings, task reports, manifest.
 
-METHOD_TABLE, one record per method, is the only place that reads the method
-name. SVD methods score pair (u, v) as Y_src[u] . Y_tgt[v], static AE methods
-by the decoded adjacency rows, and d2v_ae by the decoded prediction of the
-window ending at t-1, so it needs t >= lookback.
+METHOD_TABLE holds, one record per method, what the pipeline does by method;
+config.METHODS holds the method fields each method reads. SVD methods score
+pair (u, v) as Y_src[u] . Y_tgt[v], static AE methods by the decoded
+adjacency rows, and d2v_ae by the decoded prediction of the window ending at
+t-1, so it needs t >= lookback.
 
 Every task reads the method's one run. All methods but d2v_ae are causal
 folds, whose state at t has seen nothing after t: temporal link prediction
@@ -140,15 +141,21 @@ def _optsvd_refit(cfg, seq, series, extras, t, g):
     return y_src @ y_tgt.T
 
 
+# task -> (how far before the last snapshot its highest t lies, how far
+# before its t it reads the run's state)
+RUN_READS = {"reconstruction": (0, 0), "temporal_lp": (1, 0), "static_lp": (0, 1)}
+
+
+def _highest_t(seq, task: str) -> int:
+    return len(seq) - 1 - RUN_READS[task][0]
+
+
 def _kept_steps(cfg, seq, tasks) -> set:
     """The steps whose state the configured tasks among `tasks` read from
     the run: the t of reconstruction and temporal LP, and static LP's t - 1,
     the step its refit branches from. An out-of-range t is left for the task
     to reject."""
-    last = len(seq) - 1
-    # task -> (the highest t it may resolve to, how far before t it reads)
-    reads = {"reconstruction": (last, 0), "temporal_lp": (last - 1, 0), "static_lp": (last, 1)}
-    return {_from_end(cfg.tasks[name]["t"], reads[name][0]) - reads[name][1]
+    return {_from_end(cfg.tasks[name]["t"], _highest_t(seq, name)) - RUN_READS[name][1]
             for name in tasks if name in cfg.tasks}
 
 
@@ -260,8 +267,9 @@ def _resolve_t(spec_t: int, lo: int, hi: int, what: str) -> int:
     return t
 
 
-def _task_t(cfg: ExperimentConfig, spec: dict, what: str, last: int) -> int:
-    return _resolve_t(spec["t"], METHOD_TABLE[cfg.method].first_t(cfg), last, what)
+def _task_t(cfg: ExperimentConfig, seq: SnapshotSequence, spec: dict, task: str) -> int:
+    """The t of a task in RUN_READS, from the method's first_t to its highest t."""
+    return _resolve_t(spec["t"], METHOD_TABLE[cfg.method].first_t(cfg), _highest_t(seq, task), task)
 
 
 def _prefix(seq: SnapshotSequence, t: int, last: GraphSnapshot | None = None) -> SnapshotSequence:
@@ -275,20 +283,20 @@ def _eval_meta(cfg: ExperimentConfig) -> dict:
 
 
 def task_reconstruction(cfg, seq, series, extras, spec) -> EvalReport:
-    t = _task_t(cfg, spec, "reconstruction", len(seq) - 1)
+    t = _task_t(cfg, seq, spec, "reconstruction")
     scores = METHOD_TABLE[cfg.method].scores(cfg, seq, series, extras, t)
     return reconstruction_eval(scores, seq[t], spec["k_grid"], **_eval_meta(cfg))
 
 
 def task_static_lp(cfg, seq, series, extras, spec) -> EvalReport:
-    t = _task_t(cfg, spec, "static_lp", len(seq) - 1)
+    t = _task_t(cfg, seq, spec, "static_lp")
     train, hidden = static_lp_split(seq[t], spec["hide_fraction"], Rng(cfg.seed + 101))
     scores = METHOD_TABLE[cfg.method].refit(cfg, seq, series, extras, t, train)
     return static_lp_eval(scores, train, hidden, spec["k_grid"], **_eval_meta(cfg))
 
 
 def task_temporal_lp(cfg, seq, series, extras, spec) -> EvalReport:
-    t = _task_t(cfg, spec, "temporal_lp", len(seq) - 2)
+    t = _task_t(cfg, seq, spec, "temporal_lp")
     scores = METHOD_TABLE[cfg.method].forecast(cfg, seq, series, extras, t)
     return temporal_lp_eval(scores, seq, t, spec["k_grid"], mode=spec["mode"],
                             **_eval_meta(cfg))
