@@ -7,6 +7,7 @@ failure, 2 configuration failure.
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .config import ConfigError, apply_overrides, from_dict, read_raw
@@ -20,16 +21,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write dynamic SBM snapshot/label/migration files")
-    gen.add_argument("--nodes", type=int, required=True, help="number of nodes")
-    gen.add_argument("--communities", type=int, required=True, help="number of communities")
+    # each flag's dest is its SbmParams field, and SbmParams gives the defaults
+    gen.add_argument("--nodes", dest="node_num", type=int, required=True, help="number of nodes")
+    gen.add_argument("--communities", dest="community_num", type=int, required=True,
+                     help="number of communities")
     gen.add_argument("--length", type=int, required=True, help="number of snapshots")
-    gen.add_argument("--migrate", type=int, required=True,
+    gen.add_argument("--migrate", dest="node_change_num", type=int, required=True,
                      help="nodes leaving the diminishing community per step")
-    gen.add_argument("--diminish", type=int, default=1,
-                     help="index of the diminishing community (default 1)")
-    gen.add_argument("--p-in", type=float, default=0.1, help="within-community edge probability")
-    gen.add_argument("--p-out", type=float, default=0.01, help="between-community edge probability")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--diminish", dest="diminish_community", type=int,
+                     default=SbmParams.diminish_community,
+                     help="index of the diminishing community (default %(default)s)")
+    gen.add_argument("--p-in", type=float, default=SbmParams.p_in,
+                     help="within-community edge probability (default %(default)s)")
+    gen.add_argument("--p-out", type=float, default=SbmParams.p_out,
+                     help="between-community edge probability (default %(default)s)")
+    gen.add_argument("--seed", type=int, default=SbmParams.seed,
+                     help="generator seed (default %(default)s)")
     gen.add_argument("--outdir", default=".")
     gen.set_defaults(func=cmd_generate)
 
@@ -51,11 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_generate(args) -> int:
     try:
-        params = SbmParams(
-            node_num=args.nodes, community_num=args.communities, length=args.length,
-            diminish_community=args.diminish, node_change_num=args.migrate,
-            p_in=args.p_in, p_out=args.p_out, seed=args.seed,
-        )
+        params = SbmParams(**{f.name: getattr(args, f.name) for f in fields(SbmParams)})
     except ValueError as exc:
         print(f"error: invalid SBM parameters: {exc}", file=sys.stderr)
         return 2

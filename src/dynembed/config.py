@@ -10,7 +10,7 @@ than a runtime one.
 """
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 from .ae import AeConfig
 from .sbm import SbmParams
@@ -24,7 +24,7 @@ METHODS = {"optsvd": (), "incsvd": (), "rerunsvd": ("theta",),
 AE_METHODS = tuple(name for name, reads in METHODS.items() if set(_AE_FIELDS) <= set(reads))
 
 DEFAULT_K_GRID = [10, 100, 1000]
-REQUIRED = object()  # the default of a field that has none
+REQUIRED = MISSING  # the default of a field that has none, as in a dataclass
 
 
 class ConfigError(ValueError):
@@ -135,11 +135,14 @@ class DataSource:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment. `d` and `seed` are its only embedding dimension and seed:
+    an `ae` passed in has its `d` and `seed` replaced by them."""
+
     data: DataSource
     method: str
     seed: int = 0
     outdir: str = "."
-    d: int = 128
+    d: int = AeConfig.d
     theta: float = 0.1
     ae: AeConfig = field(default_factory=AeConfig)
     tasks: dict = field(default_factory=dict)
@@ -151,6 +154,7 @@ class ExperimentConfig:
         for name in self.tasks:
             if name not in TASKS:
                 raise ConfigError(f"tasks.{name}", f"unknown task; expected one of {', '.join(TASKS)}")
+        object.__setattr__(self, "ae", replace(self.ae, d=self.d, seed=self.seed))
 
     def resolved(self) -> dict:
         """Fully resolved, canonical dict (defaults filled in).
@@ -185,16 +189,8 @@ TOP_FIELDS = {
 }
 DATA_FIELDS = {"sbm": (_kind(dict), None), "snapshots": (_kind(str), None),
                "labels": (_kind(str), None), "migrations": (_kind(str), None)}
-SBM_FIELDS = {
-    "node_num": (_kind(int), REQUIRED),
-    "community_num": (_kind(int), REQUIRED),
-    "length": (_kind(int), REQUIRED),
-    "diminish_community": (_kind(int), 1),
-    "node_change_num": (_kind(int), REQUIRED),
-    "p_in": (_kind(float), SbmParams.p_in),
-    "p_out": (_kind(float), SbmParams.p_out),
-    "seed": (_kind(int), REQUIRED),  # from_dict passes the config's seed
-}
+# data.sbm is SbmParams field for field, with its defaults
+SBM_FIELDS = {f.name: (_kind(f.type), f.default) for f in fields(SbmParams)}
 METHOD_FIELDS = {
     "name": (_kind(str), REQUIRED),
     "d": (_kind(int, lambda v: v >= 1, "must be >= 1"), ExperimentConfig.d),
@@ -216,17 +212,18 @@ def from_dict(raw: dict) -> ExperimentConfig:
     data = _read(top["data"], DATA_FIELDS, "data")
     sbm = data["sbm"]
     if sbm is not None:
+        # the SBM seed defaults to the config's
         sbm = _build(SbmParams, "data.sbm", _read(sbm, SBM_FIELDS, "data.sbm", seed=top["seed"]))
     method = _read(top["method"], METHOD_FIELDS, "method")
-    name, theta = method.pop("name"), method.pop("theta")
-    # an unknown task is ExperimentConfig's to reject
-    tasks = {task: _read({} if spec is None else spec, TASKS.get(task, {}), f"tasks.{task}")
-             for task, spec in top["tasks"].items()}
+    name, d, theta = method.pop("name"), method.pop("d"), method.pop("theta")
+    # an unknown task is ExperimentConfig's to reject, so its spec goes unread
+    tasks = {task: _read({} if spec is None else spec, TASKS[task], f"tasks.{task}")
+             if task in TASKS else spec for task, spec in top["tasks"].items()}
     return ExperimentConfig(
         data=DataSource(sbm=sbm, snapshots_path=data["snapshots"],
                         labels_path=data["labels"], migrations_path=data["migrations"]),
-        method=name, seed=top["seed"], outdir=top["outdir"], d=method["d"], theta=theta,
-        ae=_build(AeConfig, "method", {**method, "seed": top["seed"]}), tasks=tasks)
+        method=name, seed=top["seed"], outdir=top["outdir"], d=d, theta=theta,
+        ae=_build(AeConfig, "method", method), tasks=tasks)
 
 
 def read_raw(path) -> dict:

@@ -29,8 +29,8 @@ class SbmParams:
     node_num: int
     community_num: int
     length: int
-    diminish_community: int
     node_change_num: int
+    diminish_community: int = 1
     p_in: float = 0.1
     p_out: float = 0.01
     seed: int = 0

@@ -8,6 +8,8 @@ import json
 import math
 import os
 import random
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -42,6 +44,28 @@ def _sbm_config(tmp_path, outdir, **method_fields):
 
 
 # --- generate ----------------------------------------------------------------
+
+
+def _quick_start():
+    """README's Quick start: its shell commands, each split into argv, and
+    its experiment.json."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Quick start", 1)[1].split("\n## ", 1)[0]
+    shell = re.search(r"```sh\n(.*?)```", section, re.S).group(1).replace("\\\n", " ")
+    config = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+    return [shlex.split(line) for line in shell.splitlines() if line.strip()], config
+
+
+def test_readme_quick_start_generates_the_data_its_run_generates(tmp_path, monkeypatch):
+    # generate and the run's data.sbm must agree on every default they share
+    commands, config = _quick_start()
+    assert [argv[:2] for argv in commands] == [["dynembed", "generate"], ["dynembed", "run"]]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "experiment.json").write_text(json.dumps(config))
+    for argv in commands:
+        assert main(argv[1:]) == 0
+    for name in ("snapshots.txt", "labels.txt", "migrations.txt"):
+        assert (tmp_path / "data" / name).read_bytes() == (tmp_path / "results" / name).read_bytes()
 
 
 def test_generate_writes_loadable_files(tmp_path, capsys):

@@ -3,11 +3,15 @@ resolved canonical form that feeds digests and manifests."""
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
-from dynembed.config import (ConfigError, DEFAULT_K_GRID, apply_overrides,
-                             from_dict, from_file)
+from dynembed.ae import AeConfig
+from dynembed.config import (ConfigError, DataSource, DEFAULT_K_GRID, ExperimentConfig,
+                             apply_overrides, from_dict, from_file)
+from dynembed.pipeline import run_experiment
+from dynembed.sbm import SbmParams
 
 
 def _minimal(method="optsvd", **method_fields):
@@ -75,6 +79,20 @@ def test_full_scale_reference_config_parses():
     assert cfg.data.sbm.node_num == 1000
 
 
+def test_config_owns_d_and_seed(tmp_path):
+    # an ae passed in, here with d 128 and seed 0, trains at the config's d and seed
+    data = DataSource(sbm=SbmParams(node_num=20, community_num=2, length=3,
+                                    diminish_community=1, node_change_num=1))
+    cfg = ExperimentConfig(data=data, method="dyngem", d=16, seed=5,
+                           outdir=str(tmp_path), ae=AeConfig(n_iter=1))
+    assert cfg.ae.d == 16 and cfg.ae.seed == 5
+    assert replace(cfg, seed=9).ae.seed == 9
+    assert replace(cfg, d=3).ae.d == 3
+    run_experiment(cfg)
+    with open(tmp_path / "emb_t0.src", encoding="utf-8") as fh:
+        assert fh.readline().split() == ["20", "16"]
+
+
 # --- validation --------------------------------------------------------------
 
 
@@ -93,6 +111,13 @@ def test_unknown_fields_are_named():
     raw["tasks"] = {"clustering": {}}
     with pytest.raises(ConfigError, match="tasks.clustering"):
         from_dict(raw)
+
+    # an unknown task is named as a task, not by the first field of its spec
+    raw = _minimal()
+    raw["tasks"] = {"clustering": {"k": 3}}
+    with pytest.raises(ConfigError, match="unknown task") as exc:
+        from_dict(raw)
+    assert exc.value.field == "tasks.clustering"
 
     raw = _minimal()
     raw["tasks"] = {"reconstruction": {"threshold": 3}}

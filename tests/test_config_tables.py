@@ -2,14 +2,18 @@
 the names config and pipeline share agree, and the resolved form (hence
 every manifest and config digest) is pinned byte for byte."""
 
+import dataclasses
 import json
 
 import pytest
 
 from dynembed import pipeline
-from dynembed.cli import main
-from dynembed.config import METHODS, TASKS, ConfigError, from_dict
+from dynembed.ae import AeConfig
+from dynembed.cli import build_parser, main
+from dynembed.config import (METHOD_FIELDS, METHODS, REQUIRED, SBM_FIELDS, TASKS, TOP_FIELDS,
+                             ConfigError, ExperimentConfig, from_dict)
 from dynembed.pipeline import config_digest
+from dynembed.sbm import SbmParams
 
 SBM = {"node_num": 20, "community_num": 2, "length": 3, "node_change_num": 1}
 FILES = {"snapshots": "graphs.txt", "labels": "labels.txt", "migrations": "moves.txt"}
@@ -67,6 +71,41 @@ def test_cli_rejects_a_misspelt_sbm_field(tmp_path, capsys):
     assert main(["run", "--config", str(config), "--set", "data.sbm.p_inn=0.3"]) == 2
     assert "config field 'data.sbm.p_inn': unknown field" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# --- one owner per default ----------------------------------------------------
+
+
+def _dataclass_defaults(*classes) -> dict:
+    """name -> default of every field of classes; a name that more than one
+    class has takes the first one's default."""
+    defaults = {}
+    for cls in reversed(classes):
+        for f in dataclasses.fields(cls):
+            factory = f.default_factory
+            defaults[f.name] = f.default if factory is dataclasses.MISSING else factory()
+    return defaults
+
+
+@pytest.mark.parametrize("table,classes", [
+    (TOP_FIELDS, (ExperimentConfig,)),
+    (METHOD_FIELDS, (ExperimentConfig, AeConfig)),
+    (SBM_FIELDS, (SbmParams,)),
+], ids=["top", "method", "sbm"])
+def test_field_table_defaults_are_the_dataclass_defaults(table, classes):
+    owners = _dataclass_defaults(*classes)
+    mirrored = [key for key, (_, default) in table.items()
+                if key in owners and default is not REQUIRED]
+    assert mirrored
+    for key in mirrored:
+        assert table[key][1] == owners[key], key
+
+
+def test_generate_flags_default_to_sbm_params():
+    args = build_parser().parse_args(["generate", "--nodes", "20", "--communities", "2",
+                                      "--length", "3", "--migrate", "1"])
+    for key in ("diminish_community", "p_in", "p_out", "seed"):
+        assert getattr(args, key) == getattr(SbmParams, key), key
 
 
 # --- names two modules know ---------------------------------------------------
