@@ -86,7 +86,7 @@ def _has_duplicate(pairs: np.ndarray) -> bool:
 @dataclass
 class EvalReport:
     task: str
-    method: str
+    method: str = ""
     seed: int = 0
     config_digest: str = ""
     mode: str | None = None
@@ -284,29 +284,25 @@ def _ranking_report(scores: np.ndarray, truth: GraphSnapshot, pairs: np.ndarray,
     return report
 
 
-def reconstruction_eval(scores: np.ndarray, g: GraphSnapshot, k_grid, method: str = "",
-                        seed: int = 0, config_digest: str = "") -> EvalReport:
+def reconstruction_eval(scores: np.ndarray, g: GraphSnapshot, k_grid) -> EvalReport:
     """Rank all ordered non-diagonal pairs against the snapshot's own edges."""
     if scores.shape != (g.n, g.n):
         raise ValueError("score matrix shape mismatch")
     pairs = candidate_pairs(g.n)
-    return _ranking_report(scores, g, pairs, k_grid, task="reconstruction",
-                           method=method, seed=seed, config_digest=config_digest)
+    return _ranking_report(scores, g, pairs, k_grid, task="reconstruction")
 
 
-def static_lp_eval(scores: np.ndarray, train: GraphSnapshot, hidden: GraphSnapshot, k_grid,
-                   method: str = "", seed: int = 0, config_digest: str = "") -> EvalReport:
+def static_lp_eval(scores: np.ndarray, train: GraphSnapshot, hidden: GraphSnapshot,
+                   k_grid) -> EvalReport:
     """Rank non-edges of the train graph against the hidden edges."""
     if scores.shape != (train.n, train.n):
         raise ValueError("score matrix shape mismatch")
     pairs = candidate_pairs(train.n, exclude=train)
-    return _ranking_report(scores, hidden, pairs, k_grid, task="static_lp",
-                           method=method, seed=seed, config_digest=config_digest)
+    return _ranking_report(scores, hidden, pairs, k_grid, task="static_lp")
 
 
 def temporal_lp_eval(scores: np.ndarray, seq: SnapshotSequence, t: int, k_grid,
-                     mode: str = "all", method: str = "", seed: int = 0,
-                     config_digest: str = "") -> EvalReport:
+                     mode: str = "all") -> EvalReport:
     """Score pairs at t+1 from a model that saw snapshots up to t.
 
     mode="all": truth is every edge of G_{t+1}, candidates all u != v.
@@ -326,8 +322,7 @@ def temporal_lp_eval(scores: np.ndarray, seq: SnapshotSequence, t: int, k_grid,
         new = edge_delta(g_t, g_next).added
         truth, exclude = GraphSnapshot(g_t.n, new["u"], new["v"], new["w"]), g_t
     pairs = candidate_pairs(g_t.n, exclude=exclude)
-    return _ranking_report(scores, truth, pairs, k_grid, task="temporal_lp", mode=mode,
-                           method=method, seed=seed, config_digest=config_digest)
+    return _ranking_report(scores, truth, pairs, k_grid, task="temporal_lp", mode=mode)
 
 
 def _stratified_split(labels: np.ndarray, train_frac: float, rng: Rng):

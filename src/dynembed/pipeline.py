@@ -6,14 +6,15 @@ pair (u, v) as Y_src[u] . Y_tgt[v], static AE methods by the decoded
 adjacency rows, and d2v_ae by the decoded prediction of the window ending at
 t-1, so it needs t >= lookback.
 
-Every task reads the method's one run. All methods but d2v_ae are causal
-folds, whose state at t has seen nothing after t: temporal link prediction
-scores snapshot t from the run, and static link prediction takes one step
-from the run's state at t-1 onto the train split of G_t (at t = 0, a fresh
-start). For the SVD folds that step is usually a batch step: the hidden
-edges touch almost every row, so the update would take the epoch's width to
-n and is the batch SVD of the train split. d2v_ae trains on windows from the whole sequence, so it alone
-retrains on the prefix ending at t for both tasks.
+Every task, task_<name>(cfg, run, spec), reads the method's one Run. All
+methods but d2v_ae are causal folds, whose state at t has seen nothing after
+t: temporal link prediction scores snapshot t from the run, and static link
+prediction takes one step from the run's state at t-1 onto the train split
+of G_t (at t = 0, a fresh start). For the SVD folds that step is usually a
+batch step: the hidden edges touch almost every row, so the update would
+take the epoch's width to n and is the batch SVD of the train split. d2v_ae
+trains on windows from the whole sequence, so it alone retrains on the
+prefix ending at t for both tasks.
 
 A run keeps only the per-step state its configured tasks read
 (_kept_steps): the SVD folds one factor state, the per-snapshot AE families
@@ -40,15 +41,15 @@ from . import __version__, svd_embed
 from .ae import aealign_series, d2v_ae_series, dyngem_series, fit_snapshot, reconstruct, \
     save_mlp_params, static_ae_series, window_inputs
 from .config import ExperimentConfig
-from .evaluation import EvalError, export_projection, migration_proximity_stat, \
+from .evaluation import EvalReport, export_projection, migration_proximity_stat, \
     node_classification, reconstruction_eval, save_report, static_lp_eval, \
-    static_lp_split, temporal_lp_eval, EvalReport
+    static_lp_split, temporal_lp_eval
 from .graphs import GraphSnapshot, SnapshotSequence, dense_adjacency, load_snapshots, \
     save_snapshots
 from .rng import Rng
 from .sbm import diminish_series, load_labels, load_migrations, save_labels, \
     save_migrations
-from .series import save_embedding_series
+from .series import EmbeddingSeries, save_embedding_series
 from .svd_embed import optimal_svd_series, rerun_svd_series, rerun_svd_step, \
     save_restart_log
 
@@ -120,23 +121,35 @@ def _check_against_sequence(seq: SnapshotSequence, labels, migrations) -> None:
 
 
 @dataclass(frozen=True)
-class Method:
-    """scores, refit and forecast read the (series, extras) embed returned
-    and give n x n scores: of snapshot t; of g in place of snapshot t, from
-    the run's state at t - 1; of snapshot t + 1, from snapshots through t."""
+class Run:
+    """What the tasks read: the sequence, its labels and migrations (None
+    when the data has none), and the (series, extras) of the method's run."""
 
-    embed: Callable  # (cfg, seq)
-    scores: Callable  # (cfg, seq, series, extras, t)
-    refit: Callable  # (cfg, seq, series, extras, t, g)
-    forecast: Callable  # (cfg, seq, series, extras, t)
+    seq: SnapshotSequence
+    series: EmbeddingSeries
+    extras: dict
+    labels: list | None = None
+    migrations: list | None = None
+
+
+@dataclass(frozen=True)
+class Method:
+    """scores, refit and forecast read the run and give n x n scores: of
+    snapshot t; of g in place of snapshot t, from the run's state at t - 1;
+    of snapshot t + 1, from snapshots through t."""
+
+    embed: Callable  # (cfg, seq) -> (series, extras)
+    scores: Callable  # (cfg, run, t)
+    refit: Callable  # (cfg, run, t, g)
+    forecast: Callable  # (cfg, run, t)
     first_t: Callable = lambda cfg: 0  # the first snapshot it can score
 
 
-def _svd_scores(cfg, seq, series, extras, t):
-    return series.src_at(t) @ series.tgt_at(t).T
+def _svd_scores(cfg, run, t):
+    return run.series.src_at(t) @ run.series.tgt_at(t).T
 
 
-def _optsvd_refit(cfg, seq, series, extras, t, g):
+def _optsvd_refit(cfg, run, t, g):
     y_src, y_tgt, _ = svd_embed.optimal_svd_embed(g, cfg.d, t)
     return y_src @ y_tgt.T
 
@@ -167,10 +180,10 @@ def _svd_fold_record(theta) -> Method:
         series, log, state = rerun_svd_series(seq, cfg.d, theta(cfg), keep=keep)
         return series, {"restart_log": log, "state": state}
 
-    def refit(cfg, seq, series, extras, t, g):
+    def refit(cfg, run, t, g):
         if t == 0:
-            return _optsvd_refit(cfg, seq, series, extras, t, g)
-        state = extras["state"]
+            return _optsvd_refit(cfg, run, t, g)
+        state = run.extras["state"]
         if state is None or state.t_cur != t - 1:
             raise PipelineError(f"static_lp: the run kept no factor state for t={t - 1}")
         state, _ = rerun_svd_step(state, g, theta(cfg))
@@ -187,8 +200,8 @@ def _kept_model(extras, t: int):
     return model
 
 
-def _ae_scores(cfg, seq, series, extras, t):
-    return reconstruct(_kept_model(extras, t), dense_adjacency(seq[t]))
+def _ae_scores(cfg, run, t):
+    return reconstruct(_kept_model(run.extras, t), dense_adjacency(run.seq[t]))
 
 
 def _ae_record(series_fn, warm: bool = False) -> Method:
@@ -201,9 +214,9 @@ def _ae_record(series_fn, warm: bool = False) -> Method:
         series, models = series_fn(seq, cfg.ae, keep=_kept_steps(cfg, seq, reads))
         return series, {"models": models}
 
-    def refit(cfg, seq, series, extras, t, g):
+    def refit(cfg, run, t, g):
         adj = dense_adjacency(g)
-        init = _kept_model(extras, t - 1) if warm and t else None
+        init = _kept_model(run.extras, t - 1) if warm and t else None
         return reconstruct(fit_snapshot(adj, cfg.ae, t, init), adj)
 
     return Method(embed=embed, scores=_ae_scores, refit=refit, forecast=_ae_scores)
@@ -214,19 +227,18 @@ def _d2v_embed(cfg, seq):
     return series, {"models": [result.params]}
 
 
-def _d2v_scores(cfg, seq, series, extras, t):
-    return reconstruct(extras["models"][-1], window_inputs(seq, t - 1, cfg.ae.lookback))
+def _d2v_scores(cfg, run, t):
+    return reconstruct(run.extras["models"][-1], window_inputs(run.seq, t - 1, cfg.ae.lookback))
 
 
-def _d2v_refit(cfg, seq, series, extras, t, g):
+def _d2v_refit(cfg, run, t, g):
     # the run's model trained on windows after t, so retrain on the prefix
-    prefix = _prefix(seq, t, g)
-    return _d2v_scores(cfg, prefix, *embed_series(cfg, prefix), t)
+    return _d2v_scores(cfg, _prefix_run(cfg, run.seq, t, g), t)
 
 
-def _d2v_forecast(cfg, seq, series, extras, t):
-    prefix = _prefix(seq, t)  # scores of t + 1 read the window ending at t
-    return _d2v_scores(cfg, prefix, *embed_series(cfg, prefix), t + 1)
+def _d2v_forecast(cfg, run, t):
+    # scores of t + 1 read the window ending at t
+    return _d2v_scores(cfg, _prefix_run(cfg, run.seq, t), t + 1)
 
 
 # rerun_svd_series, reconstruct and dense_adjacency are called by name on
@@ -272,72 +284,62 @@ def _task_t(cfg: ExperimentConfig, seq: SnapshotSequence, spec: dict, task: str)
     return _resolve_t(spec["t"], METHOD_TABLE[cfg.method].first_t(cfg), _highest_t(seq, task), task)
 
 
-def _prefix(seq: SnapshotSequence, t: int, last: GraphSnapshot | None = None) -> SnapshotSequence:
-    """Snapshots 0..t, with last in place of snapshot t when given."""
-    snaps = [seq[i] for i in range(t)] + [seq[t] if last is None else last]
-    return SnapshotSequence(tuple(snaps))
+def _prefix_run(cfg, seq: SnapshotSequence, t: int, last: GraphSnapshot | None = None) -> Run:
+    """The method's run on snapshots 0..t, with last in place of snapshot t."""
+    prefix = SnapshotSequence([seq[i] for i in range(t)] + [seq[t] if last is None else last])
+    return Run(prefix, *embed_series(cfg, prefix))
 
 
-def _eval_meta(cfg: ExperimentConfig) -> dict:
-    return {"method": cfg.method, "seed": cfg.seed, "config_digest": config_digest(cfg)}
+def _require(run: Run, task: str, *data: str) -> None:
+    if any(getattr(run, name) is None for name in data):
+        hint = " (generate SBM data or set data.labels)" if data == ("labels",) else ""
+        raise PipelineError(f"{task} needs {' and '.join(data)}{hint}")
 
 
-def task_reconstruction(cfg, seq, series, extras, spec) -> EvalReport:
-    t = _task_t(cfg, seq, spec, "reconstruction")
-    scores = METHOD_TABLE[cfg.method].scores(cfg, seq, series, extras, t)
-    return reconstruction_eval(scores, seq[t], spec["k_grid"], **_eval_meta(cfg))
+def task_reconstruction(cfg, run: Run, spec) -> EvalReport:
+    t = _task_t(cfg, run.seq, spec, "reconstruction")
+    scores = METHOD_TABLE[cfg.method].scores(cfg, run, t)
+    return reconstruction_eval(scores, run.seq[t], spec["k_grid"])
 
 
-def task_static_lp(cfg, seq, series, extras, spec) -> EvalReport:
-    t = _task_t(cfg, seq, spec, "static_lp")
-    train, hidden = static_lp_split(seq[t], spec["hide_fraction"], Rng(cfg.seed + 101))
-    scores = METHOD_TABLE[cfg.method].refit(cfg, seq, series, extras, t, train)
-    return static_lp_eval(scores, train, hidden, spec["k_grid"], **_eval_meta(cfg))
+def task_static_lp(cfg, run: Run, spec) -> EvalReport:
+    t = _task_t(cfg, run.seq, spec, "static_lp")
+    train, hidden = static_lp_split(run.seq[t], spec["hide_fraction"], Rng(cfg.seed + 101))
+    scores = METHOD_TABLE[cfg.method].refit(cfg, run, t, train)
+    return static_lp_eval(scores, train, hidden, spec["k_grid"])
 
 
-def task_temporal_lp(cfg, seq, series, extras, spec) -> EvalReport:
-    t = _task_t(cfg, seq, spec, "temporal_lp")
-    scores = METHOD_TABLE[cfg.method].forecast(cfg, seq, series, extras, t)
-    return temporal_lp_eval(scores, seq, t, spec["k_grid"], mode=spec["mode"],
-                            **_eval_meta(cfg))
+def task_temporal_lp(cfg, run: Run, spec) -> EvalReport:
+    t = _task_t(cfg, run.seq, spec, "temporal_lp")
+    scores = METHOD_TABLE[cfg.method].forecast(cfg, run, t)
+    return temporal_lp_eval(scores, run.seq, t, spec["k_grid"], mode=spec["mode"])
 
 
-def task_classification(cfg, seq, series, labels, spec) -> EvalReport:
-    if labels is None:
-        raise PipelineError("classification needs labels (generate SBM data or set data.labels)")
-    t = _resolve_t(spec["t"], series.t_start, len(seq) - 1, "classification")
-    micro, macro = node_classification(series.src_at(t), labels[t],
+def task_classification(cfg, run: Run, spec) -> EvalReport:
+    _require(run, "classification", "labels")
+    t = _resolve_t(spec["t"], run.series.t_start, len(run.seq) - 1, "classification")
+    micro, macro = node_classification(run.series.src_at(t), run.labels[t],
                                        spec["train_frac"], seed=cfg.seed)
-    report = EvalReport(task="classification", **_eval_meta(cfg))
-    report.micro_f1, report.macro_f1 = micro, macro
-    return report
+    return EvalReport(task="classification", micro_f1=micro, macro_f1=macro)
 
 
-def task_migration_stat(cfg, seq, series, labels, migrations, spec) -> EvalReport:
-    if labels is None or migrations is None:
-        raise PipelineError("migration_stat needs labels and migrations")
-    anticipate = spec.get("anticipate", False)
-    if anticipate:
-        # embeddings at t against the nodes that migrate entering t+1
-        t = _resolve_t(spec["t"], series.t_start, len(seq) - 2, "migration_stat")
-        records = migrations[t + 1]
-    else:
-        t = _resolve_t(spec["t"], max(series.t_start, 1), len(seq) - 1, "migration_stat")
-        records = migrations[t]
-    stat = migration_proximity_stat(series, labels[t], records, t)
-    report = EvalReport(task="migration_stat", **_eval_meta(cfg))
-    report.mode = "anticipate" if anticipate else "arrival"
-    report.stat = stat
-    return report
+def task_migration_stat(cfg, run: Run, spec) -> EvalReport:
+    _require(run, "migration_stat", "labels", "migrations")
+    ahead = int(spec["anticipate"])  # 1: against the migrants entering t + 1
+    t = _resolve_t(spec["t"], max(run.series.t_start, 1 - ahead), len(run.seq) - 1 - ahead,
+                   "migration_stat")
+    stat = migration_proximity_stat(run.series, run.labels[t], run.migrations[t + ahead], t)
+    return EvalReport(task="migration_stat", mode="anticipate" if ahead else "arrival",
+                      stat=stat)
 
 
-def task_projection(cfg, seq, series, labels, migrations, spec, outdir: Path, files: dict):
-    if labels is None:
-        raise PipelineError("projection needs labels (generate SBM data or set data.labels)")
-    t = _resolve_t(spec["t"], series.t_start, len(seq) - 1, "projection")
-    migrated = {node for node, _, _ in migrations[t]} if migrations else set()
+def task_projection(cfg, run: Run, spec, outdir: Path, files: dict):
+    _require(run, "projection", "labels")
+    t = _resolve_t(spec["t"], run.series.t_start, len(run.seq) - 1, "projection")
+    migrated = {node for node, _, _ in run.migrations[t]} if run.migrations else set()
     name = f"projection_t{t}.txt"
-    _write(files, outdir, name, lambda p: export_projection(series, t, labels[t], migrated, p))
+    _write(files, outdir, name,
+           lambda p: export_projection(run.series, t, run.labels[t], migrated, p))
     return name
 
 
@@ -384,7 +386,8 @@ def run_experiment(cfg: ExperimentConfig, stage: str = "run") -> dict:
 
     embed writes data + embeddings; evaluate adds non-projection reports;
     project adds only projections; run does everything plus manifest.json.
-    Returns {"outdir", "files", "reports"}.
+    Each report is stamped here with the run's method, seed and config
+    digest. Returns {"outdir", "files", "reports"}.
     """
     if stage not in ("embed", "evaluate", "project", "run"):
         raise PipelineError(f"unknown stage {stage!r}")
@@ -394,37 +397,28 @@ def run_experiment(cfg: ExperimentConfig, stage: str = "run") -> dict:
     files: dict = {}
 
     seq, labels, migrations = prepare_data(cfg, outdir, files)
-    series, extras = embed_series(cfg, seq)
-    for path in save_embedding_series(series, outdir, prefix="emb"):
+    run = Run(seq, *embed_series(cfg, seq), labels, migrations)
+    for path in save_embedding_series(run.series, outdir, prefix="emb"):
         files[Path(path).name] = _sha256(Path(path))
-    if "restart_log" in extras:
+    if "restart_log" in run.extras:
         _write(files, outdir, "restart_log.txt",
-               lambda p: save_restart_log(extras["restart_log"], p))
-    if "models" in extras:
+               lambda p: save_restart_log(run.extras["restart_log"], p))
+    if "models" in run.extras:
         _write(files, outdir, "model.txt",
-               lambda p: save_mlp_params(extras["models"][-1], p))
+               lambda p: save_mlp_params(run.extras["models"][-1], p))
 
     reports = {}
-    want_eval = stage in ("evaluate", "run")
-    want_projection = stage in ("project", "run")
+    digest = config_digest(cfg)
     for name in sorted(cfg.tasks):
-        spec = cfg.tasks[name]
+        if stage not in ("run", "project" if name == "projection" else "evaluate"):
+            continue
+        # looked up by name at each call, where bench/tracing.py wraps it
+        task = globals()[f"task_{name}"]
         if name == "projection":
-            if want_projection:
-                task_projection(cfg, seq, series, labels, migrations, spec, outdir, files)
+            task(cfg, run, cfg.tasks[name], outdir, files)
             continue
-        if not want_eval:
-            continue
-        if name == "reconstruction":
-            report = task_reconstruction(cfg, seq, series, extras, spec)
-        elif name == "static_lp":
-            report = task_static_lp(cfg, seq, series, extras, spec)
-        elif name == "temporal_lp":
-            report = task_temporal_lp(cfg, seq, series, extras, spec)
-        elif name == "classification":
-            report = task_classification(cfg, seq, series, labels, spec)
-        else:
-            report = task_migration_stat(cfg, seq, series, labels, migrations, spec)
+        report = task(cfg, run, cfg.tasks[name])
+        report.method, report.seed, report.config_digest = cfg.method, cfg.seed, digest
         reports[name] = report
         _write(files, outdir, f"report_{name}.json", lambda p, r=report: save_report(r, p))
 

@@ -25,7 +25,7 @@ from dynembed.ae import (AeConfig, AeTrainingError, MlpParams,
                          save_mlp_params, static_ae_series, train_dense,
                          window_inputs)
 from dynembed.graphs import GraphSnapshot, SnapshotSequence, dense_adjacency
-from dynembed.pipeline import METHOD_TABLE
+from dynembed.pipeline import METHOD_TABLE, Run
 from dynembed.rng import Rng
 from dynembed.sbm import generate_sbm_snapshot
 from dynembed.series import format_rows
@@ -680,9 +680,9 @@ def test_predictor_decodes_window(small_sbm):
     seq = small_sbm.sequence
     cfg = SimpleNamespace(ae=_small_cfg(n_iter=2, lookback=2))
     _, result = d2v_ae_series(seq, cfg.ae)
-    series, extras = METHOD_TABLE["d2v_ae"].embed(cfg, seq)
+    run = Run(seq, *METHOD_TABLE["d2v_ae"].embed(cfg, seq))
     want = reconstruct(result.params, window_inputs(seq, 2, 2))
-    assert np.array_equal(METHOD_TABLE["d2v_ae"].scores(cfg, seq, series, extras, 3), want)
+    assert np.array_equal(METHOD_TABLE["d2v_ae"].scores(cfg, run, 3), want)
 
 
 def test_d2v_training_halves_the_loss():
@@ -702,8 +702,8 @@ def test_reconstruction_scores_are_decoded_rows():
     adj = dense_adjacency(g)
     params = fresh_params(16, _small_cfg(), Rng(2))
     for name in ("ae_static", "aealign", "dyngem"):
-        scores = METHOD_TABLE[name].scores(None, SnapshotSequence([g]), None,
-                                           {"models": [params]}, 0)
+        run = Run(SnapshotSequence([g]), None, {"models": [params]})
+        scores = METHOD_TABLE[name].scores(None, run, 0)
         assert np.array_equal(scores, reconstruct(params, adj))
 
 

@@ -278,10 +278,10 @@ def test_static_lp_report_matches_reference_bytes_at_scale():
     scores = y_src @ y_tgt.T
     assert max(np.abs(scores[0]).max(), np.abs(scores[:, 0]).max()) < 1e-12
     k_grid = [1, 10, 100, 1000, len(hidden)]
-    got = static_lp_eval(scores, train, hidden, k_grid, method="m")
+    got = static_lp_eval(scores, train, hidden, k_grid)
     want = ranking_report_ref(scores, _edge_set(hidden),
                               candidate_pairs_ref(g.n, exclude=_edge_set(train)), k_grid,
-                              task="static_lp", method="m", seed=0, config_digest="")
+                              task="static_lp", method="", seed=0, config_digest="")
     assert got.to_json() == want.to_json()
 
 
@@ -291,9 +291,9 @@ def test_reconstruction_report_matches_reference_bytes_on_saturated_scores():
     scores = kernels.sigmoid(Rng(24).random((g.n, g.n)) * 100.0 - 20.0)
     assert np.count_nonzero(scores == 1.0) > g.n * g.n // 3
     k_grid = [1, 100, 10000, 20000, len(g)]
-    got = reconstruction_eval(scores, g, k_grid, method="m")
+    got = reconstruction_eval(scores, g, k_grid)
     want = ranking_report_ref(scores, _edge_set(g), candidate_pairs_ref(g.n), k_grid,
-                              task="reconstruction", method="m", seed=0, config_digest="")
+                              task="reconstruction", method="", seed=0, config_digest="")
     assert got.to_json() == want.to_json()
 
 
@@ -426,8 +426,7 @@ def test_candidate_pairs_small():
 
 def test_reconstruction_perfect_scores():
     g = generate_sbm_snapshot(np.repeat([0, 1], 6), 0.7, 0.1, Rng(3))
-    report = reconstruction_eval(dense_adjacency(g), g, [1, len(g)],
-                                 method="oracle")
+    report = reconstruction_eval(dense_adjacency(g), g, [1, len(g)])
     assert report.task == "reconstruction"
     assert report.precision_at_k == [1.0, 1.0]
     assert report.map == 1.0
@@ -469,8 +468,8 @@ def test_temporal_lp_new_mode_matches_the_set_reference():
     scores = Rng(3).random((18, 18))
     cur, nxt = _edge_set(seq[0]), _edge_set(seq[1])
     assert nxt - cur and nxt & cur
-    fields = dict(task="temporal_lp", mode="new", method="m", seed=0, config_digest="")
-    got = temporal_lp_eval(scores, seq, 0, [1, 10, 100], mode="new", method="m")
+    fields = dict(task="temporal_lp", mode="new", method="", seed=0, config_digest="")
+    got = temporal_lp_eval(scores, seq, 0, [1, 10, 100], mode="new")
     want = ranking_report_ref(scores, nxt - cur, candidate_pairs_ref(18, exclude=cur),
                               [1, 10, 100], **fields)
     assert got.to_json() == want.to_json()

@@ -83,10 +83,10 @@ def test_static_lp_needs_the_state_the_run_kept(kept):
     # the run's is refused, not refolded
     cfg = _cfg("rerunsvd", {} if kept is None else {"static_lp": {"t": kept}})
     seq = prepare_data(cfg)[0]
-    series, extras = embed_series(cfg, seq)
+    run = pipeline.Run(seq, *embed_series(cfg, seq))
     spec = _cfg("rerunsvd", {"static_lp": {"t": 4}}).tasks["static_lp"]
     with pytest.raises(pipeline.PipelineError, match="kept no factor state for t=3"):
-        pipeline.task_static_lp(cfg, seq, series, extras, spec)
+        pipeline.task_static_lp(cfg, run, spec)
 
 
 PER_SNAPSHOT_AE = ["ae_static", "aealign", "dyngem"]
@@ -125,11 +125,11 @@ def test_ae_tasks_need_the_models_the_run_kept(method):
     # static LP spec is left for that task to reject
     cfg = _cfg(method, {"temporal_lp": {"t": 1}, "static_lp": {"t": LENGTH}})
     seq = prepare_data(cfg)[0]
-    series, extras = embed_series(cfg, seq)
+    one_run = pipeline.Run(seq, *embed_series(cfg, seq))
 
     def run(task, t):
         spec = _cfg(method, {task: {"t": t}}).tasks[task]
-        return getattr(pipeline, f"task_{task}")(cfg, seq, series, extras, spec)
+        return getattr(pipeline, f"task_{task}")(cfg, one_run, spec)
 
     for task in ("reconstruction", "temporal_lp"):
         with pytest.raises(pipeline.PipelineError, match="kept no model for t=2"):
@@ -163,13 +163,13 @@ def _embed_and_score_peak(length):
     seq = prepare_data(cfg)[0]
     tracemalloc.start()
     try:
-        series, extras = embed_series(cfg, seq)
+        run = pipeline.Run(seq, *embed_series(cfg, seq))
         for name in ("reconstruction", "temporal_lp"):
-            getattr(pipeline, f"task_{name}")(cfg, seq, series, extras, cfg.tasks[name])
+            getattr(pipeline, f"task_{name}")(cfg, run, cfg.tasks[name])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    model = extras["models"][-1]
+    model = run.extras["models"][-1]
     return peak, sum(a.nbytes for a in model.weights + model.biases)
 
 
@@ -299,6 +299,15 @@ def test_benchmark_trace_hooks_see_one_run(tmp_path, monkeypatch):
     assert trace["counters"]["pipeline.snapshots_embedded"] == LENGTH
     log = np.loadtxt(tmp_path / "restart_log.txt")
     assert trace["restarts"] == int(log[:, 1].sum()) > 0
+
+
+def test_benchmark_trace_hooks_see_each_task_once(tmp_path, monkeypatch):
+    # the pipeline looks each task up on the module, where the tracer wraps it
+    tasks = _bench_tracing().TASKS
+    cfg = _cfg("rerunsvd", {name: {} for name in tasks}, tmp_path)
+    calls, _ = _traced_run(cfg, monkeypatch)
+    assert {name: calls.get(f"pipeline.task.{name}") for name in tasks} == \
+        dict.fromkeys(tasks, 1)
 
 
 def test_benchmark_trace_hooks_see_one_ae_run(tmp_path, monkeypatch):

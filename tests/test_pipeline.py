@@ -1,4 +1,4 @@
-"""Pipeline data checks and output-directory hygiene."""
+"""Pipeline data checks, task reports and output-directory hygiene."""
 
 import json
 
@@ -6,7 +6,9 @@ import pytest
 
 from dynembed.cli import main
 from dynembed.config import from_dict
-from dynembed.pipeline import PipelineError, prepare_data, run_experiment
+from dynembed.evaluation import migration_proximity_stat
+from dynembed.pipeline import PipelineError, config_digest, embed_series, prepare_data, \
+    run_experiment
 from dynembed.series import load_embedding_series
 
 # 2 snapshots over 3 nodes; node 2 moves from community 0 to 1 at t=1
@@ -75,6 +77,72 @@ def test_migration_range_checked_without_labels(tmp_path):
 def test_repeated_migration_record_is_rejected(tmp_path):
     with pytest.raises(ValueError, match="line 2: duplicate migration of node 2 at t=1"):
         prepare_data(_file_config(tmp_path, migrations=MIGRATIONS * 2))
+
+
+@pytest.mark.parametrize("task, labels, message", [
+    ("classification", None,
+     "classification needs labels (generate SBM data or set data.labels)"),
+    ("migration_stat", None, "migration_stat needs labels and migrations"),
+    ("projection", None, "projection needs labels (generate SBM data or set data.labels)"),
+    ("classification", "0 0 0\n0 1 1\n0 2 0\n", "labels cover 1 snapshots, sequence has 2"),
+])
+def test_run_without_the_data_a_task_reads_fails(tmp_path, capsys, task, labels, message):
+    cfg = _file_config(tmp_path, labels=labels)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**cfg.resolved(), "outdir": str(tmp_path / "out"),
+                                  "tasks": {task: {}}}))
+    assert main(["run", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == f"error: PipelineError: {message}\n"
+
+
+# --- task reports -------------------------------------------------------------
+
+
+def _sbm_tasks(outdir, method, tasks, length=5):
+    return from_dict({
+        "seed": 7, "outdir": str(outdir),
+        "data": {"sbm": {"node_num": 30, "community_num": 2, "length": length,
+                         "node_change_num": 2}},
+        "method": {"name": method, "d": 3, "enc_units": [8], "dec_units": [8], "n_iter": 1},
+        "tasks": tasks,
+    })
+
+
+REPORT_TASKS = ("reconstruction", "static_lp", "temporal_lp", "classification",
+                "migration_stat")
+
+
+@pytest.mark.parametrize("method", ["rerunsvd", "dyngem"])
+def test_every_report_names_its_run(tmp_path, method):
+    cfg = _sbm_tasks(tmp_path, method, {name: {} for name in REPORT_TASKS})
+    run_experiment(cfg)
+    reports = sorted(tmp_path.glob("report_*.json"))
+    assert [p.name for p in reports] == sorted(f"report_{n}.json" for n in REPORT_TASKS)
+    for path in reports:
+        report = json.loads(path.read_text())
+        assert (report["method"], report["seed"], report["config_digest"]) == \
+            (method, 7, config_digest(cfg)), path.name
+
+
+def test_migration_stat_arrival_reads_the_migrants_of_its_own_step(tmp_path):
+    cfg = _sbm_tasks(tmp_path, "rerunsvd", {"migration_stat": {"t": 2}})
+    report = run_experiment(cfg)["reports"]["migration_stat"]
+    assert report.mode == "arrival"
+    seq, labels, migrations = prepare_data(cfg)
+    series, _ = embed_series(cfg, seq)
+    assert migrations[2]
+    assert report.stat == migration_proximity_stat(series, labels[2], migrations[2], 2)
+
+
+@pytest.mark.parametrize("anticipate, t, message", [
+    (False, 0, r"migration_stat: t=0 resolves to 0, outside \[1, 4\]"),
+    (True, 4, r"migration_stat: t=4 resolves to 4, outside \[0, 3\]"),
+])
+def test_migration_stat_range(tmp_path, anticipate, t, message):
+    cfg = _sbm_tasks(tmp_path, "rerunsvd",
+                     {"migration_stat": {"t": t, "anticipate": anticipate}})
+    with pytest.raises(PipelineError, match=message):
+        run_experiment(cfg)
 
 
 # --- reused output directory ------------------------------------------------
