@@ -21,7 +21,6 @@ _AE_FIELDS = ("beta", "nu1", "nu2", "enc_units", "dec_units", "n_iter", "xeta", 
 METHODS = {"optsvd": (), "incsvd": (), "rerunsvd": ("theta",),
            "ae_static": _AE_FIELDS, "aealign": _AE_FIELDS, "dyngem": _AE_FIELDS,
            "d2v_ae": _AE_FIELDS + ("lookback",)}
-AE_METHODS = tuple(name for name, reads in METHODS.items() if set(_AE_FIELDS) <= set(reads))
 
 DEFAULT_K_GRID = [10, 100, 1000]
 REQUIRED = MISSING  # the default of a field that has none, as in a dataclass

@@ -35,7 +35,7 @@ class EvalError(RuntimeError):
 
 @dataclass(frozen=True)
 class ScoredPairs:
-    """Candidate (u, v) pairs with scores, in a canonical ranking order."""
+    """Candidate (u, v) pairs with their scores."""
 
     pairs: np.ndarray
     scores: np.ndarray
@@ -57,14 +57,6 @@ class ScoredPairs:
 
     def __len__(self) -> int:
         return self.pairs.shape[0]
-
-    def ranking(self) -> np.ndarray:
-        """Index order: descending score, ties by (u, v) lexicographic."""
-        n = 1 + int(self.pairs.max(initial=-1))
-        cells = np.argsort(_cell_keys(self, n), axis=None, kind="stable")[:len(self)]
-        index = np.empty(n * n, dtype=np.int64)
-        index[self.pairs[:, 0] * n + self.pairs[:, 1]] = np.arange(len(self))
-        return index[cells]
 
 
 def _has_duplicate(pairs: np.ndarray) -> bool:

@@ -13,6 +13,8 @@ matrix from fixed-width, NUL-padded text tables (one `%d ` per node, one
 series.format_rows text per distinct weight) and drops the padding;
 int_lines does the same for the label and migration files. The tests hold
 these writers byte for byte to the per-line writers in tests/oracles.py.
+Every loader reads its file through data_lines, which skips blank lines and
+`#` comments and numbers the rest as the file does.
 """
 
 import math
@@ -168,6 +170,15 @@ def dense_adjacency(g: GraphSnapshot) -> np.ndarray:
     return a
 
 
+def data_lines(lines):
+    """(line number, stripped text) of each of the lines, numbered from 1,
+    that is neither blank nor a `#` comment."""
+    for no, line in enumerate(lines, start=1):
+        s = line.strip()
+        if s and not s.startswith("#"):
+            yield no, s
+
+
 def load_snapshots(path) -> SnapshotSequence:
     """Parse the snapshot text format.
 
@@ -177,31 +188,22 @@ def load_snapshots(path) -> SnapshotSequence:
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.readlines()
-
-    header_idx = None
-    for i, line in enumerate(lines):
-        s = line.strip()
-        if s and not s.startswith("#"):
-            header_idx = i
-            break
-    if header_idx is None:
+    records = data_lines(lines)
+    header_no, header = next(records, (None, None))
+    if header is None:  # a missing header is reported at the last line
         raise SnapshotParseError("header", max(len(lines), 1), "missing `T N` header")
-    parts = lines[header_idx].split()
+    parts = header.split()
     if len(parts) != 2:
-        raise SnapshotParseError("header", header_idx + 1, f"expected `T N`, got {lines[header_idx].strip()!r}")
+        raise SnapshotParseError("header", header_no, f"expected `T N`, got {header!r}")
     try:
         t_count, n = int(parts[0]), int(parts[1])
     except ValueError:
-        raise SnapshotParseError("header", header_idx + 1, f"non-integer header {lines[header_idx].strip()!r}") from None
+        raise SnapshotParseError("header", header_no, f"non-integer header {header!r}") from None
     if t_count < 1 or n < 0:
-        raise SnapshotParseError("header", header_idx + 1, f"invalid header values T={t_count} N={n}")
+        raise SnapshotParseError("header", header_no, f"invalid header values T={t_count} N={n}")
 
     per_t: list[dict] = [dict() for _ in range(t_count)]
-    for i in range(header_idx + 1, len(lines)):
-        s = lines[i].strip()
-        if not s or s.startswith("#"):
-            continue
-        no = i + 1
+    for no, s in records:
         toks = s.split()
         if len(toks) != 4:
             raise SnapshotParseError("edge-format", no, f"expected `t u v w`, got {s!r}")

@@ -1,8 +1,8 @@
 """Hot numeric kernels, vectorized with numpy.
 
-The autoencoder, the SBM sampler and the classifier call these through the
-module (``kernels.<name>``), so each kernel is one function that a profiler
-can wrap.
+The autoencoder and the classifier call these through the module
+(``kernels.<name>``), so each kernel is one function that a profiler can
+wrap.
 
 The sigmoid kernels are bitwise equal to the expression forms kept as
 oracles in ``tests/oracles.py`` (``sigmoid_ref``, ``affine_sigmoid_ref``,
@@ -76,17 +76,4 @@ def weighted_error_grad(xhat, target, beta, out=None):
     pos = target > 0.0
     np.multiply(out, 2.0 * beta, out=out, where=pos)
     return np.multiply(out, 2.0, out=out, where=np.logical_not(pos, out=pos))
-
-
-def block_sample(urand, labels, p_in, p_out):
-    """Directed SBM adjacency from pre-drawn uniforms; no self-loops.
-
-    Edge (u, v) is present iff urand[u, v] < p_in when labels match, p_out
-    otherwise.
-    """
-    same = labels[:, None] == labels[None, :]
-    probs = np.where(same, p_in, p_out)
-    adj = (urand < probs).astype(np.float64)
-    np.fill_diagonal(adj, 0.0)
-    return adj
 

@@ -5,9 +5,10 @@ community). At every step after the first, a fixed number of members of the
 diminishing community migrate: each is relabeled to a uniformly chosen other
 community and every edge incident to a migrant is resampled under the new
 labels, while all other edges carry over unchanged. That keeps deltas small,
-which is exactly the regime the incremental SVD update targets. Only the
-first snapshot is sampled as a dense n x n draw; each step edits the previous
-snapshot's edge arrays.
+which is exactly the regime the incremental SVD update targets. Each step
+edits the previous snapshot's edge arrays. Every edge comes from one rule,
+_draw_edges: a fresh uniform row of n per source node, kept below p_in
+within a community and below p_out across.
 
 All randomness flows through one Rng stream in a documented order: initial
 adjacency, then per step (migrant choice, destination draws, migrant
@@ -19,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
-from .graphs import GraphSnapshot, SnapshotSequence, int_lines
+from .graphs import GraphSnapshot, SnapshotSequence, data_lines, int_lines
 from .rng import Rng
 
 
@@ -76,6 +76,14 @@ class DynamicSbmSeries:
     migrations: list  # per snapshot, list of (node, old_community, new_community)
 
 
+def _draw_edges(rng: Rng, labels: np.ndarray, sources: np.ndarray, p_in, p_out) -> np.ndarray:
+    """Row i marks the draws of source node sources[i] to every node v: one
+    fresh uniform each, kept below p_in when the two share a community and
+    below p_out otherwise."""
+    urand = rng.random((len(sources), len(labels)))  # before probs: lower peak
+    return urand < np.where(labels[sources, None] == labels[None, :], p_in, p_out)
+
+
 def generate_sbm_snapshot(labels, p_in: float, p_out: float, rng: Rng) -> GraphSnapshot:
     """Sample one directed SBM snapshot: each ordered pair u != v carries an
     edge of weight 1.0 with probability p_in (same community) or p_out."""
@@ -83,14 +91,10 @@ def generate_sbm_snapshot(labels, p_in: float, p_out: float, rng: Rng) -> GraphS
         raise ValueError("probabilities must lie in [0, 1]")
     labels = np.asarray(labels, dtype=np.int64)
     n = labels.shape[0]
-    adj = kernels.block_sample(rng.random((n, n)), labels, float(p_in), float(p_out))
-    return _snapshot_from_dense(adj)
-
-
-def _snapshot_from_dense(adj: np.ndarray) -> GraphSnapshot:
-    """The snapshot of a square adjacency matrix's non-zero entries."""
+    adj = _draw_edges(rng, labels, np.arange(n), float(p_in), float(p_out))
+    np.fill_diagonal(adj, False)
     us, vs = np.nonzero(adj)  # row-major, so already sorted by (u, v)
-    return GraphSnapshot(adj.shape[0], us, vs, adj[us, vs])
+    return GraphSnapshot(n, us, vs, np.ones(us.size))
 
 
 def diminish_series(params: SbmParams) -> DynamicSbmSeries:
@@ -109,26 +113,23 @@ def diminish_series(params: SbmParams) -> DynamicSbmSeries:
     snapshots = [generate_sbm_snapshot(labels, params.p_in, params.p_out, rng)]
     label_history = [labels.copy()]
     migrations: list = [[]]
-    others = [c for c in range(params.community_num) if c != params.diminish_community]
+    others = np.array([c for c in range(params.community_num) if c != params.diminish_community])
 
     for _ in range(1, params.length):
         members = np.flatnonzero(labels == params.diminish_community)
         if members.size < params.node_change_num:
             raise ValueError("diminishing community exhausted")
         movers = np.sort(rng.choice_no_replace(members, params.node_change_num))
-        step_records = []
-        for m in movers.tolist():
-            dest = others[rng.integers(len(others))]
-            step_records.append((m, int(labels[m]), dest))
-            labels[m] = dest
+        dests = others[rng.integers(others.size, size=movers.size)]
+        step_records = list(zip(movers.tolist(), labels[movers].tolist(), dests.tolist()))
+        labels[movers] = dests
 
         g = snapshots[-1]
         mover_mask = np.zeros(n, dtype=bool)
         mover_mask[movers] = True
-        probs = np.where(labels[movers][:, None] == labels[None, :], params.p_in, params.p_out)
-        out_rows = rng.random((movers.size, n)) < probs
+        out_rows = _draw_edges(rng, labels, movers, params.p_in, params.p_out)
         out_rows[np.arange(movers.size), movers] = False
-        in_cols = rng.random((movers.size, n)) < probs
+        in_cols = _draw_edges(rng, labels, movers, params.p_in, params.p_out)
         in_cols[:, mover_mask] = False
         keep = ~(mover_mask[g.rows] | mover_mask[g.cols])
         out_m, out_v = np.nonzero(out_rows)
@@ -160,10 +161,7 @@ def load_labels(path) -> list:
     (t, node), all non-negative."""
     rows = {}  # (t, node) -> community
     with open(path, "r", encoding="utf-8") as fh:
-        for no, line in enumerate(fh, start=1):
-            s = line.strip()
-            if not s or s.startswith("#"):
-                continue
+        for no, s in data_lines(fh):
             try:
                 t, node, c = (int(x) for x in s.split())
             except ValueError:
@@ -201,10 +199,7 @@ def load_migrations(path, length: int) -> list:
     out: list = [[] for _ in range(length)]
     seen = set()
     with open(path, "r", encoding="utf-8") as fh:
-        for no, line in enumerate(fh, start=1):
-            s = line.strip()
-            if not s or s.startswith("#"):
-                continue
+        for no, s in data_lines(fh):
             try:
                 t, node, old, new = (int(x) for x in s.split())
             except ValueError:

@@ -20,8 +20,9 @@ it was when every epoch ended with a full forward pass, on the package's
 gradient; and the model file reader,
 which only the tests use, also on that type; and the truncated SVD as the
 full LAPACK decomposition (gesdd) cut to its top d triples, on the package's
-factor type; and the diminishing-community SBM as it was when every step
-rewrote a dense adjacency matrix, on the package's Rng and series types.
+factor type; and the SBM snapshot as one dense n x n draw, and the
+diminishing-community SBM as it was when every step rewrote a dense
+adjacency matrix, on the package's Rng and series types.
 """
 
 import itertools
@@ -241,6 +242,12 @@ def snapshot(n: int, edges=()):
     edges = list(edges)
     return GraphSnapshot(n, [e[0] for e in edges], [e[1] for e in edges],
                          [e[2] for e in edges])
+
+
+def snapshot_from_dense(adj):
+    """GraphSnapshot of a square adjacency matrix's non-zero entries."""
+    us, vs = np.nonzero(adj)
+    return GraphSnapshot(adj.shape[0], us, vs, adj[us, vs])
 
 
 # --- the graph model as a dict of (u, v) -> w ---------------------------
@@ -739,6 +746,16 @@ def truncated_svd_ref(a, d: int):
 # --- the SBM step through a dense matrix ------------------------------------
 
 
+def sbm_snapshot_ref(labels, p_in, p_out, rng):
+    """sbm.generate_sbm_snapshot as it was when it sampled one dense float64
+    n x n adjacency and read it back with np.nonzero."""
+    labels = np.asarray(labels, dtype=np.int64)
+    same = labels[:, None] == labels[None, :]
+    adj = (rng.random((labels.size, labels.size)) < np.where(same, p_in, p_out)).astype(np.float64)
+    np.fill_diagonal(adj, 0.0)
+    return snapshot_from_dense(adj)
+
+
 def diminish_series_ref(params):
     """sbm.diminish_series as it was when each step copied the dense n x n
     adjacency, overwrote the migrants' rows and columns one draw at a time,
@@ -749,12 +766,7 @@ def diminish_series_ref(params):
     same = labels[:, None] == labels[None, :]
     adj = (rng.random((n, n)) < np.where(same, params.p_in, params.p_out)).astype(np.float64)
     np.fill_diagonal(adj, 0.0)
-
-    def snap(a):
-        us, vs = np.nonzero(a)
-        return GraphSnapshot(n, us, vs, a[us, vs])
-
-    snapshots, label_history, migrations = [snap(adj)], [labels.copy()], [[]]
+    snapshots, label_history, migrations = [snapshot_from_dense(adj)], [labels.copy()], [[]]
     others = [c for c in range(params.community_num) if c != params.diminish_community]
     for _ in range(1, params.length):
         members = np.flatnonzero(labels == params.diminish_community)
@@ -776,7 +788,7 @@ def diminish_series_ref(params):
             u = rng.random(n)
             col = (u < np.where(labels == labels[m], params.p_in, params.p_out)).astype(np.float64)
             adj[~mover_mask, m] = col[~mover_mask]
-        snapshots.append(snap(adj))
+        snapshots.append(snapshot_from_dense(adj))
         label_history.append(labels.copy())
         migrations.append(step_records)
     return DynamicSbmSeries(sequence=SnapshotSequence(snapshots), labels=label_history,

@@ -21,7 +21,7 @@ from dynembed.evaluation import (ScoredPairs, average_precision,
 from dynembed.graphs import SnapshotSequence, dense_adjacency
 from dynembed.numerics import procrustes_rotation
 from dynembed.rng import Rng
-from dynembed.sbm import SbmParams, _snapshot_from_dense, diminish_series, generate_sbm_snapshot
+from dynembed.sbm import SbmParams, diminish_series, generate_sbm_snapshot
 from dynembed.svd_embed import (delta_factor,
                                 incremental_update, optimal_svd_embed,
                                 optimal_svd_series, rerun_svd_series)
@@ -29,7 +29,7 @@ from dynembed import ae as ae_mod
 
 from oracles import (brute_average_precision, brute_map,
                      brute_precision_at_k, fd_gradient, plain_incremental_fold,
-                     random_orthogonal, truncated_svd_ref)
+                     random_orthogonal, snapshot_from_dense, truncated_svd_ref)
 from dynembed.graphs import edge_delta
 
 
@@ -65,7 +65,7 @@ def test_criterion_1_incremental_fidelity(capsys, drift_sbm_50):
     b2 = np.array([[1.0, 2.0, 0.0], [0.0, 1.5, 0.5], [0.0, 0.0, 3.0]])
     snaps = []
     for b in (b1, b2):
-        snaps.append(_snapshot_from_dense(b[groups[:, None], groups[None, :]]))
+        snaps.append(snapshot_from_dense(b[groups[:, None], groups[None, :]]))
     _, _, state = optimal_svd_embed(snaps[0], 4)
     p, q = delta_factor(edge_delta(snaps[0], snaps[1]), 10)
     state = incremental_update(state, p, q, snaps[1])

@@ -318,6 +318,8 @@ def test_load_save_load_fixpoint(tmp_path_factory, seq):
 @pytest.mark.parametrize("text, kind, line_no", [
     ("", "header", 1),
     ("# only comments\n", "header", 1),
+    ("# one\n# two\n# three\n", "header", 3),
+    ("# c\n\n1 2\n\n# d\n0 0 1 1.0\n0 0 1 2.0\n", "duplicate", 7),
     ("1 2 3\n", "header", 1),
     ("x y\n", "header", 1),
     ("0 2\n", "header", 1),

@@ -110,20 +110,3 @@ def test_weighted_sq_error_beta_one_is_plain_sse():
     got = kernels.weighted_sq_error(xhat, target, 1.0)
     assert got == pytest.approx(float(np.sum((xhat - target) ** 2)), rel=1e-12)
 
-
-def test_block_sample_degenerate_probs():
-    urand = np.random.default_rng(12).random((4, 4))
-    labels = np.array([0, 0, 1, 1], dtype=np.int64)
-    adj = kernels.block_sample(urand, labels, 1.0, 0.0)
-    want = np.array([[0, 1, 0, 0], [1, 0, 0, 0],
-                     [0, 0, 0, 1], [0, 0, 1, 0]], dtype=np.float64)
-    assert np.array_equal(adj, want)
-    assert np.array_equal(kernels.block_sample(urand, labels, 0.0, 0.0), np.zeros((4, 4)))
-
-
-def test_block_sample_no_self_loops():
-    urand = np.zeros((5, 5))  # every comparison would fire
-    adj = kernels.block_sample(urand, np.zeros(5, dtype=np.int64), 1.0, 1.0 - 1e-9)
-    assert np.all(np.diag(adj) == 0.0)
-    assert adj.sum() == 20.0
-

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from dynembed import ae, pipeline
-from dynembed.config import AE_METHODS, METHODS, from_dict
+from dynembed.config import METHODS, from_dict
 from dynembed.graphs import GraphSnapshot, SnapshotSequence, dense_adjacency, save_snapshots
 from dynembed.pipeline import embed_series, prepare_data, run_experiment
 from dynembed.svd_embed import rerun_svd_series, save_restart_log
@@ -199,7 +199,7 @@ def test_each_method_writes_its_artifact(tmp_path, method):
     files = run_experiment(cfg)["files"]
     seq = prepare_data(cfg)[0]
     assert ("restart_log.txt" in files) == (method in ("incsvd", "rerunsvd"))
-    assert ("model.txt" in files) == (method in AE_METHODS)
+    assert ("model.txt" in files) == ("n_iter" in METHODS[method])
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted([*files, "manifest.json"])
     if "restart_log.txt" in files:
         theta = cfg.theta if method == "rerunsvd" else math.inf

@@ -9,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynembed.graphs import GraphSnapshot, SnapshotSequence, dense_adjacency
+from dynembed.graphs import (GraphSnapshot, SnapshotSequence, dense_adjacency,
+                             load_snapshots, save_snapshots)
 from dynembed.rng import Rng
 from dynembed.sbm import (DynamicSbmSeries, SbmParams, diminish_series,
                           generate_sbm_snapshot, load_labels, load_migrations,
                           save_labels, save_migrations)
-from oracles import diminish_series_ref, save_labels_ref, save_migrations_ref
+from oracles import (diminish_series_ref, save_labels_ref, save_migrations_ref,
+                     sbm_snapshot_ref)
 
 
 def _params(**kw):
@@ -88,6 +90,22 @@ def test_zero_probabilities_give_empty_graph():
 def test_snapshot_probability_validation():
     with pytest.raises(ValueError):
         generate_sbm_snapshot([0, 1], 1.5, 0.0, Rng(0))
+
+
+_probability = st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.just(1.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(labels=st.integers(1, 4).flatmap(
+           lambda k: st.lists(st.integers(0, k - 1), min_size=1, max_size=40)),
+       p_in=_probability, p_out=_probability, seed=st.integers(0, 2**64 - 1))
+def test_snapshot_matches_the_dense_reference(labels, p_in, p_out, seed):
+    rng, ref_rng = Rng(seed), Rng(seed)
+    got = generate_sbm_snapshot(labels, p_in, p_out, rng)
+    want = sbm_snapshot_ref(labels, p_in, p_out, ref_rng)
+    assert got == want
+    assert got.weights.tobytes() == want.weights.tobytes()
+    assert rng.raw64(1) == ref_rng.raw64(1)  # the same draw count
 
 
 def test_within_block_count_within_4_sigma():
@@ -372,3 +390,34 @@ def test_migrations_loader_rejects_repeated_records(tmp_path, text, line):
     path.write_text(text)
     with pytest.raises(ValueError, match=f"line {line}: .*duplicate migration of node"):
         load_migrations(path, 3)
+
+
+# --- every loader reads lines the same way ------------------------------
+
+
+def _messy(plain: bytes) -> bytes:
+    """plain with tabs between fields, CRLF line ends, and comment and blank
+    lines before, between and after its records."""
+    lines = [b"# leading comment", b""]
+    for line in plain.splitlines():
+        lines += [b"\t".join(line.split()), b"  # between records", b" \t "]
+    return b"\r\n".join(lines) + b"\r\n"
+
+
+_LOADERS = {
+    "snapshots": (lambda series, path: save_snapshots(series.sequence, path),
+                  lambda path: load_snapshots(path).snapshots),
+    "labels": (save_labels, lambda path: [a.tolist() for a in load_labels(path)]),
+    "migrations": (save_migrations, lambda path: load_migrations(path, 4)),
+}
+
+
+@pytest.mark.parametrize("kind", _LOADERS)
+def test_loaders_read_tabs_crlf_and_comments_as_the_plain_file(tmp_path, kind):
+    save, load = _LOADERS[kind]
+    series = diminish_series(_params(node_num=24, community_num=3, length=4,
+                                     node_change_num=2, seed=3))
+    plain, messy = tmp_path / "plain.txt", tmp_path / "messy.txt"
+    save(series, plain)
+    messy.write_bytes(_messy(plain.read_bytes()))
+    assert load(messy) == load(plain)

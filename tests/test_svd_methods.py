@@ -33,13 +33,13 @@ from dynembed.graphs import (GraphSnapshot, SnapshotSequence, dense_adjacency,
                              edge_delta)
 from dynembed.numerics import TruncatedSvd, truncated_svd
 from dynembed.rng import Rng
-from dynembed.sbm import SbmParams, _snapshot_from_dense, diminish_series, generate_sbm_snapshot
+from dynembed.sbm import SbmParams, diminish_series, generate_sbm_snapshot
 from dynembed.svd_embed import (BOUND_RTOL, RestartLogEntry, delta_factor,
                                 incremental_update, loss_lower_bound, optimal_svd_embed,
                                 rerun_svd_series, save_restart_log)
 from oracles import (brand_fold_ref, brand_update_ref, brute_min_cover_size,
                      plain_incremental_fold, ritz_fold_ref, row_indicator_factor,
-                     save_restart_log_ref, snapshot, truncated_svd_ref)
+                     save_restart_log_ref, snapshot, snapshot_from_dense, truncated_svd_ref)
 
 # The closed-form loss ||A||^2 - sum sigma_i^2 subtracts two sums of about
 # ||A||^2, so it is compared with a loss computed another way to this
@@ -126,7 +126,7 @@ def test_delta_factor_densify_oracle():
     rng = np.random.default_rng(2)
     a = (rng.random((30, 30)) < 0.1) * np.round(rng.random((30, 30)) + 0.5, 3)
     b = (rng.random((30, 30)) < 0.1) * np.round(rng.random((30, 30)) + 0.5, 3)
-    ga, gb = _snapshot_from_dense(a), _snapshot_from_dense(b)
+    ga, gb = snapshot_from_dense(a), snapshot_from_dense(b)
     p, q = delta_factor(edge_delta(ga, gb), 30)
     assert np.array_equal(p @ q.T, dense_adjacency(gb) - dense_adjacency(ga))
 
@@ -290,7 +290,7 @@ def _update_exactly(groups):
     b2 = np.array([[1.0, 2.0, 0.0], [0.0, 1.5, 0.5], [0.0, 0.0, 3.0]])
     a1, a2 = _block_constant(groups, b1), _block_constant(groups, b2)
     assert np.linalg.matrix_rank(a2) == 3
-    g1, g2 = _snapshot_from_dense(a1), _snapshot_from_dense(a2)
+    g1, g2 = snapshot_from_dense(a1), snapshot_from_dense(a2)
     _, _, before = optimal_svd_embed(g1, 4)
     p, q = delta_factor(edge_delta(g1, g2), a1.shape[0])
     after = incremental_update(before, p, q, g2)
@@ -646,7 +646,7 @@ def test_overflowing_loss_is_an_error_naming_t(scales, t):
 def test_overflowing_norm_is_an_error_naming_t():
     # rank 1, so the rank-2 loss is a rounding error, but the closed form
     # subtracts from ||A||^2, which overflows
-    g = _snapshot_from_dense(np.full((30, 30), 1e160))
+    g = snapshot_from_dense(np.full((30, 30), 1e160))
     with pytest.raises(ValueError, match="t=3: loss overflows"):
         optimal_svd_embed(g, 2, t=3)
 
