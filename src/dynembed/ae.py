@@ -170,7 +170,7 @@ def ae_loss(params: MlpParams, x: np.ndarray, targets: np.ndarray, cfg: AeConfig
     xhat = _forward(params, x)
     if xhat.shape != targets.shape:
         raise ValueError(f"target width {targets.shape[1]} != output {xhat.shape[1]}")
-    return kernels.weighted_sq_error(xhat, targets, cfg.beta) + _reg_terms(params, cfg)
+    return kernels.weighted_error_grad(xhat, targets, cfg.beta)[0] + _reg_terms(params, cfg)
 
 
 def _view(flat: np.ndarray, shape) -> np.ndarray:
@@ -195,10 +195,9 @@ class _Workspace:
     It holds the gathered input and target rows, each layer's activations,
     two delta buffers that backprop alternates between, one weight and one
     bias gradient sized to the largest layer (one layer's gradient is live
-    at a time), the error's beta weights, and a float and a bool scratch of
-    one row block (the regulariser's sign(W) and (2 nu2) W; the mask of
-    positive targets and the finite checks). No parameter aliases any of
-    them.
+    at a time), and a float and a bool scratch of one row block (the
+    regulariser's sign(W) and (2 nu2) W; the finite checks). No parameter
+    aliases any of them.
     """
 
     def __init__(self, params: MlpParams, rows: int):
@@ -210,10 +209,9 @@ class _Workspace:
         self.deltas = [np.empty(rows * max(widths)) for _ in range(2)]
         self.grad_w = np.empty(max(w.size for w in params.weights))
         self.grad_b = np.empty(max(widths))
-        self.beta_weights = np.empty((rows, n_out))
         block = max(min(w.shape[0], _block_rows(w)) * w.shape[1] for w in params.weights)
         self.scratch = np.empty(block)
-        self.mask = np.empty(max(rows * n_out, block, max(widths)), dtype=bool)
+        self.mask = np.empty(max(block, max(widths)), dtype=bool)
 
     def gather(self, x: np.ndarray, targets: np.ndarray, idx: np.ndarray):
         """x[idx] and targets[idx] in the row buffers; the gradient's rows
@@ -273,18 +271,11 @@ def _backprop(params: MlpParams, x: np.ndarray, targets: np.ndarray, cfg: AeConf
     for i, out in enumerate(ws.acts):
         acts.append(_layer(params, i, acts[-1], out=out[:m]))
     xhat = acts[-1]
-    # kernels.weighted_sq_error's (b * d) * d, in the workspace
-    pos = np.greater(targets, 0.0, out=_view(ws.mask, targets.shape))
-    sq = ws.beta_weights[:m]
-    np.copyto(sq, 1.0)
-    np.copyto(sq, cfg.beta, where=pos)
-    d = np.subtract(xhat, targets, out=_view(ws.deltas[1], xhat.shape))
-    sq *= d
-    sq *= d
-    err = float(np.sum(sq))
+    # the error's terms go through deltas[1], free until layer n - 1's delta
     cur = 0
-    delta = kernels.weighted_error_grad(xhat, targets, cfg.beta,
-                                        out=_view(ws.deltas[cur], xhat.shape))
+    err, delta = kernels.weighted_error_grad(xhat, targets, cfg.beta,
+                                             out=_view(ws.deltas[cur], xhat.shape),
+                                             scratch=_view(ws.deltas[1], xhat.shape))
     for i in range(params.n_layers - 1, -1, -1):
         if params.is_sigmoid_layer(i):
             delta = kernels.sigmoid_grad(delta, acts[i + 1], out=delta)

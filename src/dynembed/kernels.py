@@ -4,14 +4,16 @@ The autoencoder and the classifier call these through the module
 (``kernels.<name>``), so each kernel is one function that a profiler can
 wrap.
 
-The sigmoid kernels are bitwise equal to the expression forms kept as
-oracles in ``tests/oracles.py`` (``sigmoid_ref``, ``affine_sigmoid_ref``,
-``sigmoid_grad_ref``): they do the same IEEE operations in the same order
-and only reuse buffers, so every trained model and embedding is
+The sigmoid kernels and weighted_error_grad are bitwise equal to the
+expression forms kept as oracles in ``tests/oracles.py`` (``sigmoid_ref``,
+``affine_sigmoid_ref``, ``sigmoid_grad_ref``, ``weighted_sq_error_ref``,
+``weighted_error_grad_ref``): they do the same IEEE operations in the same
+order and only reuse buffers, so every trained model and embedding is
 byte-identical to those forms. They never write into their arguments,
-except into an `out` buffer the caller passes: the AE's training workspace
-(`ae.train_dense`) hands each minibatch's activations and deltas to them
-that way, so that its layers' arrays are allocated once per call.
+except into an `out` or `scratch` buffer the caller passes: the AE's
+training workspace (`ae.train_dense`) hands each minibatch's activations
+and deltas to them that way, so that its layers' arrays are allocated once
+per call.
 """
 
 import numpy as np
@@ -56,24 +58,25 @@ def affine_sigmoid(x, w, b, out=None):
     return _sigmoid_inplace(z)
 
 
-def weighted_sq_error(xhat, target, beta):
-    """Sum of squared errors with weight beta on coordinates where target > 0."""
-    w = np.where(target > 0.0, beta, 1.0)
-    d = xhat - target
-    return float(np.sum(w * d * d))
+def weighted_error_grad(xhat, target, beta, out=None, scratch=None):
+    """(error, gradient) of sum b (xhat - target)^2, b = beta where target > 0
+    and 1 elsewhere, from one difference d = xhat - target and one mask.
 
-
-def weighted_error_grad(xhat, target, beta, out=None):
-    """Gradient of weighted_sq_error with respect to xhat, written into out
-    when given; out must not overlap xhat or target.
-
-    This is 2 b (xhat - target) with b = beta where target > 0, else 1. The
-    factor 2 b takes two values, 2 * beta and 2, so each coordinate is one
-    product (xhat - target) * (2 b), the same IEEE operations as the
-    expression's, with a mask as the only temporary.
+    scratch (fresh when None) holds b, then the error's terms (b d) d, then
+    2 b, so the gradient d (2 b), written over d (in out when given), is the
+    expression's IEEE products. Masked copies and unmasked multiplies cost
+    less than masked multiplies. out and scratch must not overlap each
+    other, xhat or target.
     """
-    out = np.subtract(xhat, target, out=out)
+    d = np.subtract(xhat, target, out=out)
     pos = target > 0.0
-    np.multiply(out, 2.0 * beta, out=out, where=pos)
-    return np.multiply(out, 2.0, out=out, where=np.logical_not(pos, out=pos))
-
+    b = np.empty_like(d) if scratch is None else scratch
+    np.copyto(b, 1.0)
+    np.copyto(b, beta, where=pos)
+    b *= d
+    b *= d
+    err = float(np.sum(b))
+    np.copyto(b, 2.0)
+    np.copyto(b, 2.0 * beta, where=pos)
+    d *= b
+    return err, d

@@ -24,9 +24,14 @@ _INV_2_53 = 2.0 ** -53
 
 
 def _mix(z):
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+    """SplitMix64's output function, in place on the uint64 array z."""
+    t = np.right_shift(z, np.uint64(30))
+    z ^= t
+    z *= _MIX1
+    z ^= np.right_shift(z, np.uint64(27), out=t)
+    z *= _MIX2
+    z ^= np.right_shift(z, np.uint64(31), out=t)
+    return z
 
 
 class Rng:
@@ -38,10 +43,12 @@ class Rng:
 
     def raw64(self, size: int) -> np.ndarray:
         """Next `size` raw 64-bit outputs."""
-        idx = np.arange(self._count + 1, self._count + size + 1, dtype=np.uint64)
+        z = np.arange(self._count + 1, self._count + size + 1, dtype=np.uint64)
         self._count += size
         with np.errstate(over="ignore"):
-            return _mix(self._seed + idx * _GOLDEN)
+            z *= _GOLDEN
+            z += self._seed
+            return _mix(z)
 
     def random(self, size=None):
         """Uniform float64 draws in [0, 1); scalar when size is None."""
@@ -49,8 +56,9 @@ class Rng:
             return float((self.raw64(1)[0] >> np.uint64(11)) * _INV_2_53)
         shape = (size,) if np.isscalar(size) else tuple(size)
         n = int(np.prod(shape))
-        out = (self.raw64(n) >> np.uint64(11)) * _INV_2_53
-        return out.reshape(shape)
+        z = self.raw64(n)
+        z >>= np.uint64(11)
+        return np.multiply(z, _INV_2_53).reshape(shape)
 
     def uniform(self, low: float, high: float, size=None):
         return low + (high - low) * self.random(size)

@@ -42,14 +42,6 @@ class EmbeddingSeries:
             if not np.all(np.isfinite(m)):
                 raise ValueError("non-finite embedding entries")
 
-    @property
-    def d(self) -> int:
-        return self.y_src[0].shape[1]
-
-    @property
-    def n(self) -> int:
-        return self.y_src[0].shape[0]
-
     def times(self):
         """Snapshot indices covered by this series."""
         return range(self.t_start, self.t_start + len(self.y_src))

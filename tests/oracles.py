@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from dynembed import ae, kernels, svd_embed
+from dynembed import ae, svd_embed
 from dynembed.evaluation import EvalError, EvalReport, ScoredPairs, static_lp_split
 from dynembed.graphs import GraphSnapshot, SnapshotSequence, dense_adjacency, edge_delta
 from dynembed.numerics import TruncatedSvd, truncated_svd
@@ -632,6 +632,10 @@ def affine_sigmoid_ref(x, w, b):
     return sigmoid_ref(x @ w + b)
 
 
+def weighted_sq_error_ref(xhat, target, beta):
+    return float(np.sum(np.where(target > 0.0, beta, 1.0) * (xhat - target) * (xhat - target)))
+
+
 def weighted_error_grad_ref(xhat, target, beta):
     return 2.0 * np.where(target > 0.0, beta, 1.0) * (xhat - target)
 
@@ -675,8 +679,8 @@ def train_dense_ref(x, targets, cfg, init, rng):
             gw, gb = ae.ae_gradient(params, x[idx], targets[idx], cfg)
             if not all(np.all(np.isfinite(g)) for g in gw):
                 raise ae.AeTrainingError(epoch, bi)
-            total += kernels.weighted_sq_error(ae.reconstruct(params, x[idx]), targets[idx],
-                                               cfg.beta)
+            total += weighted_sq_error_ref(ae.reconstruct(params, x[idx]), targets[idx],
+                                           cfg.beta)
             for i in range(params.n_layers):
                 gw[i] *= cfg.xeta
                 params.weights[i] -= gw[i]

@@ -9,7 +9,8 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from dynembed import kernels
 
-from oracles import affine_sigmoid_ref, sigmoid_grad_ref, sigmoid_ref, weighted_error_grad_ref
+from oracles import (affine_sigmoid_ref, sigmoid_grad_ref, sigmoid_ref, weighted_error_grad_ref,
+                     weighted_sq_error_ref)
 
 SPECIAL = [0.0, -0.0, 745.0, -745.0, 800.0, -800.0, np.inf, -np.inf, np.nan]
 _float64s = arrays(
@@ -88,25 +89,41 @@ def test_weighted_error_grad_matches_oracle_bitwise(xhat, data, beta):
                   st.sampled_from(SPECIAL), st.floats(-2.0, 2.0)))))
     before = [xhat.copy(), target.copy()]
     with np.errstate(over="ignore", invalid="ignore"):
-        want = weighted_error_grad_ref(xhat, target, beta)
-        got = kernels.weighted_error_grad(xhat, target, beta)
-        out = np.full(xhat.shape, np.nan)
-        assert kernels.weighted_error_grad(xhat, target, beta, out=out) is out
-    _assert_same_bits(got, want)
-    _assert_same_bits(out, want)
+        want_err = weighted_sq_error_ref(xhat, target, beta)
+        want_grad = weighted_error_grad_ref(xhat, target, beta)
+        results = [kernels.weighted_error_grad(xhat, target, beta)]
+        # the buffers a training workspace passes: row blocks of larger ones
+        out, scratch = (np.full((len(xhat) + 2, *xhat.shape[1:]), np.nan) for _ in range(2))
+        err, grad = kernels.weighted_error_grad(xhat, target, beta, out=out[:len(xhat)],
+                                                scratch=scratch[:len(xhat)])
+        assert grad.base is out
+        results.append((err, grad))
+        # and each buffer alone
+        out1 = np.full(xhat.shape, np.nan)
+        err, grad = kernels.weighted_error_grad(xhat, target, beta, out=out1)
+        assert grad is out1
+        results.append((err, grad))
+        scratch1 = np.full(xhat.shape, np.nan)
+        results.append(kernels.weighted_error_grad(xhat, target, beta, scratch=scratch1))
+    for err, grad in results:
+        assert isinstance(err, float)
+        _assert_same_bits(np.array(err), np.array(want_err))
+        _assert_same_bits(grad, want_grad)
     for a, a0 in zip([xhat, target], before):
         assert np.array_equal(a.view(np.uint64), a0.view(np.uint64))
 
 
-def test_weighted_sq_error_hand_value():
-    # t=(1,0), xhat=(0.5,0.5), beta=5: 5*0.25 + 0.25
+def test_weighted_error_grad_hand_value():
+    # t=(1,0), xhat=(0.5,0.5), beta=5: error 5*0.25 + 0.25, gradient (2*5*(-0.5), 2*0.5)
     xhat = np.array([[0.5, 0.5]])
     target = np.array([[1.0, 0.0]])
-    assert kernels.weighted_sq_error(xhat, target, 5.0) == pytest.approx(1.5, abs=1e-15)
+    err, grad = kernels.weighted_error_grad(xhat, target, 5.0)
+    assert err == pytest.approx(1.5, abs=1e-15)
+    assert np.array_equal(grad, [[-5.0, 1.0]])
 
 
-def test_weighted_sq_error_beta_one_is_plain_sse():
+def test_weighted_error_grad_beta_one_is_plain_sse():
     xhat, target = _rand((5, 5), 10), np.abs(_rand((5, 5), 11))
-    got = kernels.weighted_sq_error(xhat, target, 1.0)
-    assert got == pytest.approx(float(np.sum((xhat - target) ** 2)), rel=1e-12)
-
+    err, grad = kernels.weighted_error_grad(xhat, target, 1.0)
+    assert err == pytest.approx(float(np.sum((xhat - target) ** 2)), rel=1e-12)
+    assert np.array_equal(grad, 2.0 * (xhat - target))

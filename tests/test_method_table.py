@@ -323,6 +323,12 @@ def test_benchmark_trace_hooks_see_one_ae_run(tmp_path, monkeypatch):
     in_encode = sum(name == "kernels.affine_sigmoid" and spans[parent][0] == "ae.encode"
                     for name, _, _, parent in spans if parent is not None)
     assert in_encode == LENGTH * len(cfg.ae.enc_units)
+    # the weighted error and its gradient come from one kernel call per
+    # training minibatch, and from nowhere else in the run
+    batches = math.ceil(cfg.data.sbm.node_num / cfg.ae.n_batch)
+    assert calls["kernels.weighted_error_grad"] == LENGTH * cfg.ae.n_iter * batches
+    assert {spans[parent][0] for name, _, _, parent in spans
+            if name == "kernels.weighted_error_grad"} == {"ae.train"}
     # both tasks score snapshots by decoding them
     assert calls["ae.reconstruct"] == 2
 

@@ -1,6 +1,8 @@
 """The RNG is a documented algorithm, so we check it bit-for-bit against an
 independent pure-Python reference."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,6 +41,19 @@ def test_random_shape_and_range():
     assert out.shape == (4, 5)
     assert np.all((out >= 0.0) & (out < 1.0))
     assert isinstance(Rng(0).random(), float)
+
+
+def test_random_peaks_at_twice_its_result():
+    # the stream is mixed in place on one uint64 buffer, so at most two
+    # arrays of the result's size are alive: that buffer and either its
+    # shift temporary or the float64 result
+    tracemalloc.start()
+    try:
+        out = Rng(1).random((1000, 1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * out.nbytes + (1 << 20)
 
 
 def test_seeds_diverge_and_repeat():

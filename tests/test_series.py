@@ -31,7 +31,6 @@ def _series(t_start=0, n=4, d=3, count=3):
 def test_accessors_and_times():
     s = _series(t_start=2)
     assert list(s.times()) == [2, 3, 4]
-    assert s.n == 4 and s.d == 3
     assert np.array_equal(s.src_at(3), s.y_src[1])
     assert np.array_equal(s.tgt_at(4), s.y_tgt[2])
 
