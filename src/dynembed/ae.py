@@ -304,8 +304,13 @@ class TrainResult:
     epoch_losses: list = field(default_factory=list)
 
 
-def train_dense(x: np.ndarray, targets: np.ndarray, cfg: AeConfig, init: MlpParams | None, rng: Rng) -> TrainResult:
+def train_dense(x: np.ndarray, targets: np.ndarray, cfg: AeConfig, init: MlpParams | None, rng: Rng,
+                overwrite_init: bool = False) -> TrainResult:
     """Minibatch gradient descent over shuffled rows, with one loss per epoch.
+
+    Training starts from a copy of init, or with overwrite_init from init's
+    own arrays, which it then steps in place and returns: the caller must not
+    read init again. Either way the trained parameters are bitwise the same.
 
     An epoch's loss is the running loss of its minibatches: the sum of each
     minibatch's weighted squared error, taken from the forward pass its
@@ -323,7 +328,8 @@ def train_dense(x: np.ndarray, targets: np.ndarray, cfg: AeConfig, init: MlpPara
     gradient is non-finite, and AeTrainingError(epoch, -1) when an epoch
     ends with a non-finite weight (the penalty is then NaN, even at
     nu1 = nu2 = 0) or bias. The blocks checked before the non-finite one
-    have been stepped by then, but only in this call's copy of init. A
+    have been stepped by then, in this call's copy of init, or with
+    overwrite_init in init itself. A
     model whose parameters are finite but whose forward pass overflows is
     caught by the next minibatch's gradient check; after the last epoch,
     only by the caller (EmbeddingSeries rejects a non-finite embedding).
@@ -333,7 +339,7 @@ def train_dense(x: np.ndarray, targets: np.ndarray, cfg: AeConfig, init: MlpPara
     if init is None:
         params = fresh_params(x.shape[1], cfg, rng, output_dim=targets.shape[1])
     else:
-        params = init.copy()
+        params = init if overwrite_init else init.copy()
     n_rows = x.shape[0]
     ws = _Workspace(params, min(cfg.n_batch, n_rows))
 
@@ -363,34 +369,40 @@ def train_dense(x: np.ndarray, targets: np.ndarray, cfg: AeConfig, init: MlpPara
     return TrainResult(params=params, epoch_losses=losses)
 
 
-def fit_snapshot(adj: np.ndarray, cfg: AeConfig, t: int, init: MlpParams | None = None) -> MlpParams:
+def fit_snapshot(adj: np.ndarray, cfg: AeConfig, t: int, init: MlpParams | None = None,
+                 overwrite_init: bool = False) -> MlpParams:
     """Model of snapshot t: its adjacency rows autoencoded with Rng(cfg.seed + t),
-    from init's weights, or from fresh ones when init is None."""
-    return train_dense(adj, adj, cfg, init, Rng(cfg.seed + t)).params
+    from init's weights (trained in place with overwrite_init, see
+    train_dense), or from fresh ones when init is None."""
+    return train_dense(adj, adj, cfg, init, Rng(cfg.seed + t), overwrite_init).params
 
 
-def _snapshot_fold(seq: SnapshotSequence, cfg: AeConfig, warm: bool, keep=None):
+def _snapshot_fold(seq: SnapshotSequence, cfg: AeConfig, warm: bool, keep=None, on_step=None):
     """One model per snapshot, from fresh weights or, with warm, from the
     previous snapshot's model; returns (series, models). models[t] is the
     model of snapshot t when t is in keep or is the last t, and None
-    otherwise; keep None keeps every model. A model that is not kept is
-    dropped once the next snapshot has started from it."""
+    otherwise; keep None keeps every model. on_step(t, model, adj), when
+    given, is called once the model of t and its embedding exist. A warm
+    start from a model that is not kept trains in that model's own arrays,
+    so the fold holds one model at a time."""
     ys, models = [], []
     prev = None
     last = len(seq) - 1
     for t in range(len(seq)):
         adj = dense_adjacency(seq[t])
-        model = fit_snapshot(adj, cfg, t, prev)
+        model = fit_snapshot(adj, cfg, t, prev, overwrite_init=keep is not None and t - 1 not in keep)
         ys.append(encode(model, adj))
+        if on_step is not None:
+            on_step(t, model, adj)
         models.append(model if keep is None or t in keep or t == last else None)
         prev = model if warm else None
     return EmbeddingSeries(y_src=ys, y_tgt=[y.copy() for y in ys]), models
 
 
-def static_ae_series(seq: SnapshotSequence, cfg: AeConfig, keep=None):
+def static_ae_series(seq: SnapshotSequence, cfg: AeConfig, keep=None, on_step=None):
     """Independent static AE per snapshot; returns (series, models) as
     _snapshot_fold keeps them."""
-    return _snapshot_fold(seq, cfg, False, keep)
+    return _snapshot_fold(seq, cfg, False, keep, on_step)
 
 
 def chain_align(ys: list) -> list:
@@ -401,17 +413,17 @@ def chain_align(ys: list) -> list:
     return out
 
 
-def aealign_series(seq: SnapshotSequence, cfg: AeConfig, keep=None):
+def aealign_series(seq: SnapshotSequence, cfg: AeConfig, keep=None, on_step=None):
     """Static AE per snapshot, then Procrustes-align each step to the last."""
-    raw, models = static_ae_series(seq, cfg, keep)
+    raw, models = static_ae_series(seq, cfg, keep, on_step)
     aligned = chain_align(raw.y_src)
     return EmbeddingSeries(y_src=aligned, y_tgt=[y.copy() for y in aligned]), models
 
 
-def dyngem_series(seq: SnapshotSequence, cfg: AeConfig, keep=None):
+def dyngem_series(seq: SnapshotSequence, cfg: AeConfig, keep=None, on_step=None):
     """Train t=0 from scratch, then carry weights forward as the init of each
     following snapshot."""
-    return _snapshot_fold(seq, cfg, True, keep)
+    return _snapshot_fold(seq, cfg, True, keep, on_step)
 
 
 def build_lookback_pairs(seq: SnapshotSequence, lookback: int):

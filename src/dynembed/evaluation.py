@@ -177,30 +177,40 @@ def _top_precisions(keys: np.ndarray, hits: np.ndarray, k_grid) -> list:
 def _row_aps(keys: np.ndarray, hits: np.ndarray, n_true: np.ndarray) -> np.ndarray:
     """AP of every row u of the cell keys with n_true[u] > 0, in row order.
 
-    A stable sort of the row ranks its cells, candidates first. Where a
-    row's finite keys are distinct every sort gives that order, so rows are
-    sorted by numpy's faster unstable sort, and only rows with tied finite
-    keys are sorted again stably. A row's AP adds found/rank at each of its
-    hits, one at a time in rank order (a cumulative sum; np.sum would group
-    the terms pairwise and could change the last bits), and divides by all
-    of its true edges, hit or not. A row without hits scores 0.0.
+    A stable sort of the row ranks its cells, candidates first, and AP reads
+    only the ranks of the hits. Where a row's finite keys are distinct, a
+    hit's rank is its key's place in the row sorted by numpy's faster
+    unstable sort, found by searchsorted; only rows with tied finite keys
+    are argsorted stably. A row's AP adds found/rank at each of its hits,
+    one at a time in rank order (a cumulative sum over the block's hits,
+    zero-padded at the end of each row; np.sum would group the terms
+    pairwise and could change the last bits), and divides by all of its
+    true edges, hit or not. A row without hits scores 0.0.
     """
     rows = np.flatnonzero(n_true)
     width = keys.shape[1]
-    rank = np.arange(1, width + 1)
     total = np.empty(len(rows))
     step = max(1, _BLOCK_CELLS // width)
     for at in range(0, len(rows), step):
         mine = rows[at:at + step]
         block = keys[mine]
-        order = np.argsort(block, axis=1)
-        ranked = np.take_along_axis(block, order, axis=1)
-        tied = np.flatnonzero(((ranked[:, 1:] == ranked[:, :-1]) & (ranked[:, 1:] < np.inf))
-                              .any(axis=1))
-        order[tied] = np.argsort(block[tied], axis=1, kind="stable")
-        hit = np.take_along_axis(hits[mine], order, axis=1)
+        ranked = np.sort(block, axis=1)
+        tied = ((ranked[:, 1:] == ranked[:, :-1]) & (ranked[:, 1:] < np.inf)).any(axis=1)
+        r, c = np.nonzero(hits[mine])  # row by row, so each row's hits are contiguous
+        counts = np.bincount(r, minlength=len(mine))
+        starts = np.cumsum(counts) - counts
+        place = np.empty(len(r), dtype=np.int64)  # 0-based rank, ascending in each row
+        for i in np.flatnonzero(counts):
+            span = slice(starts[i], starts[i] + counts[i])
+            if tied[i]:
+                order = np.argsort(block[i], kind="stable")
+                place[span] = np.flatnonzero(hits[mine[i]][order])
+            else:
+                place[span] = np.sort(np.searchsorted(ranked[i], block[i, c[span]]))
+        found = np.arange(1, len(r) + 1) - starts[r]
+        terms = np.zeros((len(mine), max(1, int(found.max(initial=0)))))
         # adding a zero term leaves a sum of positive terms bitwise unchanged
-        terms = np.where(hit, np.cumsum(hit, axis=1) / rank, 0.0)
+        terms[r, found - 1] = found / (place + 1)
         total[at:at + step] = np.cumsum(terms, axis=1)[:, -1]
     return total / n_true[rows]
 

@@ -17,8 +17,10 @@ trains on windows from the whole sequence, so it alone retrains on the
 prefix ending at t for both tasks.
 
 A run keeps only the per-step state its configured tasks read
-(_kept_steps): the SVD folds one factor state, the per-snapshot AE families
-the models of those steps plus the last one, which model.txt holds.
+(_kept_steps): the SVD folds one factor state; the per-snapshot AE families
+the n x n scores of the snapshots that reconstruction and temporal LP read,
+taken as each model is trained, and a model only where dynGEM's static LP
+refit starts from it and for the last t, which model.txt holds.
 
 Labels and migration records read from files are checked against the
 sequence and against each other. A run first deletes the outputs an earlier
@@ -201,18 +203,29 @@ def _kept_model(extras, t: int):
 
 
 def _ae_scores(cfg, run, t):
-    return reconstruct(_kept_model(run.extras, t), dense_adjacency(run.seq[t]))
+    scores = run.extras["scores"].get(t)
+    if scores is None:
+        raise PipelineError(f"the run kept no scores for t={t}")
+    return scores
 
 
 def _ae_record(series_fn, warm: bool = False) -> Method:
     """A static AE family; with warm, a refit starts from the run's model of
-    t - 1 (dynGEM), else from fresh weights. The run keeps the models its
-    tasks read and the last one, which model.txt holds."""
-    reads = ("reconstruction", "temporal_lp") + (("static_lp",) if warm else ())
-
+    t - 1 (dynGEM), else from fresh weights. The run scores the snapshots
+    that reconstruction and temporal LP read as soon as their models are
+    trained, and keeps those scores; it keeps the model a refit starts from
+    and the last one, which model.txt holds."""
     def embed(cfg, seq):
-        series, models = series_fn(seq, cfg.ae, keep=_kept_steps(cfg, seq, reads))
-        return series, {"models": models}
+        scored = _kept_steps(cfg, seq, ("reconstruction", "temporal_lp"))
+        scores = {}
+
+        def on_step(t, model, adj):
+            if t in scored:
+                scores[t] = reconstruct(model, adj)
+
+        keep = _kept_steps(cfg, seq, ("static_lp",) if warm else ())
+        series, models = series_fn(seq, cfg.ae, keep=keep, on_step=on_step)
+        return series, {"models": models, "scores": scores}
 
     def refit(cfg, run, t, g):
         adj = dense_adjacency(g)
@@ -261,8 +274,9 @@ def embed_series(cfg: ExperimentConfig, seq: SnapshotSequence):
     """Run the configured method; returns (series, extras). extras may hold
     'restart_log' and 'state', the factor state static LP branches from
     (incsvd/rerunsvd), or 'models' (d2v_ae's one model, or per snapshot of
-    the other AE families the model its tasks read, the last one, and None
-    elsewhere)."""
+    the other AE families the model a refit starts from, the last one, and
+    None elsewhere) and, for those families, 'scores' (t -> the n x n
+    scores of snapshot t that reconstruction and temporal LP read)."""
     return METHOD_TABLE[cfg.method].embed(cfg, seq)
 
 

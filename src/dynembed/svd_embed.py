@@ -184,14 +184,16 @@ def _augment(root, adj: dict, match_row: dict, match_col: dict, seen: set) -> bo
     return False
 
 
-def _min_vertex_cover(edges):
+def _min_vertex_cover(edges, stop_at: int | None = None):
     """Minimum vertex cover (rows, columns), each sorted, of the bipartite
     graph whose edges are the (row, column) pairs in edges.
 
     A greedy matching is grown to a maximum one with augmenting paths; the
     cover is then read off by Koenig's theorem: rows not reachable from a
     free row by an alternating path, plus columns that are. Everything runs
-    in sorted order, so the cover is deterministic.
+    in sorted order, so the cover is deterministic. With stop_at, None is
+    returned as soon as the greedy matching has stop_at edges: every cover
+    then has at least stop_at vertices.
     """
     adj: dict = {}
     for u, v in sorted(edges):
@@ -204,6 +206,8 @@ def _min_vertex_cover(edges):
                 match_row[u] = v
                 match_col[v] = u
                 break
+    if stop_at is not None and len(match_row) >= stop_at:
+        return None
     # Kuhn's algorithm, one pass. Columns seen by a failed search cannot lie
     # on an augmenting path until the matching changes, so seen is only
     # cleared after a success.
@@ -226,9 +230,10 @@ def _min_vertex_cover(edges):
     return [u for u in adj if u not in reached_rows], sorted(reached_cols)
 
 
-def delta_factor(delta: EdgeDelta, n: int):
+def delta_factor(delta: EdgeDelta, n: int, wide_at: int | None = None):
     """Factor the perturbation exactly as P Q^T over a minimum vertex cover
-    of its changed entries (row u -- column v).
+    of its changed entries (row u -- column v); with wide_at, None instead
+    when a greedy matching shows the cover to be at least wide_at wide.
 
     Column j of the factor belongs to one cover vertex. A cover row u gives
     P[:, j] = e_u and Q[:, j] = Delta[u, :]; a cover column v gives
@@ -244,7 +249,10 @@ def delta_factor(delta: EdgeDelta, n: int):
     vs = np.concatenate([added["v"], removed["v"], reweighted["v"]])
     change = np.concatenate([added["w"], -removed["w"],
                              reweighted["w_new"] - reweighted["w_old"]])
-    rows, cols = _min_vertex_cover(zip(us.tolist(), vs.tolist()))
+    cover = _min_vertex_cover(zip(us.tolist(), vs.tolist()), wide_at)
+    if cover is None:
+        return None
+    rows, cols = cover
     k = len(rows) + len(cols)
     p = np.zeros((n, k))
     q = np.zeros((n, k))
@@ -280,13 +288,19 @@ def _new_directions(basis: np.ndarray, block: np.ndarray) -> np.ndarray:
     return np.linalg.qr(u)[0]
 
 
+def _batch_width(state: SvdFactorState) -> int:
+    """The narrowest update that makes a step a batch step: a non-empty one
+    that would take the epoch's width to n (epoch_width + k >= n). It may
+    span all of R^n, where the Ritz step is the batch SVD of the snapshot."""
+    return max(1, state.snapshot.n - state.epoch_width)
+
+
 def incremental_update(state: SvdFactorState, p: np.ndarray, q: np.ndarray,
                        g: GraphSnapshot) -> SvdFactorState:
     """The Ritz step onto g, whose adjacency is the tracked snapshot's plus
-    P Q^T (see the module docstring). An update that would take the epoch's
-    width to n (epoch_width + k >= n) may span all of R^n, where the Ritz
-    step is the batch SVD of g: it takes that and starts a new epoch. An
-    empty update keeps the factor, epoch and loss.
+    P Q^T (see the module docstring). An update at least _batch_width wide
+    takes the batch SVD of g and starts a new epoch. An empty update keeps
+    the factor, epoch and loss.
     """
     n = state.snapshot.n
     if g.n != n:
@@ -296,7 +310,7 @@ def incremental_update(state: SvdFactorState, p: np.ndarray, q: np.ndarray,
     t = state.t_cur + 1
     if p.shape[1] == 0:
         return replace(state, t_cur=t, snapshot=g)
-    if state.epoch_width + p.shape[1] >= n:
+    if p.shape[1] >= _batch_width(state):
         return optimal_svd_embed(g, state.d, t)[2]
     new = _new_directions(state.basis, q)
     basis = np.hstack([state.basis, new])
@@ -329,10 +343,15 @@ def rerun_svd_step(state: SvdFactorState, cur: GraphSnapshot, theta: float):
     """One step of the rerun fold from state onto cur, the update being the
     change from the snapshot state tracks; returns (state, log entry). A
     restart keeps the epoch's basis and width and adds cur's top r right
-    singular vectors to the basis (see the module docstring)."""
+    singular vectors to the basis (see the module docstring). A change that
+    a greedy matching shows to be at least _batch_width wide, such as static
+    LP's step onto a train split, is a batch step without its exact cover."""
     t = state.t_cur + 1
-    p, q = delta_factor(edge_delta(state.snapshot, cur), cur.n)
-    state = incremental_update(state, p, q, cur)
+    factor = delta_factor(edge_delta(state.snapshot, cur), cur.n, _batch_width(state))
+    if factor is None:
+        state = optimal_svd_embed(cur, state.d, t)[2]
+    else:
+        state = incremental_update(state, *factor, cur)
     bound = loss_lower_bound(state)
     restarted = (
         math.isfinite(theta) and bound > 0.0 and state.cur_loss / bound - 1.0 > theta

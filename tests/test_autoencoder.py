@@ -614,6 +614,41 @@ def test_dyngem_zero_warm_iters_freezes_model():
     assert np.array_equal(encode(frozen, adj), series.src_at(0))
 
 
+def test_warm_start_in_place_trains_init_itself():
+    g = _two_block_graph()
+    adj = dense_adjacency(g)
+    cfg = _small_cfg(n_iter=3)
+    init = fit_snapshot(adj, cfg, 0)
+    before = init.copy()
+    copied = fit_snapshot(adj, cfg, 1, init)
+    assert all(np.array_equal(a, b) for a, b in zip(init.weights + init.biases,
+                                                  before.weights + before.biases))
+    in_place = fit_snapshot(adj, cfg, 1, init, overwrite_init=True)
+    assert in_place is init
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(in_place.weights + in_place.biases,
+                                                          copied.weights + copied.biases))
+
+
+@pytest.mark.parametrize("keep", [None, set(), {0}, {1}])
+def test_dyngem_fold_is_the_same_whichever_models_it_keeps(keep):
+    # a warm start from a model the fold does not keep trains in its arrays
+    g = _two_block_graph()
+    seq = SnapshotSequence([g, g, g])
+    cfg = _small_cfg(n_iter=3)
+    scored = []
+    series, models = dyngem_series(seq, cfg, keep, lambda t, model, adj: scored.append(
+        (t, reconstruct(model, adj).tobytes())))
+    want_series, want_models = dyngem_series(seq, cfg)
+    for t in range(len(seq)):
+        assert series.src_at(t).tobytes() == want_series.src_at(t).tobytes()
+        assert scored[t] == (t, reconstruct(want_models[t], dense_adjacency(g)).tobytes())
+        if models[t] is not None:
+            assert all(a.tobytes() == b.tobytes()
+                       for a, b in zip(models[t].weights, want_models[t].weights))
+    assert [t for t, m in enumerate(models) if m is not None] == \
+        ([0, 1, 2] if keep is None else sorted(keep | {2}))
+
+
 def test_warm_start_reaches_fresh_loss_faster(small_sbm):
     seq = small_sbm.sequence
     n_iter = 40
@@ -698,13 +733,15 @@ def test_d2v_training_halves_the_loss():
 
 
 def test_reconstruction_scores_are_decoded_rows():
+    # the run decodes the snapshot's rows with its model once it is trained
     g = _two_block_graph()
     adj = dense_adjacency(g)
-    params = fresh_params(16, _small_cfg(), Rng(2))
+    cfg = SimpleNamespace(ae=_small_cfg(n_iter=2), tasks={"reconstruction": {"t": 0}})
+    seq = SnapshotSequence([g])
     for name in ("ae_static", "aealign", "dyngem"):
-        run = Run(SnapshotSequence([g]), None, {"models": [params]})
-        scores = METHOD_TABLE[name].scores(None, run, 0)
-        assert np.array_equal(scores, reconstruct(params, adj))
+        run = Run(seq, *METHOD_TABLE[name].embed(cfg, seq))
+        scores = METHOD_TABLE[name].scores(cfg, run, 0)
+        assert np.array_equal(scores, reconstruct(run.extras["models"][0], adj))
 
 
 # --- persistence ------------------------------------------------------------

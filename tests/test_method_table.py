@@ -90,39 +90,56 @@ def test_static_lp_needs_the_state_the_run_kept(kept):
 
 
 PER_SNAPSHOT_AE = ["ae_static", "aealign", "dyngem"]
-# tasks -> the steps whose models a run reads: (static AE and AEalign, dynGEM)
+# tasks -> (the steps whose models a run keeps besides the last: static AE
+# and AEalign, dynGEM; the steps whose scores it keeps)
 KEPT_CASES = {
-    "none": ({}, set(), set()),
-    "reconstruction": ({"reconstruction": {"t": 1}}, {1}, {1}),
-    "temporal_lp_middle": ({"temporal_lp": {"t": 2}}, {2}, {2}),
+    "none": ({}, set(), set(), set()),
+    "reconstruction": ({"reconstruction": {"t": 1}}, set(), set(), {1}),
+    "temporal_lp_middle": ({"temporal_lp": {"t": 2}}, set(), set(), {2}),
     # dynGEM's refit warm-starts from the model of t - 1, the others' from
     # fresh weights
-    "static_lp_first": ({"static_lp": {"t": 0}}, set(), set()),
-    "static_lp_middle": ({"static_lp": {"t": 3}}, set(), {2}),
-    "static_lp_last": ({"static_lp": {"t": -1}}, set(), {LENGTH - 2}),
+    "static_lp_first": ({"static_lp": {"t": 0}}, set(), set(), set()),
+    "static_lp_middle": ({"static_lp": {"t": 3}}, set(), {2}, set()),
+    "static_lp_last": ({"static_lp": {"t": -1}}, set(), {LENGTH - 2}, set()),
+    # the model of t = 2 is scored, and dynGEM keeps it for the refit of
+    # t = 3, so t = 3 trains from a copy of it
+    "all_at_two": ({"reconstruction": {"t": 2}, "temporal_lp": {"t": 2},
+                    "static_lp": {"t": 3}}, set(), {2}, {2}),
 }
+
+
+def _every_model_embed(cfg, seq):
+    """The method's series with every model kept, and the scores of every
+    snapshot decoded after the fold."""
+    series, extras = _prefix_embed(cfg, seq)
+    scores = {t: ae.reconstruct(model, dense_adjacency(seq[t]))
+              for t, model in enumerate(extras["models"])}
+    return series, {**extras, "scores": scores}
 
 
 @pytest.mark.parametrize("case", sorted(KEPT_CASES))
 @pytest.mark.parametrize("method", PER_SNAPSHOT_AE)
 def test_ae_run_keeps_only_the_models_its_tasks_read(tmp_path, monkeypatch, method, case):
-    tasks, static_reads, warm_reads = KEPT_CASES[case]
+    tasks, static_models, warm_models, scored = KEPT_CASES[case]
     cfg = _cfg(method, tasks, tmp_path / "kept")
-    models = embed_series(cfg, prepare_data(cfg)[0])[1]["models"]
-    reads = warm_reads if method == "dyngem" else static_reads
-    assert [t for t, m in enumerate(models) if m is not None] == sorted(reads | {LENGTH - 1})
+    extras = embed_series(cfg, prepare_data(cfg)[0])[1]
+    models = warm_models if method == "dyngem" else static_models
+    assert [t for t, m in enumerate(extras["models"]) if m is not None] == \
+        sorted(models | {LENGTH - 1})
+    assert sorted(extras["scores"]) == sorted(scored)
     kept = run_experiment(cfg)["files"]
     # every report, model.txt and embedding is the one of a run that keeps
-    # every model
+    # every model and decodes the snapshots after its fold
     monkeypatch.setitem(pipeline.METHOD_TABLE, method,
-                        dataclasses.replace(pipeline.METHOD_TABLE[method], embed=_prefix_embed))
+                        dataclasses.replace(pipeline.METHOD_TABLE[method],
+                                            embed=_every_model_embed))
     assert run_experiment(_cfg(method, tasks, tmp_path / "all"))["files"] == kept
 
 
 @pytest.mark.parametrize("method", PER_SNAPSHOT_AE)
 def test_ae_tasks_need_the_models_the_run_kept(method):
-    # the run keeps the models of t = 1 and of the last t; its out-of-range
-    # static LP spec is left for that task to reject
+    # the run keeps the scores of t = 1 and the model of the last t; its
+    # out-of-range static LP spec is left for that task to reject
     cfg = _cfg(method, {"temporal_lp": {"t": 1}, "static_lp": {"t": LENGTH}})
     seq = prepare_data(cfg)[0]
     one_run = pipeline.Run(seq, *embed_series(cfg, seq))
@@ -132,7 +149,7 @@ def test_ae_tasks_need_the_models_the_run_kept(method):
         return getattr(pipeline, f"task_{task}")(cfg, one_run, spec)
 
     for task in ("reconstruction", "temporal_lp"):
-        with pytest.raises(pipeline.PipelineError, match="kept no model for t=2"):
+        with pytest.raises(pipeline.PipelineError, match="kept no scores for t=2"):
             run(task, 2)
         run(task, 1)
     if method == "dyngem":
@@ -148,16 +165,17 @@ def test_ae_tasks_need_the_models_the_run_kept(method):
             run(task, LENGTH)
 
 
-def _embed_and_score_peak(length):
+def _embed_and_score_peak(length, node_num=80, units=40, n_batch=16):
     """tracemalloc's peak, in bytes, of a dyngem run over a sequence of
     `length` snapshots and its reconstruction and temporal LP, with the
-    sequence built before tracing starts; and the bytes of one model."""
+    sequence built before tracing starts; and the bytes of one model, of
+    its training workspace and of the scores the run kept."""
     cfg = from_dict({
         "seed": 3,
-        "data": {"sbm": {"node_num": 80, "community_num": 2, "length": length,
+        "data": {"sbm": {"node_num": node_num, "community_num": 2, "length": length,
                          "node_change_num": 1, "p_in": 0.3, "p_out": 0.02}},
-        "method": {"name": "dyngem", "d": 2, "enc_units": [40], "dec_units": [40],
-                   "n_iter": 1, "n_batch": 16},
+        "method": {"name": "dyngem", "d": 2, "enc_units": [units], "dec_units": [units],
+                   "n_iter": 1, "n_batch": n_batch},
         "tasks": {"reconstruction": {}, "temporal_lp": {}},
     })
     seq = prepare_data(cfg)[0]
@@ -170,16 +188,30 @@ def _embed_and_score_peak(length):
     finally:
         tracemalloc.stop()
     model = run.extras["models"][-1]
-    return peak, sum(a.nbytes for a in model.weights + model.biases)
+    ws = ae._Workspace(model, min(n_batch, node_num))
+    ws_arrays = [a for v in vars(ws).values() for a in (v if isinstance(v, list) else [v])]
+    return peak, *(sum(a.nbytes for a in arrays) for arrays in (
+        model.weights + model.biases, ws_arrays, run.extras["scores"].values()))
 
 
 def test_ae_run_memory_does_not_grow_with_the_models_it_drops():
     # numpy reports its buffers to tracemalloc. From T = 8 to T = 16 the run
     # holds 16 more embeddings of 80 x 2 and as many models as before; one
     # model of 80 -> 40 -> 2 -> 40 -> 80 takes 54 KB.
-    short, model_bytes = _embed_and_score_peak(8)
-    long, _ = _embed_and_score_peak(16)
+    short, model_bytes, _, _ = _embed_and_score_peak(8)
+    long, *_ = _embed_and_score_peak(16)
     assert long - short < 2 * model_bytes
+
+
+def test_ae_run_holds_one_model_at_a_time():
+    # a warm start trains in the previous model's arrays, and the tasks read
+    # the two score matrices taken as their models were trained. So at its
+    # peak the run holds one model of 40 -> 400 -> 2 -> 400 -> 40 (269 KiB),
+    # training's workspace and those scores, plus under 64 KiB of the
+    # snapshot's adjacency, the embeddings and the kernels' temporaries;
+    # a second model would not fit.
+    peak, model, workspace, scores = _embed_and_score_peak(8, node_num=40, units=400, n_batch=4)
+    assert peak < model + workspace + scores + (64 << 10)
 
 
 def _last_model(cfg, seq):

@@ -29,6 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynembed import svd_embed
+from dynembed.evaluation import static_lp_split
 from dynembed.graphs import (GraphSnapshot, SnapshotSequence, dense_adjacency,
                              edge_delta)
 from dynembed.numerics import TruncatedSvd, truncated_svd
@@ -36,7 +37,7 @@ from dynembed.rng import Rng
 from dynembed.sbm import SbmParams, diminish_series, generate_sbm_snapshot
 from dynembed.svd_embed import (BOUND_RTOL, RestartLogEntry, delta_factor,
                                 incremental_update, loss_lower_bound, optimal_svd_embed,
-                                rerun_svd_series, save_restart_log)
+                                rerun_svd_series, rerun_svd_step, save_restart_log)
 from oracles import (brand_fold_ref, brand_update_ref, brute_min_cover_size,
                      plain_incremental_fold, ritz_fold_ref, row_indicator_factor,
                      save_restart_log_ref, snapshot, snapshot_from_dense, truncated_svd_ref)
@@ -332,6 +333,31 @@ def test_dense_path_fires_exactly_when_the_update_spans_the_space(monkeypatch, w
     # the batch step decomposes the n x n adjacency, the Ritz step the n x w image
     assert shapes == [(n, n) if r + width >= n else (n, r + width)]
     assert new.batch == (r + width >= n)
+
+
+def test_static_lp_step_takes_the_batch_svd_without_the_exact_cover(monkeypatch):
+    # hiding a fifth of the edges touches almost every row and column: the
+    # greedy matching alone has 115 >= n - r = 112 of the changed entries,
+    # so no augmenting path is searched for and no P, Q are built
+    g = generate_sbm_snapshot(np.repeat([0, 1], 60), 0.5, 0.1, Rng(40))
+    _, _, state = optimal_svd_embed(g, 2)
+    train, _ = static_lp_split(g, 0.2, Rng(41))
+    want = incremental_update(state, *delta_factor(edge_delta(g, train), g.n), train)
+    assert want.batch
+
+    def search(*args):
+        raise AssertionError("the exact cover was searched for")
+
+    monkeypatch.setattr(svd_embed, "_augment", search)
+    monkeypatch.setattr(svd_embed, "incremental_update", search)
+    got, entry = rerun_svd_step(state, train, 0.1)
+    assert (got.t_cur, got.batch, got.epoch_width) == (1, True, want.epoch_width)
+    for a, b in [(got.factor.U, want.factor.U), (got.factor.S, want.factor.S),
+                 (got.factor.V, want.factor.V), (got.basis, want.basis),
+                 (got.image, want.image)]:
+        assert a.tobytes() == b.tobytes()
+    assert (got.cur_loss, got.tail) == (want.cur_loss, want.tail)
+    assert entry == RestartLogEntry(1, False, want.cur_loss, want.cur_loss)
 
 
 def test_incremental_tracks_batch_loss_on_drift(drift_sbm_50):
