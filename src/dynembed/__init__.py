@@ -12,7 +12,6 @@ from .ae import (
     MlpParams,
     TrainResult,
     ae_gradient,
-    ae_loss,
     aealign_series,
     d2v_ae_series,
     dyngem_series,
@@ -53,7 +52,7 @@ from .svd_embed import (
 )
 
 __all__ = [
-    "AeConfig", "MlpParams", "TrainResult", "ae_gradient", "ae_loss",
+    "AeConfig", "MlpParams", "TrainResult", "ae_gradient",
     "aealign_series", "d2v_ae_series", "dyngem_series", "static_ae_series",
     "ExperimentConfig", "from_dict", "from_file", "EvalReport",
     "ScoredPairs", "mean_average_precision", "migration_proximity_stat",

@@ -16,6 +16,11 @@ Methods built on top:
   * AEalign    - static AE plus orthogonal-Procrustes chaining,
   * dynGEM     - warm start from the previous snapshot's weights,
   * d2v AE     - one model over lookback windows predicting the next row.
+
+The first three are one fold over the snapshots (_snapshot_fold). Training
+steps the parameters it is handed (train_dense), so a dynGEM warm start
+trains over the previous model, and the fold keeps no model: a caller that
+keeps one past its step copies it.
 """
 
 import math
@@ -150,27 +155,15 @@ def reconstruct(params: MlpParams, x: np.ndarray) -> np.ndarray:
     return _forward(params, np.asarray(x, dtype=np.float64))
 
 
-def _reg_terms(params: MlpParams, cfg: AeConfig, ws: "_Workspace | None" = None) -> float:
-    """nu1 sum|W| + nu2 sum W^2; with ws, |W| and W^2 go through its
+def _reg_terms(params: MlpParams, cfg: AeConfig, ws: "_Workspace") -> float:
+    """nu1 sum|W| + nu2 sum W^2, with |W| and W^2 going through ws's
     gradient buffer."""
     l1 = l2 = 0.0
     for w in params.weights:
-        buf = None if ws is None else _view(ws.grad_w, w.shape)
+        buf = _view(ws.grad_w, w.shape)
         l1 += float(np.sum(np.abs(w, out=buf)))
         l2 += float(np.sum(np.multiply(w, w, out=buf)))
     return cfg.nu1 * l1 + cfg.nu2 * l2
-
-
-def ae_loss(params: MlpParams, x: np.ndarray, targets: np.ndarray, cfg: AeConfig) -> float:
-    """Weighted reconstruction error over all rows plus L1/L2 weight penalties."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-    if x.shape[0] != targets.shape[0]:
-        raise ValueError("input/target row counts differ")
-    xhat = _forward(params, x)
-    if xhat.shape != targets.shape:
-        raise ValueError(f"target width {targets.shape[1]} != output {xhat.shape[1]}")
-    return kernels.weighted_error_grad(xhat, targets, cfg.beta)[0] + _reg_terms(params, cfg)
 
 
 def _view(flat: np.ndarray, shape) -> np.ndarray:
@@ -230,7 +223,8 @@ class _Workspace:
 
 
 def ae_gradient(params: MlpParams, x: np.ndarray, targets: np.ndarray, cfg: AeConfig):
-    """Exact gradients of ae_loss for every weight matrix and bias.
+    """Exact gradients of the loss L over all rows of x (module docstring)
+    for every weight matrix and bias.
 
     The L1 subgradient uses sign(W) with sign(0) = 0. The penalty terms are
     added into the matmul's buffer in the order of the expression
@@ -304,20 +298,20 @@ class TrainResult:
     epoch_losses: list = field(default_factory=list)
 
 
-def train_dense(x: np.ndarray, targets: np.ndarray, cfg: AeConfig, init: MlpParams | None, rng: Rng,
-                overwrite_init: bool = False) -> TrainResult:
+def train_dense(x: np.ndarray, targets: np.ndarray, cfg: AeConfig, init: MlpParams | None,
+                rng: Rng) -> TrainResult:
     """Minibatch gradient descent over shuffled rows, with one loss per epoch.
 
-    Training starts from a copy of init, or with overwrite_init from init's
-    own arrays, which it then steps in place and returns: the caller must not
-    read init again. Either way the trained parameters are bitwise the same.
+    Training steps init's own arrays and returns init itself as the result's
+    params; a caller that reads init's weights again passes init.copy().
+    None means fresh weights.
 
     An epoch's loss is the running loss of its minibatches: the sum of each
     minibatch's weighted squared error, taken from the forward pass its
     gradient ran (at the weights before that minibatch's step), plus the
-    L1/L2 penalty of the weights the epoch ends with. It is not ae_loss at
-    the epoch's final weights, which would take another forward pass over
-    every row.
+    L1/L2 penalty of the weights the epoch ends with. It is not the loss L
+    at the epoch's final weights, which would take another forward pass
+    over every row.
 
     Every minibatch runs in one workspace of this call (_Workspace), so the
     only arrays it allocates are the sigmoid kernels' own temporaries. Each
@@ -328,18 +322,17 @@ def train_dense(x: np.ndarray, targets: np.ndarray, cfg: AeConfig, init: MlpPara
     gradient is non-finite, and AeTrainingError(epoch, -1) when an epoch
     ends with a non-finite weight (the penalty is then NaN, even at
     nu1 = nu2 = 0) or bias. The blocks checked before the non-finite one
-    have been stepped by then, in this call's copy of init, or with
-    overwrite_init in init itself. A
-    model whose parameters are finite but whose forward pass overflows is
-    caught by the next minibatch's gradient check; after the last epoch,
-    only by the caller (EmbeddingSeries rejects a non-finite embedding).
+    have been stepped in init by then. A model whose parameters are finite
+    but whose forward pass overflows is caught by the next minibatch's
+    gradient check; after the last epoch, only by the caller
+    (EmbeddingSeries rejects a non-finite embedding).
     """
     x = np.asarray(x, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if init is None:
         params = fresh_params(x.shape[1], cfg, rng, output_dim=targets.shape[1])
     else:
-        params = init if overwrite_init else init.copy()
+        params = init
     n_rows = x.shape[0]
     ws = _Workspace(params, min(cfg.n_batch, n_rows))
 
@@ -369,40 +362,44 @@ def train_dense(x: np.ndarray, targets: np.ndarray, cfg: AeConfig, init: MlpPara
     return TrainResult(params=params, epoch_losses=losses)
 
 
-def fit_snapshot(adj: np.ndarray, cfg: AeConfig, t: int, init: MlpParams | None = None,
-                 overwrite_init: bool = False) -> MlpParams:
+def fit_snapshot(adj: np.ndarray, cfg: AeConfig, t: int, init: MlpParams | None = None) -> MlpParams:
     """Model of snapshot t: its adjacency rows autoencoded with Rng(cfg.seed + t),
-    from init's weights (trained in place with overwrite_init, see
-    train_dense), or from fresh ones when init is None."""
-    return train_dense(adj, adj, cfg, init, Rng(cfg.seed + t), overwrite_init).params
+    trained over init (in place, see train_dense) or from fresh weights when
+    init is None."""
+    return train_dense(adj, adj, cfg, init, Rng(cfg.seed + t)).params
 
 
-def _snapshot_fold(seq: SnapshotSequence, cfg: AeConfig, warm: bool, keep=None, on_step=None):
-    """One model per snapshot, from fresh weights or, with warm, from the
-    previous snapshot's model; returns (series, models). models[t] is the
-    model of snapshot t when t is in keep or is the last t, and None
-    otherwise; keep None keeps every model. on_step(t, model, adj), when
-    given, is called once the model of t and its embedding exist. A warm
-    start from a model that is not kept trains in that model's own arrays,
-    so the fold holds one model at a time."""
-    ys, models = [], []
-    prev = None
-    last = len(seq) - 1
+def _snapshot_fold(seq: SnapshotSequence, cfg: AeConfig, warm: bool, align: bool, on_step):
+    """One model per snapshot, from fresh weights or, with warm, trained over
+    the previous snapshot's model; returns the series. With align, each
+    embedding is rotated onto the previous aligned one (orthogonal
+    Procrustes), as chain_align does. on_step(t, model, adj) is called once
+    the model of t and its embedding exist. The fold keeps no model: a warm
+    start steps the previous model's arrays, so a caller that keeps a model
+    past its step copies it."""
+    ys = []
+    model = None
     for t in range(len(seq)):
         adj = dense_adjacency(seq[t])
-        model = fit_snapshot(adj, cfg, t, prev, overwrite_init=keep is not None and t - 1 not in keep)
-        ys.append(encode(model, adj))
-        if on_step is not None:
-            on_step(t, model, adj)
-        models.append(model if keep is None or t in keep or t == last else None)
-        prev = model if warm else None
-    return EmbeddingSeries(y_src=ys, y_tgt=[y.copy() for y in ys]), models
+        model = fit_snapshot(adj, cfg, t, model if warm else None)
+        y = encode(model, adj)
+        ys.append(y @ procrustes_rotation(y, ys[-1]) if align and t else y)
+        on_step(t, model, adj)
+    return EmbeddingSeries(y_src=ys, y_tgt=ys)
 
 
-def static_ae_series(seq: SnapshotSequence, cfg: AeConfig, keep=None, on_step=None):
-    """Independent static AE per snapshot; returns (series, models) as
-    _snapshot_fold keeps them."""
-    return _snapshot_fold(seq, cfg, False, keep, on_step)
+def _series_and_models(seq: SnapshotSequence, cfg: AeConfig, warm: bool, align: bool):
+    """The fold's (series, models), every model kept; a warm fold's are
+    copied before the next step trains over them."""
+    models = []
+    series = _snapshot_fold(seq, cfg, warm, align,
+                            lambda t, model, adj: models.append(model.copy() if warm else model))
+    return series, models
+
+
+def static_ae_series(seq: SnapshotSequence, cfg: AeConfig):
+    """Independent static AE per snapshot; returns (series, models)."""
+    return _series_and_models(seq, cfg, False, False)
 
 
 def chain_align(ys: list) -> list:
@@ -413,17 +410,16 @@ def chain_align(ys: list) -> list:
     return out
 
 
-def aealign_series(seq: SnapshotSequence, cfg: AeConfig, keep=None, on_step=None):
-    """Static AE per snapshot, then Procrustes-align each step to the last."""
-    raw, models = static_ae_series(seq, cfg, keep, on_step)
-    aligned = chain_align(raw.y_src)
-    return EmbeddingSeries(y_src=aligned, y_tgt=[y.copy() for y in aligned]), models
+def aealign_series(seq: SnapshotSequence, cfg: AeConfig):
+    """Static AE per snapshot, each embedding Procrustes-aligned to the last
+    aligned one; returns (series, models)."""
+    return _series_and_models(seq, cfg, False, True)
 
 
-def dyngem_series(seq: SnapshotSequence, cfg: AeConfig, keep=None, on_step=None):
+def dyngem_series(seq: SnapshotSequence, cfg: AeConfig):
     """Train t=0 from scratch, then carry weights forward as the init of each
-    following snapshot."""
-    return _snapshot_fold(seq, cfg, True, keep, on_step)
+    following snapshot; returns (series, models)."""
+    return _series_and_models(seq, cfg, True, False)
 
 
 def build_lookback_pairs(seq: SnapshotSequence, lookback: int):
@@ -458,7 +454,7 @@ def d2v_ae_series(seq: SnapshotSequence, cfg: AeConfig):
         encode(result.params, window_inputs(seq, t, cfg.lookback))
         for t in range(cfg.lookback - 1, len(seq))
     ]
-    series = EmbeddingSeries(y_src=ys, y_tgt=[y.copy() for y in ys], t_start=cfg.lookback - 1)
+    series = EmbeddingSeries(y_src=ys, y_tgt=ys, t_start=cfg.lookback - 1)
     return series, result
 
 

@@ -15,8 +15,10 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from .ae import AeConfig
 from .sbm import SbmParams
 
-# The fields of the autoencoder methods' training (AeConfig) a config sets.
-_AE_FIELDS = ("beta", "nu1", "nu2", "enc_units", "dec_units", "n_iter", "xeta", "n_batch")
+# The AeConfig fields a config sets, all but d and seed (the config's own);
+# lookback is read by d2v_ae alone.
+_AE_CONFIG_FIELDS = [f for f in fields(AeConfig) if f.name not in ("d", "seed")]
+_AE_FIELDS = tuple(f.name for f in _AE_CONFIG_FIELDS if f.name != "lookback")
 # method -> the method fields it reads besides d, the ones resolved() records
 METHODS = {"optsvd": (), "incsvd": (), "rerunsvd": ("theta",),
            "ae_static": _AE_FIELDS, "aealign": _AE_FIELDS, "dyngem": _AE_FIELDS,
@@ -194,15 +196,9 @@ METHOD_FIELDS = {
     "name": (_kind(str), REQUIRED),
     "d": (_kind(int, lambda v: v >= 1, "must be >= 1"), ExperimentConfig.d),
     "theta": (_theta, ExperimentConfig.theta),
-    "beta": (_kind(float), AeConfig.beta),
-    "nu1": (_kind(float), AeConfig.nu1),
-    "nu2": (_kind(float), AeConfig.nu2),
-    "enc_units": (_positive_ints(tuple), AeConfig.enc_units),
-    "dec_units": (_positive_ints(tuple), AeConfig.dec_units),
-    "n_iter": (_kind(int), AeConfig.n_iter),
-    "xeta": (_kind(float), AeConfig.xeta),
-    "n_batch": (_kind(int), AeConfig.n_batch),
-    "lookback": (_kind(int), AeConfig.lookback),
+    # the AE fields are AeConfig's, with its defaults
+    **{f.name: (_positive_ints(tuple) if f.type is tuple else _kind(f.type), f.default)
+       for f in _AE_CONFIG_FIELDS},
 }
 
 

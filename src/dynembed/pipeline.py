@@ -17,10 +17,12 @@ trains on windows from the whole sequence, so it alone retrains on the
 prefix ending at t for both tasks.
 
 A run keeps only the per-step state its configured tasks read
-(_kept_steps): the SVD folds one factor state; the per-snapshot AE families
-the n x n scores of the snapshots that reconstruction and temporal LP read,
-taken as each model is trained, and a model only where dynGEM's static LP
-refit starts from it and for the last t, which model.txt holds.
+(_kept_steps): the SVD folds one factor state. The per-snapshot AE families
+run through one fold (ae._snapshot_fold), which keeps no model; the
+pipeline's per-step callback keeps the n x n scores of the snapshots that
+reconstruction and temporal LP read, taken as each model is trained, a copy
+of the model dynGEM's static LP refit trains over, and the last model, which
+model.txt holds.
 
 Labels and migration records read from files are checked against the
 sequence and against each other. A run first deletes the outputs an earlier
@@ -40,8 +42,8 @@ from typing import Callable
 import numpy as np
 
 from . import __version__, svd_embed
-from .ae import aealign_series, d2v_ae_series, dyngem_series, fit_snapshot, reconstruct, \
-    save_mlp_params, static_ae_series, window_inputs
+from .ae import _snapshot_fold, d2v_ae_series, fit_snapshot, reconstruct, save_mlp_params, \
+    window_inputs
 from .config import ExperimentConfig
 from .evaluation import EvalReport, export_projection, migration_proximity_stat, \
     node_classification, reconstruction_eval, save_report, static_lp_eval, \
@@ -195,13 +197,6 @@ def _svd_fold_record(theta) -> Method:
     return Method(embed=embed, scores=_svd_scores, refit=refit, forecast=_svd_scores)
 
 
-def _kept_model(extras, t: int):
-    model = extras["models"][t]
-    if model is None:
-        raise PipelineError(f"the run kept no model for t={t}")
-    return model
-
-
 def _ae_scores(cfg, run, t):
     scores = run.extras["scores"].get(t)
     if scores is None:
@@ -209,27 +204,35 @@ def _ae_scores(cfg, run, t):
     return scores
 
 
-def _ae_record(series_fn, warm: bool = False) -> Method:
-    """A static AE family; with warm, a refit starts from the run's model of
-    t - 1 (dynGEM), else from fresh weights. The run scores the snapshots
-    that reconstruction and temporal LP read as soon as their models are
-    trained, and keeps those scores; it keeps the model a refit starts from
-    and the last one, which model.txt holds."""
+def _ae_record(warm: bool = False, align: bool = False) -> Method:
+    """A per-snapshot AE family through ae._snapshot_fold; with warm, a model
+    trains over the previous one, and a refit over a copy of the run's model
+    of t - 1 (dynGEM), else from fresh weights; with align, the embeddings
+    are Procrustes-chained (AEalign). As each model is trained the run keeps
+    the scores of the snapshots reconstruction and temporal LP read, the copy
+    a refit takes over, and the last model, which model.txt holds."""
     def embed(cfg, seq):
         scored = _kept_steps(cfg, seq, ("reconstruction", "temporal_lp"))
-        scores = {}
+        branched = _kept_steps(cfg, seq, ("static_lp",)) if warm else set()
+        extras = {"scores": {}, "inits": {}}
 
         def on_step(t, model, adj):
             if t in scored:
-                scores[t] = reconstruct(model, adj)
+                extras["scores"][t] = reconstruct(model, adj)
+            if t in branched:
+                extras["inits"][t] = model.copy()
+            extras["model"] = model
 
-        keep = _kept_steps(cfg, seq, ("static_lp",) if warm else ())
-        series, models = series_fn(seq, cfg.ae, keep=keep, on_step=on_step)
-        return series, {"models": models, "scores": scores}
+        return _snapshot_fold(seq, cfg.ae, warm, align, on_step), extras
 
     def refit(cfg, run, t, g):
+        init = None
+        if warm and t:
+            # the refit trains over the kept copy, so it takes it from the run
+            init = run.extras["inits"].pop(t - 1, None)
+            if init is None:
+                raise PipelineError(f"the run kept no model for t={t - 1}")
         adj = dense_adjacency(g)
-        init = _kept_model(run.extras, t - 1) if warm and t else None
         return reconstruct(fit_snapshot(adj, cfg.ae, t, init), adj)
 
     return Method(embed=embed, scores=_ae_scores, refit=refit, forecast=_ae_scores)
@@ -237,11 +240,11 @@ def _ae_record(series_fn, warm: bool = False) -> Method:
 
 def _d2v_embed(cfg, seq):
     series, result = d2v_ae_series(seq, cfg.ae)
-    return series, {"models": [result.params]}
+    return series, {"model": result.params}
 
 
 def _d2v_scores(cfg, run, t):
-    return reconstruct(run.extras["models"][-1], window_inputs(run.seq, t - 1, cfg.ae.lookback))
+    return reconstruct(run.extras["model"], window_inputs(run.seq, t - 1, cfg.ae.lookback))
 
 
 def _d2v_refit(cfg, run, t, g):
@@ -262,9 +265,9 @@ METHOD_TABLE = {
                      scores=_svd_scores, refit=_optsvd_refit, forecast=_svd_scores),
     "incsvd": _svd_fold_record(lambda cfg: math.inf),
     "rerunsvd": _svd_fold_record(lambda cfg: cfg.theta),
-    "ae_static": _ae_record(static_ae_series),
-    "aealign": _ae_record(aealign_series),
-    "dyngem": _ae_record(dyngem_series, warm=True),
+    "ae_static": _ae_record(),
+    "aealign": _ae_record(align=True),
+    "dyngem": _ae_record(warm=True),
     "d2v_ae": Method(embed=_d2v_embed, scores=_d2v_scores, refit=_d2v_refit,
                      forecast=_d2v_forecast, first_t=lambda cfg: cfg.ae.lookback),
 }
@@ -273,10 +276,11 @@ METHOD_TABLE = {
 def embed_series(cfg: ExperimentConfig, seq: SnapshotSequence):
     """Run the configured method; returns (series, extras). extras may hold
     'restart_log' and 'state', the factor state static LP branches from
-    (incsvd/rerunsvd), or 'models' (d2v_ae's one model, or per snapshot of
-    the other AE families the model a refit starts from, the last one, and
-    None elsewhere) and, for those families, 'scores' (t -> the n x n
-    scores of snapshot t that reconstruction and temporal LP read)."""
+    (incsvd/rerunsvd), or 'model', the AE model model.txt holds (d2v_ae's one
+    model, the other AE families' last one). The per-snapshot AE families
+    add 'scores' (t -> the n x n scores of snapshot t that reconstruction
+    and temporal LP read) and 'inits' (for dyngem, t -> a copy of the model
+    of t that static LP's refit of t + 1 trains over, and takes)."""
     return METHOD_TABLE[cfg.method].embed(cfg, seq)
 
 
@@ -417,9 +421,8 @@ def run_experiment(cfg: ExperimentConfig, stage: str = "run") -> dict:
     if "restart_log" in run.extras:
         _write(files, outdir, "restart_log.txt",
                lambda p: save_restart_log(run.extras["restart_log"], p))
-    if "models" in run.extras:
-        _write(files, outdir, "model.txt",
-               lambda p: save_mlp_params(run.extras["models"][-1], p))
+    if "model" in run.extras:
+        _write(files, outdir, "model.txt", lambda p: save_mlp_params(run.extras["model"], p))
 
     reports = {}
     digest = config_digest(cfg)

@@ -99,9 +99,7 @@ def brute_map(pairs, scores, truth):
 
 
 def fd_gradient(params, x, targets, cfg, h=1e-5):
-    """Central finite differences of ae_loss over every weight and bias."""
-    from dynembed.ae import ae_loss
-
+    """Central finite differences of ae_loss_ref over every weight and bias."""
     grads_w, grads_b = [], []
     for mats, grads in ((params.weights, grads_w), (params.biases, grads_b)):
         for m in mats:
@@ -111,9 +109,9 @@ def fd_gradient(params, x, targets, cfg, h=1e-5):
                 idx = it.multi_index
                 orig = m[idx]
                 m[idx] = orig + h
-                up = ae_loss(params, x, targets, cfg)
+                up = ae_loss_ref(params, x, targets, cfg)
                 m[idx] = orig - h
-                down = ae_loss(params, x, targets, cfg)
+                down = ae_loss_ref(params, x, targets, cfg)
                 m[idx] = orig
                 g[idx] = (up - down) / (2.0 * h)
             grads.append(g)
@@ -640,6 +638,20 @@ def weighted_error_grad_ref(xhat, target, beta):
     return 2.0 * np.where(target > 0.0, beta, 1.0) * (xhat - target)
 
 
+def reg_terms_ref(params, cfg):
+    """The L1/L2 penalty nu1 sum|W| + nu2 sum W^2 of the weights."""
+    l1 = sum(float(np.sum(np.abs(w))) for w in params.weights)
+    l2 = sum(float(np.sum(w * w)) for w in params.weights)
+    return cfg.nu1 * l1 + cfg.nu2 * l2
+
+
+def ae_loss_ref(params, x, targets, cfg):
+    """The AE loss over every row: the weighted squared error of the decoded
+    rows against targets, plus the penalty of the weights."""
+    return weighted_sq_error_ref(ae.reconstruct(params, x), targets, cfg.beta) \
+        + reg_terms_ref(params, cfg)
+
+
 def ae_gradient_ref(params, x, targets, cfg):
     """ae.ae_gradient with every product and sum a fresh array."""
     acts = [x]
@@ -662,8 +674,8 @@ def ae_gradient_ref(params, x, targets, cfg):
 
 
 def train_dense_ref(x, targets, cfg, init, rng):
-    """ae.train_dense as it was when each epoch ended with ae_loss over every
-    row, also summing each minibatch's weighted squared error of
+    """ae.train_dense as it was when each epoch ended with ae_loss_ref over
+    every row, also summing each minibatch's weighted squared error of
     reconstruct(params, rows) before its step, plus the penalty of the
     epoch's final weights: (params, those per-epoch sums)."""
     if init is None:
@@ -686,9 +698,9 @@ def train_dense_ref(x, targets, cfg, init, rng):
                 params.weights[i] -= gw[i]
                 gb[i] *= cfg.xeta
                 params.biases[i] -= gb[i]
-        if not np.isfinite(ae.ae_loss(params, x, targets, cfg)):
+        if not np.isfinite(ae_loss_ref(params, x, targets, cfg)):
             raise ae.AeTrainingError(epoch, -1)
-        losses.append(total + ae._reg_terms(params, cfg))
+        losses.append(total + reg_terms_ref(params, cfg))
     return params, losses
 
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from dynembed import ae, series
 from dynembed.ae import (AeConfig, AeTrainingError, MlpParams,
-                         ae_gradient, ae_loss,
+                         ae_gradient,
                          aealign_series, build_lookback_pairs, chain_align,
                          d2v_ae_series, dyngem_series, encode, fit_snapshot,
                          fresh_params, reconstruct,
@@ -30,8 +30,8 @@ from dynembed.rng import Rng
 from dynembed.sbm import generate_sbm_snapshot
 from dynembed.series import format_rows
 
-from oracles import (ae_gradient_ref, fd_gradient, load_mlp_params, random_orthogonal,
-                     save_mlp_params_ref, train_dense_ref, train_epoch_ref)
+from oracles import (ae_gradient_ref, ae_loss_ref, fd_gradient, load_mlp_params,
+                     random_orthogonal, save_mlp_params_ref, train_dense_ref, train_epoch_ref)
 
 TINY = AeConfig(d=2, enc_units=(3,), dec_units=(3,), nu1=0.0, nu2=0.0,
                 n_iter=0, seed=0)
@@ -153,7 +153,7 @@ def test_loss_hand_computed():
                    nu1=0.0, nu2=0.0)
     params = _zero_params([2, 2, 1, 2, 2], n_encoder_layers=2)
     # xhat = (0.5, 0.5); weights 5 where target > 0: 5*(0.5)^2 + 1*(0.5)^2
-    loss = ae_loss(params, np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]), cfg)
+    loss = ae_loss_ref(params, np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]), cfg)
     assert loss == pytest.approx(1.5, rel=1e-14)
 
 
@@ -164,7 +164,7 @@ def test_loss_reduces_to_regularizer_on_perfect_fit():
     targets = reconstruct(params, x)
     want = cfg.nu1 * sum(np.sum(np.abs(w)) for w in params.weights) \
         + cfg.nu2 * sum(np.sum(w * w) for w in params.weights)
-    assert ae_loss(params, x, targets, cfg) == pytest.approx(want, rel=1e-12)
+    assert ae_loss_ref(params, x, targets, cfg) == pytest.approx(want, rel=1e-12)
 
 
 def test_loss_beta_one_is_plain_sse():
@@ -174,16 +174,8 @@ def test_loss_beta_one_is_plain_sse():
     x = Rng(10).random((6, 4))
     targets = Rng(11).random((6, 4))
     xhat = reconstruct(params, x)
-    assert ae_loss(params, x, targets, cfg) == pytest.approx(
+    assert ae_loss_ref(params, x, targets, cfg) == pytest.approx(
         float(np.sum((xhat - targets) ** 2)), rel=1e-12)
-
-
-def test_loss_validation():
-    params = fresh_params(4, TINY, Rng(0))
-    with pytest.raises(ValueError, match="row counts"):
-        ae_loss(params, np.zeros((2, 4)), np.zeros((3, 4)), TINY)
-    with pytest.raises(ValueError, match="target width"):
-        ae_loss(params, np.zeros((2, 4)), np.zeros((2, 3)), TINY)
 
 
 def test_regularizer_gradient_is_additive():
@@ -275,8 +267,8 @@ def test_gradient_matches_expression_oracle_bitwise(case):
 @given(small_mlps())
 def test_training_epoch_matches_expression_oracle_bitwise(case):
     cfg, params, x, targets, seed = case
-    got = train_dense(x, targets, cfg, params, Rng(seed)).params
-    want = train_epoch_ref(params.copy(), x, targets, cfg, Rng(seed))
+    got = train_dense(x, targets, cfg, params.copy(), Rng(seed)).params
+    want = train_epoch_ref(params, x, targets, cfg, Rng(seed))
     _assert_arrays_same_bits(got.weights, want.weights)
     _assert_arrays_same_bits(got.biases, want.biases)
 
@@ -286,12 +278,12 @@ def test_training_epoch_matches_expression_oracle_bitwise(case):
 
 def test_n_iter_zero_returns_init():
     init = fresh_params(6, TINY, Rng(30))
+    before = init.copy()
     x = Rng(31).random((6, 6))
     result = train_dense(x, x, TINY, init, Rng(32))
     assert result.epoch_losses == []
-    assert result.params is not init
-    assert all(np.array_equal(a, b)
-               for a, b in zip(result.params.weights, init.weights))
+    assert result.params is init
+    _assert_arrays_same_bits(init.weights + init.biases, before.weights + before.biases)
 
 
 def test_training_halves_the_loss():
@@ -301,7 +293,7 @@ def test_training_halves_the_loss():
         cfg = AeConfig(d=4, enc_units=(16,), dec_units=(16,), beta=5.0,
                        nu1=1e-6, nu2=1e-6, n_iter=150, xeta=1e-2, n_batch=8,
                        seed=seed)
-        init_loss = ae_loss(fresh_params(16, cfg, Rng(seed)), adj, adj, cfg)
+        init_loss = ae_loss_ref(fresh_params(16, cfg, Rng(seed)), adj, adj, cfg)
         result = train_dense(adj, adj, cfg, None, Rng(seed))
         assert len(result.epoch_losses) == cfg.n_iter
         assert result.epoch_losses[-1] < 0.5 * init_loss
@@ -364,12 +356,14 @@ def test_divergence_below_a_stepped_layer_raises_at_its_minibatch():
     assert all(np.all(np.isfinite(g)) for g in gw[1:] + gb)
     rng_seed = 2  # minibatches: rows (4, 0), then (2, 1), then (3,)
     assert Rng(rng_seed).permutation(5)[:4].tolist() == [4, 0, 2, 1]
-    with pytest.raises(AeTrainingError) as got:
-        train_dense(x, targets, cfg, init, Rng(rng_seed))
     with pytest.raises(AeTrainingError) as want:
         train_dense_ref(x, targets, cfg, init, Rng(rng_seed))
-    assert (got.value.epoch, got.value.batch) == (want.value.epoch, want.value.batch) == (0, 1)
     _assert_arrays_same_bits(init.weights + init.biases, before.weights + before.biases)
+    with pytest.raises(AeTrainingError) as got:
+        train_dense(x, targets, cfg, init, Rng(rng_seed))
+    assert (got.value.epoch, got.value.batch) == (want.value.epoch, want.value.batch) == (0, 1)
+    # the first minibatch stepped init in place, and the second its last layer
+    assert not np.array_equal(init.weights[1], before.weights[1])
 
 
 def _one_unit_model(b0):
@@ -423,9 +417,13 @@ def training_runs(draw):
     return x, targets, cfg, init, seed
 
 
+def _copied(init):
+    return None if init is None else init.copy()
+
+
 def _assert_matches_reference_loop(x, targets, cfg, init, seed):
-    got = train_dense(x, targets, cfg, init, Rng(seed))
     params, losses = train_dense_ref(x, targets, cfg, init, Rng(seed))
+    got = train_dense(x, targets, cfg, init, Rng(seed))
     _assert_arrays_same_bits(got.params.weights + got.params.biases,
                              params.weights + params.biases)
     assert len(got.epoch_losses) == len(losses) == cfg.n_iter
@@ -442,11 +440,12 @@ def test_training_matches_the_reference_loop(case):
 @given(training_runs(), training_runs())
 def test_back_to_back_trainings_match_each_run_alone(first, second):
     # each call trains in a workspace of its own: calls of other shapes in
-    # between change no bit of a model
+    # between change no bit of a model; first's init is trained twice, so
+    # each call trains a copy
     alone = [train_dense_ref(x, t, cfg, init, Rng(seed))[0]
              for x, t, cfg, init, seed in (first, second)]
     for (x, t, cfg, init, seed), want in zip((first, second, first), alone + alone[:1]):
-        got = train_dense(x, t, cfg, init, Rng(seed)).params
+        got = train_dense(x, t, cfg, _copied(init), Rng(seed)).params
         _assert_arrays_same_bits(got.weights + got.biases, want.weights + want.biases)
 
 
@@ -471,7 +470,7 @@ def test_parameters_and_gradients_alias_no_workspace_buffer(monkeypatch):
     (ws,) = made
     owned = params.weights + params.biases
     for a in owned:
-        for b in [*_arrays_of(ws), *init.weights, *init.biases, x]:
+        for b in [*_arrays_of(ws), x]:
             assert not np.shares_memory(a, b)
     # ae_gradient's arrays are fresh on every call
     grads = [g for call in range(2) for part in ae_gradient(params, x, x, cfg) for g in part]
@@ -495,18 +494,18 @@ def _traced_peak(fn, *args):
 
 
 def test_training_holds_one_layer_of_gradient_not_a_model():
-    # beyond its result and the workspace's activations, a training run
-    # holds less than one model's weights: one layer's gradient, a row
-    # block of scratch, the deltas and the gathered rows
+    # training steps init in place, so beyond the workspace's activations a
+    # training run holds less than one model's weights: one layer's
+    # gradient, a row block of scratch, the deltas and the gathered rows
     cfg = AeConfig(d=4, enc_units=(80, 80, 80), dec_units=(80, 80, 80), n_iter=2,
                    n_batch=8, nu1=1e-6, nu2=1e-6, seed=0)
     x = (np.random.default_rng(0).random((40, 60)) < 0.3).astype(np.float64)
     init = fresh_params(60, cfg, Rng(1))
     result, peak = _traced_peak(train_dense, x, x, cfg, init, Rng(2))
+    assert result.params is init
     weight_bytes = sum(w.nbytes for w in init.weights)
-    result_bytes = sum(a.nbytes for a in result.params.weights + result.params.biases)
     activation_bytes = 8 * cfg.n_batch * sum(w.shape[1] for w in init.weights)
-    assert peak - result_bytes - activation_bytes < weight_bytes
+    assert peak - activation_bytes < weight_bytes
 
 
 def test_reconstruct_holds_two_consecutive_layers():
@@ -606,10 +605,10 @@ def test_dyngem_zero_warm_iters_freezes_model():
     adj = dense_adjacency(g)
     # each step is trained from the previous step's model ...
     for t in (1, 2):
-        again = fit_snapshot(adj, cfg, t, models[t - 1])
+        again = fit_snapshot(adj, cfg, t, models[t - 1].copy())
         assert all(np.array_equal(a, b) for a, b in zip(again.weights, models[t].weights))
     # ... so zero warm iterations keep that model as it is
-    frozen = fit_snapshot(adj, replace(cfg, n_iter=0), 1, models[0])
+    frozen = fit_snapshot(adj, replace(cfg, n_iter=0), 1, models[0].copy())
     assert all(np.array_equal(a, b) for a, b in zip(frozen.weights, models[0].weights))
     assert np.array_equal(encode(frozen, adj), series.src_at(0))
 
@@ -619,34 +618,39 @@ def test_warm_start_in_place_trains_init_itself():
     adj = dense_adjacency(g)
     cfg = _small_cfg(n_iter=3)
     init = fit_snapshot(adj, cfg, 0)
-    before = init.copy()
-    copied = fit_snapshot(adj, cfg, 1, init)
-    assert all(np.array_equal(a, b) for a, b in zip(init.weights + init.biases,
-                                                  before.weights + before.biases))
-    in_place = fit_snapshot(adj, cfg, 1, init, overwrite_init=True)
+    copied = train_dense(adj, adj, cfg, init.copy(), Rng(cfg.seed + 1)).params
+    in_place = train_dense(adj, adj, cfg, init, Rng(cfg.seed + 1)).params
     assert in_place is init
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(in_place.weights + in_place.biases,
-                                                          copied.weights + copied.biases))
+    _assert_arrays_same_bits(in_place.weights + in_place.biases, copied.weights + copied.biases)
 
 
-@pytest.mark.parametrize("keep", [None, set(), {0}, {1}])
+@pytest.mark.parametrize("keep", [
+    None,
+    {"static_lp": {"t": 1}},
+    {"static_lp": {"t": 2}},
+    {"reconstruction": {"t": 1}, "temporal_lp": {"t": 1}, "static_lp": {"t": 2}},
+])
 def test_dyngem_fold_is_the_same_whichever_models_it_keeps(keep):
-    # a warm start from a model the fold does not keep trains in its arrays
+    # keep: the tasks whose reads decide what the pipeline's run keeps. Its
+    # fold trains each warm start over the previous model; the scores, the
+    # model copies and the last model it keeps are bitwise those of the
+    # public series, which copies every model.
     g = _two_block_graph()
     seq = SnapshotSequence([g, g, g])
-    cfg = _small_cfg(n_iter=3)
-    scored = []
-    series, models = dyngem_series(seq, cfg, keep, lambda t, model, adj: scored.append(
-        (t, reconstruct(model, adj).tobytes())))
-    want_series, want_models = dyngem_series(seq, cfg)
+    cfg = SimpleNamespace(ae=_small_cfg(n_iter=3), tasks=keep or {})
+    series, extras = METHOD_TABLE["dyngem"].embed(cfg, seq)
+    want_series, want_models = dyngem_series(seq, cfg.ae)
+    adj = dense_adjacency(g)
     for t in range(len(seq)):
         assert series.src_at(t).tobytes() == want_series.src_at(t).tobytes()
-        assert scored[t] == (t, reconstruct(want_models[t], dense_adjacency(g)).tobytes())
-        if models[t] is not None:
-            assert all(a.tobytes() == b.tobytes()
-                       for a, b in zip(models[t].weights, want_models[t].weights))
-    assert [t for t, m in enumerate(models) if m is not None] == \
-        ([0, 1, 2] if keep is None else sorted(keep | {2}))
+    kept = [(extras["model"], want_models[-1])]
+    kept += [(model, want_models[t]) for t, model in extras["inits"].items()]
+    for model, want in kept:
+        _assert_arrays_same_bits(model.weights + model.biases, want.weights + want.biases)
+    for t, scores in extras["scores"].items():
+        assert scores.tobytes() == reconstruct(want_models[t], adj).tobytes()
+    assert sorted(extras["inits"]) == ([] if keep is None else [keep["static_lp"]["t"] - 1])
+    assert sorted(extras["scores"]) == ([1] if keep and "reconstruction" in keep else [])
 
 
 def test_warm_start_reaches_fresh_loss_faster(small_sbm):
@@ -725,9 +729,9 @@ def test_d2v_training_halves_the_loss():
     seq = SnapshotSequence([g, g, g, g])
     cfg = _small_cfg(n_iter=40, lookback=2, enc_units=(16,), dec_units=(16,))
     x, targets = build_lookback_pairs(seq, 2)
-    init_loss = ae_loss(fresh_params(x.shape[1], cfg, Rng(cfg.seed),
-                                     output_dim=targets.shape[1]),
-                        x, targets, cfg)
+    init_loss = ae_loss_ref(fresh_params(x.shape[1], cfg, Rng(cfg.seed),
+                                         output_dim=targets.shape[1]),
+                            x, targets, cfg)
     _, result = d2v_ae_series(seq, cfg)
     assert result.epoch_losses[-1] < 0.5 * init_loss
 
@@ -741,7 +745,7 @@ def test_reconstruction_scores_are_decoded_rows():
     for name in ("ae_static", "aealign", "dyngem"):
         run = Run(seq, *METHOD_TABLE[name].embed(cfg, seq))
         scores = METHOD_TABLE[name].scores(cfg, run, 0)
-        assert np.array_equal(scores, reconstruct(run.extras["models"][0], adj))
+        assert np.array_equal(scores, reconstruct(run.extras["model"], adj))
 
 
 # --- persistence ------------------------------------------------------------

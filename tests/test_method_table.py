@@ -21,6 +21,7 @@ from dynembed import ae, pipeline
 from dynembed.config import METHODS, from_dict
 from dynembed.graphs import GraphSnapshot, SnapshotSequence, dense_adjacency, save_snapshots
 from dynembed.pipeline import embed_series, prepare_data, run_experiment
+from dynembed.rng import Rng
 from dynembed.svd_embed import rerun_svd_series, save_restart_log
 
 from oracles import _prefix_embed, prefix_static_lp_scores, prefix_temporal_lp_scores
@@ -90,42 +91,41 @@ def test_static_lp_needs_the_state_the_run_kept(kept):
 
 
 PER_SNAPSHOT_AE = ["ae_static", "aealign", "dyngem"]
-# tasks -> (the steps whose models a run keeps besides the last: static AE
-# and AEalign, dynGEM; the steps whose scores it keeps)
+# tasks -> (the steps of which dynGEM keeps a model copy for its refit, the
+# steps whose scores a run keeps); every run keeps its last model, and
+# static AE and AEalign, whose refits start from fresh weights, no copy
 KEPT_CASES = {
-    "none": ({}, set(), set(), set()),
-    "reconstruction": ({"reconstruction": {"t": 1}}, set(), set(), {1}),
-    "temporal_lp_middle": ({"temporal_lp": {"t": 2}}, set(), set(), {2}),
-    # dynGEM's refit warm-starts from the model of t - 1, the others' from
-    # fresh weights
-    "static_lp_first": ({"static_lp": {"t": 0}}, set(), set(), set()),
-    "static_lp_middle": ({"static_lp": {"t": 3}}, set(), {2}, set()),
-    "static_lp_last": ({"static_lp": {"t": -1}}, set(), {LENGTH - 2}, set()),
-    # the model of t = 2 is scored, and dynGEM keeps it for the refit of
-    # t = 3, so t = 3 trains from a copy of it
+    "none": ({}, set(), set()),
+    "reconstruction": ({"reconstruction": {"t": 1}}, set(), {1}),
+    "temporal_lp_middle": ({"temporal_lp": {"t": 2}}, set(), {2}),
+    # dynGEM's refit trains over a copy of the model of t - 1
+    "static_lp_first": ({"static_lp": {"t": 0}}, set(), set()),
+    "static_lp_middle": ({"static_lp": {"t": 3}}, {2}, set()),
+    "static_lp_last": ({"static_lp": {"t": -1}}, {LENGTH - 2}, set()),
+    # the model of t = 2 is scored and copied before t = 3 trains over it
     "all_at_two": ({"reconstruction": {"t": 2}, "temporal_lp": {"t": 2},
-                    "static_lp": {"t": 3}}, set(), {2}, {2}),
+                    "static_lp": {"t": 3}}, {2}, {2}),
 }
 
 
 def _every_model_embed(cfg, seq):
-    """The method's series with every model kept, and the scores of every
-    snapshot decoded after the fold."""
+    """The method's series with every model kept, the scores of every
+    snapshot decoded after the fold, and the model copies of every step."""
     series, extras = _prefix_embed(cfg, seq)
-    scores = {t: ae.reconstruct(model, dense_adjacency(seq[t]))
-              for t, model in enumerate(extras["models"])}
-    return series, {**extras, "scores": scores}
+    models = extras["models"]
+    scores = {t: ae.reconstruct(model, dense_adjacency(seq[t])) for t, model in enumerate(models)}
+    return series, {"model": models[-1], "scores": scores,
+                    "inits": {t: model.copy() for t, model in enumerate(models)}}
 
 
 @pytest.mark.parametrize("case", sorted(KEPT_CASES))
 @pytest.mark.parametrize("method", PER_SNAPSHOT_AE)
 def test_ae_run_keeps_only_the_models_its_tasks_read(tmp_path, monkeypatch, method, case):
-    tasks, static_models, warm_models, scored = KEPT_CASES[case]
+    tasks, copied, scored = KEPT_CASES[case]
     cfg = _cfg(method, tasks, tmp_path / "kept")
     extras = embed_series(cfg, prepare_data(cfg)[0])[1]
-    models = warm_models if method == "dyngem" else static_models
-    assert [t for t, m in enumerate(extras["models"]) if m is not None] == \
-        sorted(models | {LENGTH - 1})
+    assert sorted(extras) == ["inits", "model", "scores"]
+    assert sorted(extras["inits"]) == sorted(copied if method == "dyngem" else set())
     assert sorted(extras["scores"]) == sorted(scored)
     kept = run_experiment(cfg)["files"]
     # every report, model.txt and embedding is the one of a run that keeps
@@ -165,32 +165,36 @@ def test_ae_tasks_need_the_models_the_run_kept(method):
             run(task, LENGTH)
 
 
-def _embed_and_score_peak(length, node_num=80, units=40, n_batch=16):
-    """tracemalloc's peak, in bytes, of a dyngem run over a sequence of
-    `length` snapshots and its reconstruction and temporal LP, with the
-    sequence built before tracing starts; and the bytes of one model, of
-    its training workspace and of the scores the run kept."""
+def _embed_and_score_peak(length, node_num=80, units=40, n_batch=16,
+                          tasks=("reconstruction", "temporal_lp")):
+    """tracemalloc's peaks, in bytes, of a dyngem run over a sequence of
+    `length` snapshots and its `tasks` at their last t, with the sequence
+    built before tracing starts: over the whole run, and over its task phase
+    alone (what the run holds after embedding counts in both); and the bytes
+    of one model, of its training workspace and of the scores the run kept."""
     cfg = from_dict({
         "seed": 3,
         "data": {"sbm": {"node_num": node_num, "community_num": 2, "length": length,
                          "node_change_num": 1, "p_in": 0.3, "p_out": 0.02}},
         "method": {"name": "dyngem", "d": 2, "enc_units": [units], "dec_units": [units],
                    "n_iter": 1, "n_batch": n_batch},
-        "tasks": {"reconstruction": {}, "temporal_lp": {}},
+        "tasks": {name: {} for name in tasks},
     })
     seq = prepare_data(cfg)[0]
     tracemalloc.start()
     try:
         run = pipeline.Run(seq, *embed_series(cfg, seq))
-        for name in ("reconstruction", "temporal_lp"):
-            getattr(pipeline, f"task_{name}")(cfg, run, cfg.tasks[name])
         peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        for name in tasks:
+            getattr(pipeline, f"task_{name}")(cfg, run, cfg.tasks[name])
+        task_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    model = run.extras["models"][-1]
+    model = ae.fresh_params(seq.n, cfg.ae, Rng(0))  # one model's shapes
     ws = ae._Workspace(model, min(n_batch, node_num))
     ws_arrays = [a for v in vars(ws).values() for a in (v if isinstance(v, list) else [v])]
-    return peak, *(sum(a.nbytes for a in arrays) for arrays in (
+    return max(peak, task_peak), task_peak, *(sum(a.nbytes for a in arrays) for arrays in (
         model.weights + model.biases, ws_arrays, run.extras["scores"].values()))
 
 
@@ -198,7 +202,7 @@ def test_ae_run_memory_does_not_grow_with_the_models_it_drops():
     # numpy reports its buffers to tracemalloc. From T = 8 to T = 16 the run
     # holds 16 more embeddings of 80 x 2 and as many models as before; one
     # model of 80 -> 40 -> 2 -> 40 -> 80 takes 54 KB.
-    short, model_bytes, _, _ = _embed_and_score_peak(8)
+    short, _, model_bytes, _, _ = _embed_and_score_peak(8)
     long, *_ = _embed_and_score_peak(16)
     assert long - short < 2 * model_bytes
 
@@ -210,8 +214,21 @@ def test_ae_run_holds_one_model_at_a_time():
     # training's workspace and those scores, plus under 64 KiB of the
     # snapshot's adjacency, the embeddings and the kernels' temporaries;
     # a second model would not fit.
-    peak, model, workspace, scores = _embed_and_score_peak(8, node_num=40, units=400, n_batch=4)
+    peak, _, model, workspace, scores = _embed_and_score_peak(8, node_num=40, units=400,
+                                                              n_batch=4)
     assert peak < model + workspace + scores + (64 << 10)
+
+
+def test_dyngem_static_lp_refit_trains_over_the_kept_copy():
+    # the refit of the last t trains over the run's copy of the model of
+    # t - 1, not over a copy of that copy: through the task phase the run
+    # holds the last model, that copy and the refit's workspace (whose
+    # weight gradient and row-block scratch take about half a model each
+    # here), under 4 models' bytes; a third model would not fit
+    _, task_peak, model, _, _ = _embed_and_score_peak(
+        8, node_num=40, units=400, n_batch=4,
+        tasks=("reconstruction", "static_lp", "temporal_lp"))
+    assert task_peak < 4.0 * model
 
 
 def _last_model(cfg, seq):
