@@ -374,14 +374,15 @@ def _snapshot_fold(seq: SnapshotSequence, cfg: AeConfig, warm: bool, align: bool
     the previous snapshot's model; returns the series. With align, each
     embedding is rotated onto the previous aligned one (orthogonal
     Procrustes), as chain_align does. on_step(t, model, adj) is called once
-    the model of t and its embedding exist. The fold keeps no model: a warm
-    start steps the previous model's arrays, so a caller that keeps a model
-    past its step copies it."""
+    the model of t and its embedding exist. The fold keeps no model: it
+    drops it before a fresh fit, and a warm start steps its arrays, so a
+    caller that keeps a model past its step copies it."""
     ys = []
     model = None
     for t in range(len(seq)):
         adj = dense_adjacency(seq[t])
-        model = fit_snapshot(adj, cfg, t, model if warm else None)
+        init, model = (model if warm else None), None
+        model = fit_snapshot(adj, cfg, t, init)
         y = encode(model, adj)
         ys.append(y @ procrustes_rotation(y, ys[-1]) if align and t else y)
         on_step(t, model, adj)

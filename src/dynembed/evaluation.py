@@ -6,13 +6,13 @@ with ties broken lexicographically by (u, v), so equal inputs always give
 equal reports. MAP skips nodes without true edges; a node's AP denominator
 counts all of its true edges, hit or not.
 
-Every ranking metric reads the candidates as an n x n key matrix, -score at
-each candidate cell and +inf elsewhere, so row-major cell order is (u, v)
-order and a stable sort of keys is the ranking. MAP needs each source's
-order only within its own row, so each row is sorted on its own, in blocks
-of rows. precision@k needs only the global top K = max(k): a partition
-finds the K-th key, and only the cells up to it, ties included, are sorted.
-Both give bitwise what one global sort of all candidate pairs gave.
+A report ranks keys taken straight from the score matrix and the candidate
+mask, -score at each candidate cell and +inf elsewhere (the pair front end
+scatters ScoredPairs into the same keys). Row-major cell order is (u, v)
+order, so a stable sort of keys is the ranking. MAP sorts each row on its
+own, in blocks of rows. precision@k needs only the global top K = max(k):
+a partition finds the K-th key, and only the cells up to it, ties
+included, are sorted. Both give bitwise what one global sort gave.
 """
 
 import itertools
@@ -60,17 +60,7 @@ class ScoredPairs:
 
 
 def _has_duplicate(pairs: np.ndarray) -> bool:
-    """Whether a row of the non-empty, non-negative (N, 2) pairs repeats.
-
-    A bitmap over the n x n index space (n = largest index + 1) takes O(N)
-    when it is no larger than the pairs array, as for candidate lists;
-    sparser pairs are sorted instead.
-    """
-    n = int(pairs.max()) + 1
-    if n * n <= 16 * len(pairs):
-        seen = np.zeros(n * n, dtype=bool)
-        seen[pairs[:, 0] * n + pairs[:, 1]] = True
-        return int(np.count_nonzero(seen)) < len(pairs)
+    """Whether a row of the (N, 2) pairs repeats."""
     lex = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
     return bool(np.any(np.all(lex[1:] == lex[:-1], axis=1)))
 
@@ -130,27 +120,27 @@ def _pair_array(pairs) -> np.ndarray:
 _BLOCK_CELLS = 1 << 15
 
 
-def _cell_keys(sp: ScoredPairs, n: int) -> np.ndarray:
-    """The n x n ranking keys of sp: -score at each pair's cell, +inf at every
-    other cell. Row-major cell order is (u, v) order, so a stable sort of the
-    keys ranks by descending score with ties by (u, v), and the finite
-    candidate keys come before every other cell."""
-    keys = np.full((n, n), np.inf)
-    keys[sp.pairs[:, 0], sp.pairs[:, 1]] = -sp.scores
-    return keys
+def _rank_arrays(keys: np.ndarray, rows: np.ndarray, cols: np.ndarray):
+    """The hit mask of the cell keys (the candidates that are true edges) and
+    each node's true-edge count, for the true edges (rows[i], cols[i])."""
+    hits = np.zeros(keys.shape, dtype=bool)
+    hits[rows, cols] = True
+    n_true = hits.sum(axis=1)
+    hits &= keys < np.inf
+    return hits, n_true
 
 
-def _rank_arrays(sp: ScoredPairs, rows: np.ndarray, cols: np.ndarray):
-    """sp's cell keys, its hit mask (the candidates that are true edges) and
-    each node's true-edge count, over every node of sp and of the true edges
-    (rows[i], cols[i])."""
+def _pair_keys(sp: ScoredPairs, truth):
+    """sp's n x n cell keys, -score at each pair's cell and +inf at every
+    other, with their hit mask and true-edge counts (_rank_arrays), over
+    every node of sp and of the truth pairs."""
+    rows, cols = _pair_array(truth).T
     if min(rows.min(initial=0), cols.min(initial=0)) < 0:
         raise ValueError("negative node index in truth")
     n = 1 + int(max(sp.pairs.max(initial=-1), rows.max(initial=-1), cols.max(initial=-1)))
-    truth = np.zeros((n, n), dtype=bool)
-    truth[rows, cols] = True
-    keys = _cell_keys(sp, n)
-    return keys, truth & (keys < np.inf), truth.sum(axis=1)
+    keys = np.full((n, n), np.inf)
+    keys[sp.pairs[:, 0], sp.pairs[:, 1]] = -sp.scores
+    return keys, *_rank_arrays(keys, rows, cols)
 
 
 def _precisions(hits: np.ndarray, k_grid) -> list:
@@ -219,14 +209,14 @@ def precision_at_k(sp: ScoredPairs, truth, k: int) -> float:
     """Fraction of the top-k ranked pairs present in the truth edge set."""
     if k < 1 or k > len(sp):
         raise EvalError(f"k={k} outside [1, {len(sp)}]")
-    keys, hits, _ = _rank_arrays(sp, *_pair_array(truth).T)
+    keys, hits, _ = _pair_keys(sp, truth)
     return _top_precisions(keys, hits, [k])[0]
 
 
 def average_precision(sp: ScoredPairs, truth) -> float:
     """AP over one node's candidate list: sum of precision@rank at each hit,
     divided by the node's total number of true edges."""
-    keys, hits, n_true = _rank_arrays(sp, *_pair_array(truth).T)
+    keys, hits, n_true = _pair_keys(sp, truth)
     n_truth = int(n_true.sum())
     if not n_truth:
         raise EvalError("average_precision needs at least one true edge")
@@ -236,7 +226,7 @@ def average_precision(sp: ScoredPairs, truth) -> float:
 
 def mean_average_precision(sp: ScoredPairs, truth) -> float:
     """MAP over source nodes that have at least one true edge."""
-    keys, hits, n_true = _rank_arrays(sp, *_pair_array(truth).T)
+    keys, hits, n_true = _pair_keys(sp, truth)
     if not n_true.any():
         raise EvalError("no node has a true edge")
     return float(np.mean(_row_aps(keys, hits, n_true)))
@@ -257,30 +247,39 @@ def static_lp_split(g: GraphSnapshot, hide_fraction: float, rng: Rng):
     return tuple(GraphSnapshot(g.n, g.rows[m], g.cols[m], g.weights[m]) for m in (~hide, hide))
 
 
-def candidate_pairs(n: int, exclude: GraphSnapshot | None = None) -> np.ndarray:
-    """All ordered pairs (u, v), u != v, minus the edges of an optional
-    snapshot on the same n nodes, in (u, v) lexicographic order."""
+def _candidates(n: int, exclude: GraphSnapshot | None = None) -> np.ndarray:
+    """The n x n candidate mask: every cell (u, v), u != v, minus the edges
+    of an optional snapshot on the same n nodes."""
     keep = ~np.eye(n, dtype=bool)
     if exclude is not None:
         if exclude.n != n:
             raise ValueError(f"exclusions over {exclude.n} nodes, candidates over {n}")
         keep[exclude.rows, exclude.cols] = False
-    return np.argwhere(keep)
+    return keep
 
 
-def _ranking_report(scores: np.ndarray, truth: GraphSnapshot, pairs: np.ndarray, k_grid,
-                    **fields) -> EvalReport:
-    """precision@k for every k of the grid and MAP, from one set of cell
-    keys; the edges of truth are the true pairs."""
+def candidate_pairs(n: int, exclude: GraphSnapshot | None = None) -> np.ndarray:
+    """The candidate pairs of _candidates, in (u, v) lexicographic order."""
+    return np.argwhere(_candidates(n, exclude))
+
+
+def _ranking_report(scores: np.ndarray, truth: GraphSnapshot, candidates: np.ndarray,
+                    k_grid, **fields) -> EvalReport:
+    """precision@k for every k of the grid and MAP, from the keys -score at
+    each cell of the candidate mask and +inf elsewhere; the edges of truth
+    are the true pairs."""
     report = EvalReport(k_grid=sorted(k_grid), **fields)
     if not truth:
         report.empty_truth = True
         report.k_grid = []
         return report
-    sp = ScoredPairs(pairs, scores[pairs[:, 0], pairs[:, 1]])
+    keys = np.negative(scores, where=candidates, out=np.full(candidates.shape, np.inf))
+    n_cand = np.count_nonzero(candidates)
+    if np.count_nonzero(np.isfinite(keys)) != n_cand:
+        raise ValueError("scores must be finite")
     # grid entries beyond the candidate count are dropped, not clamped
-    report.k_grid = [k for k in sorted(k_grid) if 1 <= k <= len(sp)]
-    keys, hits, n_true = _rank_arrays(sp, truth.rows, truth.cols)
+    report.k_grid = [k for k in sorted(k_grid) if 1 <= k <= n_cand]
+    hits, n_true = _rank_arrays(keys, truth.rows, truth.cols)
     report.precision_at_k = _top_precisions(keys, hits, report.k_grid)
     report.map = float(np.mean(_row_aps(keys, hits, n_true)))
     return report
@@ -290,8 +289,7 @@ def reconstruction_eval(scores: np.ndarray, g: GraphSnapshot, k_grid) -> EvalRep
     """Rank all ordered non-diagonal pairs against the snapshot's own edges."""
     if scores.shape != (g.n, g.n):
         raise ValueError("score matrix shape mismatch")
-    pairs = candidate_pairs(g.n)
-    return _ranking_report(scores, g, pairs, k_grid, task="reconstruction")
+    return _ranking_report(scores, g, _candidates(g.n), k_grid, task="reconstruction")
 
 
 def static_lp_eval(scores: np.ndarray, train: GraphSnapshot, hidden: GraphSnapshot,
@@ -299,8 +297,7 @@ def static_lp_eval(scores: np.ndarray, train: GraphSnapshot, hidden: GraphSnapsh
     """Rank non-edges of the train graph against the hidden edges."""
     if scores.shape != (train.n, train.n):
         raise ValueError("score matrix shape mismatch")
-    pairs = candidate_pairs(train.n, exclude=train)
-    return _ranking_report(scores, hidden, pairs, k_grid, task="static_lp")
+    return _ranking_report(scores, hidden, _candidates(train.n, train), k_grid, task="static_lp")
 
 
 def temporal_lp_eval(scores: np.ndarray, seq: SnapshotSequence, t: int, k_grid,
@@ -323,8 +320,8 @@ def temporal_lp_eval(scores: np.ndarray, seq: SnapshotSequence, t: int, k_grid,
     else:
         new = edge_delta(g_t, g_next).added
         truth, exclude = GraphSnapshot(g_t.n, new["u"], new["v"], new["w"]), g_t
-    pairs = candidate_pairs(g_t.n, exclude=exclude)
-    return _ranking_report(scores, truth, pairs, k_grid, task="temporal_lp", mode=mode)
+    return _ranking_report(scores, truth, _candidates(g_t.n, exclude), k_grid,
+                           task="temporal_lp", mode=mode)
 
 
 def _stratified_split(labels: np.ndarray, train_frac: float, rng: Rng):

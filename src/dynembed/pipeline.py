@@ -221,7 +221,8 @@ def _ae_record(warm: bool = False, align: bool = False) -> Method:
                 extras["scores"][t] = reconstruct(model, adj)
             if t in branched:
                 extras["inits"][t] = model.copy()
-            extras["model"] = model
+            if t == len(seq) - 1:
+                extras["model"] = model
 
         return _snapshot_fold(seq, cfg.ae, warm, align, on_step), extras
 

@@ -23,7 +23,8 @@ from dynembed.evaluation import (EvalError, EvalReport, ScoredPairs,
                                  migration_proximity_stat, node_classification,
                                  precision_at_k, reconstruction_eval,
                                  save_report, static_lp_eval, static_lp_split,
-                                 temporal_lp_eval, _f1_scores, _ranking_report)
+                                 temporal_lp_eval, _candidates, _f1_scores,
+                                 _ranking_report)
 from dynembed.graphs import SnapshotSequence, dense_adjacency
 from dynembed.rng import Rng
 from dynembed.sbm import generate_sbm_snapshot
@@ -231,7 +232,8 @@ def test_ranking_report_matches_reference_bytes(case):
     want_pairs = candidate_pairs_ref(n, exclude=exclude)
     assert _bits(pairs) == _bits(want_pairs)
     fields = dict(task="temporal_lp", mode="new", method="m", seed=1, config_digest="c")
-    got = _ranking_report(scores, _graph(n, truth), pairs, k_grid, **fields)
+    got = _ranking_report(scores, _graph(n, truth), _candidates(n, _graph(n, exclude)), k_grid,
+                          **fields)
     want = ranking_report_ref(scores, truth, want_pairs, k_grid, **fields)
     assert got.to_json() == want.to_json()
 
@@ -244,10 +246,9 @@ def test_ranking_report_matches_reference_bytes_on_long_lists():
     scores = rng.random((n, n))
     truth = {(int(u), int(v)) for u, v in zip(*np.nonzero(rng.random((n, n)) < 0.4))
              if u != v}
-    pairs = candidate_pairs(n)
     fields = dict(task="reconstruction", method="m")
-    got = _ranking_report(scores, _graph(n, truth), pairs, [1, 10, 1000], **fields)
-    want = ranking_report_ref(scores, truth, pairs, [1, 10, 1000], **fields)
+    got = _ranking_report(scores, _graph(n, truth), _candidates(n), [1, 10, 1000], **fields)
+    want = ranking_report_ref(scores, truth, candidate_pairs_ref(n), [1, 10, 1000], **fields)
     assert got.to_json() == want.to_json()
 
 
@@ -299,12 +300,15 @@ def test_row_aps_blocks_match_one_block(monkeypatch, n, seed):
     assert np.array_equal(blocked.view(np.uint64), whole.view(np.uint64))
 
 
-def test_reconstruction_report_at_n_300_peaks_below_4_mib():
-    # MAP reads only the hits' ranks, so a block of rows adds its sorted
-    # keys and a (rows x most hits) block of terms to the candidate list and
-    # the key matrix; ranking whole rows, with their argsort, ranked hits
-    # and two cumulative sums, peaked at 4.49 MiB here
-    g = generate_sbm_snapshot(np.repeat([0, 1], 150), 0.2, 0.02, Rng(30))
+@pytest.mark.parametrize("n, mib", [(300, 4), (2000, 100)])
+def test_reconstruction_report_peak_is_bounded(n, mib):
+    # the report holds the key matrix and the candidate and hit masks (10
+    # bytes a cell), and precision@k's partition copies the keys (8 more);
+    # MAP adds only a block of rows' sorted keys and a (rows x most hits)
+    # block of terms. Building an (n^2, 2) candidate pair list and
+    # scattering it into the keys peaked at 3.75 MiB at n = 300 and
+    # 156.4 MiB at n = 2000; this reads 1.78 and 68.7 MiB
+    g = generate_sbm_snapshot(np.repeat([0, 1], n // 2), 0.2, 0.02, Rng(30))
     scores = kernels.sigmoid(Rng(31).random((g.n, g.n)) * 8.0 - 4.0)
     tracemalloc.start()
     try:
@@ -312,7 +316,7 @@ def test_reconstruction_report_at_n_300_peaks_below_4_mib():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4.0 * 2**20
+    assert peak < mib * 2**20
 
 
 def test_reports_ignore_non_finite_scores_off_the_candidates():
@@ -339,17 +343,6 @@ def test_reports_reject_non_finite_candidate_scores(bad):
         reconstruction_eval(scores, g, [1])
     with pytest.raises(ValueError, match="scores must be finite"):
         static_lp_eval(scores, train, hidden, [1])
-
-
-def test_reports_reject_duplicate_and_negative_candidates():
-    g = _graph(4, {(0, 1), (1, 2)})
-    scores = np.ones((4, 4))
-    pairs = candidate_pairs(4)
-    fields = dict(task="reconstruction", method="m")
-    with pytest.raises(ValueError, match="duplicate"):
-        _ranking_report(scores, g, np.vstack([pairs, pairs[3:4]]), [1], **fields)
-    with pytest.raises(ValueError, match="negative"):
-        _ranking_report(scores, g, np.vstack([pairs, [[-1, 0]]]), [1], **fields)
 
 
 def test_candidate_pairs_reject_exclusions_over_other_nodes():

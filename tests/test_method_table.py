@@ -166,8 +166,8 @@ def test_ae_tasks_need_the_models_the_run_kept(method):
 
 
 def _embed_and_score_peak(length, node_num=80, units=40, n_batch=16,
-                          tasks=("reconstruction", "temporal_lp")):
-    """tracemalloc's peaks, in bytes, of a dyngem run over a sequence of
+                          tasks=("reconstruction", "temporal_lp"), method="dyngem"):
+    """tracemalloc's peaks, in bytes, of a `method` run over a sequence of
     `length` snapshots and its `tasks` at their last t, with the sequence
     built before tracing starts: over the whole run, and over its task phase
     alone (what the run holds after embedding counts in both); and the bytes
@@ -176,7 +176,7 @@ def _embed_and_score_peak(length, node_num=80, units=40, n_batch=16,
         "seed": 3,
         "data": {"sbm": {"node_num": node_num, "community_num": 2, "length": length,
                          "node_change_num": 1, "p_in": 0.3, "p_out": 0.02}},
-        "method": {"name": "dyngem", "d": 2, "enc_units": [units], "dec_units": [units],
+        "method": {"name": method, "d": 2, "enc_units": [units], "dec_units": [units],
                    "n_iter": 1, "n_batch": n_batch},
         "tasks": {name: {} for name in tasks},
     })
@@ -207,15 +207,17 @@ def test_ae_run_memory_does_not_grow_with_the_models_it_drops():
     assert long - short < 2 * model_bytes
 
 
-def test_ae_run_holds_one_model_at_a_time():
-    # a warm start trains in the previous model's arrays, and the tasks read
-    # the two score matrices taken as their models were trained. So at its
-    # peak the run holds one model of 40 -> 400 -> 2 -> 400 -> 40 (269 KiB),
-    # training's workspace and those scores, plus under 64 KiB of the
-    # snapshot's adjacency, the embeddings and the kernels' temporaries;
-    # a second model would not fit.
+@pytest.mark.parametrize("method", ["dyngem", "ae_static", "aealign"])
+def test_ae_run_holds_one_model_at_a_time(method):
+    # a warm start trains in the previous model's arrays, a fresh start
+    # drops the previous model first, and the tasks read the two score
+    # matrices taken as their models were trained. So at its peak the run
+    # holds one model of 40 -> 400 -> 2 -> 400 -> 40 (269 KiB), training's
+    # workspace and those scores, plus under 64 KiB of the snapshot's
+    # adjacency, the embeddings and the kernels' temporaries; a second
+    # model would not fit.
     peak, _, model, workspace, scores = _embed_and_score_peak(8, node_num=40, units=400,
-                                                              n_batch=4)
+                                                              n_batch=4, method=method)
     assert peak < model + workspace + scores + (64 << 10)
 
 
