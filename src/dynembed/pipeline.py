@@ -16,26 +16,30 @@ take the epoch's width to n and is the batch SVD of the train split. d2v_ae
 trains on windows from the whole sequence, so it alone retrains on the
 prefix ending at t for both tasks.
 
-A run keeps only the per-step state its configured tasks read
-(_kept_steps): the SVD folds one factor state. The per-snapshot AE families
-run through one fold (ae._snapshot_fold), which keeps no model; the
-pipeline's per-step callback keeps the n x n scores of the snapshots that
-reconstruction and temporal LP read, taken as each model is trained, a copy
-of the model dynGEM's static LP refit trains over, and the last model, which
-model.txt holds.
+Every configured reconstruction, static LP and temporal LP t is resolved
+(_task_t) before the embed, so an out-of-range t fails first. A run keeps
+only the per-step state those tasks read (_kept_steps): the SVD folds one
+factor state. The per-snapshot AE families run through one fold
+(ae._snapshot_fold), which keeps no model; the per-step callback keeps the
+n x n scores that reconstruction and temporal LP read, the model copy
+dynGEM's static LP refit trains over, and the last model until model.txt is
+written from it.
 
 Labels and migration records read from files are checked against the
 sequence and against each other. A run first deletes the outputs an earlier
 run left in its outdir. The manifest records the resolved config, package
-versions, and a sha256 digest per output file; it contains no timestamps,
-so identical runs produce identical bytes.
+versions, the build config and thread count of the OpenBLAS numpy ships,
+and a sha256 digest per output file; it contains no timestamps, so
+identical runs produce identical bytes.
 """
 
+import ctypes
 import hashlib
 import json
 import math
 import re
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -147,6 +151,7 @@ class Method:
     refit: Callable  # (cfg, run, t, g)
     forecast: Callable  # (cfg, run, t)
     first_t: Callable = lambda cfg: 0  # the first snapshot it can score
+    outputs: Callable = lambda run: {}  # the run's other files, {name: writer(path)}
 
 
 def _svd_scores(cfg, run, t):
@@ -163,16 +168,11 @@ def _optsvd_refit(cfg, run, t, g):
 RUN_READS = {"reconstruction": (0, 0), "temporal_lp": (1, 0), "static_lp": (0, 1)}
 
 
-def _highest_t(seq, task: str) -> int:
-    return len(seq) - 1 - RUN_READS[task][0]
-
-
 def _kept_steps(cfg, seq, tasks) -> set:
     """The steps whose state the configured tasks among `tasks` read from
     the run: the t of reconstruction and temporal LP, and static LP's t - 1,
-    the step its refit branches from. An out-of-range t is left for the task
-    to reject."""
-    return {_from_end(cfg.tasks[name]["t"], _highest_t(seq, name)) - RUN_READS[name][1]
+    the step its refit branches from."""
+    return {_task_t(cfg, seq, cfg.tasks[name], name) - RUN_READS[name][1]
             for name in tasks if name in cfg.tasks}
 
 
@@ -194,7 +194,9 @@ def _svd_fold_record(theta) -> Method:
         y_src, y_tgt = state.embedding()
         return y_src @ y_tgt.T
 
-    return Method(embed=embed, scores=_svd_scores, refit=refit, forecast=_svd_scores)
+    return Method(embed=embed, scores=_svd_scores, refit=refit, forecast=_svd_scores,
+                  outputs=lambda run: {"restart_log.txt": partial(
+                      save_restart_log, run.extras["restart_log"])})
 
 
 def _ae_scores(cfg, run, t):
@@ -208,9 +210,7 @@ def _ae_record(warm: bool = False, align: bool = False) -> Method:
     """A per-snapshot AE family through ae._snapshot_fold; with warm, a model
     trains over the previous one, and a refit over a copy of the run's model
     of t - 1 (dynGEM), else from fresh weights; with align, the embeddings
-    are Procrustes-chained (AEalign). As each model is trained the run keeps
-    the scores of the snapshots reconstruction and temporal LP read, the copy
-    a refit takes over, and the last model, which model.txt holds."""
+    are Procrustes-chained (AEalign)."""
     def embed(cfg, seq):
         scored = _kept_steps(cfg, seq, ("reconstruction", "temporal_lp"))
         branched = _kept_steps(cfg, seq, ("static_lp",)) if warm else set()
@@ -236,7 +236,9 @@ def _ae_record(warm: bool = False, align: bool = False) -> Method:
         adj = dense_adjacency(g)
         return reconstruct(fit_snapshot(adj, cfg.ae, t, init), adj)
 
-    return Method(embed=embed, scores=_ae_scores, refit=refit, forecast=_ae_scores)
+    return Method(embed=embed, scores=_ae_scores, refit=refit, forecast=_ae_scores,
+                  outputs=lambda run: {"model.txt": partial(save_mlp_params,
+                                                            run.extras.pop("model"))})
 
 
 def _d2v_embed(cfg, seq):
@@ -270,29 +272,26 @@ METHOD_TABLE = {
     "aealign": _ae_record(align=True),
     "dyngem": _ae_record(warm=True),
     "d2v_ae": Method(embed=_d2v_embed, scores=_d2v_scores, refit=_d2v_refit,
-                     forecast=_d2v_forecast, first_t=lambda cfg: cfg.ae.lookback),
+                     forecast=_d2v_forecast, first_t=lambda cfg: cfg.ae.lookback,
+                     outputs=lambda run: {"model.txt": partial(save_mlp_params,
+                                                               run.extras["model"])}),
 }
 
 
 def embed_series(cfg: ExperimentConfig, seq: SnapshotSequence):
-    """Run the configured method; returns (series, extras). extras may hold
-    'restart_log' and 'state', the factor state static LP branches from
-    (incsvd/rerunsvd), or 'model', the AE model model.txt holds (d2v_ae's one
-    model, the other AE families' last one). The per-snapshot AE families
-    add 'scores' (t -> the n x n scores of snapshot t that reconstruction
-    and temporal LP read) and 'inits' (for dyngem, t -> a copy of the model
-    of t that static LP's refit of t + 1 trains over, and takes)."""
+    """Run the configured method; returns (series, extras), what the run
+    keeps: for incsvd/rerunsvd 'restart_log' and 'state', the factor state
+    static LP branches from; for d2v_ae 'model'; for the per-snapshot AE
+    families 'scores' (t -> the n x n scores of snapshot t, taken as its
+    model was trained), 'inits' (for dyngem, t -> a copy of the model of t
+    that static LP's refit of t + 1 trains over, and takes) and 'model', the
+    last model, which their outputs take out of extras for model.txt."""
     return METHOD_TABLE[cfg.method].embed(cfg, seq)
 
 
-def _from_end(spec_t: int, hi: int) -> int:
-    """A config t, negative counting back from hi + 1."""
-    return hi + 1 + spec_t if spec_t < 0 else spec_t
-
-
 def _resolve_t(spec_t: int, lo: int, hi: int, what: str) -> int:
-    """Map a config t (negative = from the end) into [lo, hi]."""
-    t = _from_end(spec_t, hi)
+    """Map a config t (negative = counting back from hi + 1) into [lo, hi]."""
+    t = hi + 1 + spec_t if spec_t < 0 else spec_t
     if not lo <= t <= hi:
         raise PipelineError(f"{what}: t={spec_t} resolves to {t}, outside [{lo}, {hi}]")
     return t
@@ -300,7 +299,8 @@ def _resolve_t(spec_t: int, lo: int, hi: int, what: str) -> int:
 
 def _task_t(cfg: ExperimentConfig, seq: SnapshotSequence, spec: dict, task: str) -> int:
     """The t of a task in RUN_READS, from the method's first_t to its highest t."""
-    return _resolve_t(spec["t"], METHOD_TABLE[cfg.method].first_t(cfg), _highest_t(seq, task), task)
+    return _resolve_t(spec["t"], METHOD_TABLE[cfg.method].first_t(cfg),
+                      len(seq) - 1 - RUN_READS[task][0], task)
 
 
 def _prefix_run(cfg, seq: SnapshotSequence, t: int, last: GraphSnapshot | None = None) -> Run:
@@ -384,6 +384,24 @@ def _clear_outputs(outdir: Path, cfg: ExperimentConfig) -> None:
             path.unlink()
 
 
+def _blas() -> dict:
+    """The build config and thread count of the OpenBLAS in numpy.libs, read
+    through ctypes; each None where the library or its symbol is missing."""
+    info = {"config": None, "threads": None}
+    libs = (Path(np.__file__).parents[1] / "numpy.libs").glob("*openblas*")
+    try:
+        lib = ctypes.CDLL(str(min(libs)))
+    except (ValueError, OSError):  # no such library, or it does not load
+        return info
+    for key, symbol, restype, read in (("config", "get_config", ctypes.c_char_p, bytes.decode),
+                                       ("threads", "get_num_threads", ctypes.c_int, int)):
+        fn = getattr(lib, f"scipy_openblas_{symbol}64_", None)
+        if fn is not None:
+            fn.argtypes, fn.restype = [], restype
+            info[key] = read(fn())
+    return info
+
+
 def _write(files: dict | None, outdir: Path, name: str, writer) -> Path:
     path = outdir / name
     writer(path)
@@ -416,14 +434,12 @@ def run_experiment(cfg: ExperimentConfig, stage: str = "run") -> dict:
     files: dict = {}
 
     seq, labels, migrations = prepare_data(cfg, outdir, files)
+    _kept_steps(cfg, seq, RUN_READS)  # an out-of-range task t fails before the embed
     run = Run(seq, *embed_series(cfg, seq), labels, migrations)
     for path in save_embedding_series(run.series, outdir, prefix="emb"):
         files[Path(path).name] = _sha256(Path(path))
-    if "restart_log" in run.extras:
-        _write(files, outdir, "restart_log.txt",
-               lambda p: save_restart_log(run.extras["restart_log"], p))
-    if "model" in run.extras:
-        _write(files, outdir, "model.txt", lambda p: save_mlp_params(run.extras["model"], p))
+    # no writer outlives the comprehension, so a model handed to one goes once written
+    [_write(files, outdir, name, w) for name, w in METHOD_TABLE[cfg.method].outputs(run).items()]
 
     reports = {}
     digest = config_digest(cfg)
@@ -442,6 +458,7 @@ def run_experiment(cfg: ExperimentConfig, stage: str = "run") -> dict:
 
     if stage == "run":
         manifest = {
+            "blas": _blas(),
             "config": cfg.resolved(),
             "files": dict(sorted(files.items())),
             "versions": {"dynembed": __version__, "numpy": np.__version__},

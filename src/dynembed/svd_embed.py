@@ -288,6 +288,15 @@ def _new_directions(basis: np.ndarray, block: np.ndarray) -> np.ndarray:
     return np.linalg.qr(u)[0]
 
 
+def _widen(basis: np.ndarray, image: np.ndarray | None, block: np.ndarray, g: GraphSnapshot):
+    """basis widened by the directions of span(block) outside it, and the
+    widened basis's image under g's adjacency: image, basis's own, with
+    theirs appended, or with image None, formed afresh."""
+    new = _new_directions(basis, block)
+    basis, adj = np.hstack([basis, new]), dense_adjacency(g)
+    return basis, adj @ basis if image is None else np.hstack([image, adj @ new])
+
+
 def _batch_width(state: SvdFactorState) -> int:
     """The narrowest update that makes a step a batch step: a non-empty one
     that would take the epoch's width to n (epoch_width + k >= n). It may
@@ -312,14 +321,13 @@ def incremental_update(state: SvdFactorState, p: np.ndarray, q: np.ndarray,
         return replace(state, t_cur=t, snapshot=g)
     if p.shape[1] >= _batch_width(state):
         return optimal_svd_embed(g, state.d, t)[2]
-    new = _new_directions(state.basis, q)
-    basis = np.hstack([state.basis, new])
     norm_sq = _norm_sq(g)
     scale = max(state.image_scale, norm_sq)
     if norm_sq < IMAGE_RTOL * scale:  # the sum would cancel
-        image, scale = dense_adjacency(g) @ basis, norm_sq
+        image, scale = None, norm_sq
     else:
-        image = np.hstack([state.image + p @ (q.T @ state.basis), dense_adjacency(g) @ new])
+        image = state.image + p @ (q.T @ state.basis)
+    basis, image = _widen(state.basis, image, q, g)
     ritz = truncated_svd(image, state.d)
     factor = TruncatedSvd(U=ritz.U, S=ritz.S, V=basis @ ritz.V)
     return replace(state, factor=factor, t_cur=t, cur_loss=_closed_form_loss(norm_sq, ritz.S),
@@ -358,9 +366,8 @@ def rerun_svd_step(state: SvdFactorState, cur: GraphSnapshot, theta: float):
     )
     if restarted:
         _, _, fresh = optimal_svd_embed(cur, state.d, t=t)
-        new = _new_directions(state.basis, fresh.basis)
-        state = replace(fresh, basis=np.hstack([state.basis, new]),
-                        image=np.hstack([state.image, dense_adjacency(cur) @ new]),
+        basis, image = _widen(state.basis, state.image, fresh.basis, cur)
+        state = replace(fresh, basis=basis, image=image,
                         image_scale=max(state.image_scale, fresh.image_scale),
                         tail=min(state.tail, fresh.tail), epoch_width=state.epoch_width)
         bound = loss_lower_bound(state)

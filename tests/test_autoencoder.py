@@ -637,7 +637,7 @@ def test_dyngem_fold_is_the_same_whichever_models_it_keeps(keep):
     # public series, which copies every model.
     g = _two_block_graph()
     seq = SnapshotSequence([g, g, g])
-    cfg = SimpleNamespace(ae=_small_cfg(n_iter=3), tasks=keep or {})
+    cfg = SimpleNamespace(method="dyngem", ae=_small_cfg(n_iter=3), tasks=keep or {})
     series, extras = METHOD_TABLE["dyngem"].embed(cfg, seq)
     want_series, want_models = dyngem_series(seq, cfg.ae)
     adj = dense_adjacency(g)
@@ -740,9 +740,10 @@ def test_reconstruction_scores_are_decoded_rows():
     # the run decodes the snapshot's rows with its model once it is trained
     g = _two_block_graph()
     adj = dense_adjacency(g)
-    cfg = SimpleNamespace(ae=_small_cfg(n_iter=2), tasks={"reconstruction": {"t": 0}})
     seq = SnapshotSequence([g])
     for name in ("ae_static", "aealign", "dyngem"):
+        cfg = SimpleNamespace(method=name, ae=_small_cfg(n_iter=2),
+                              tasks={"reconstruction": {"t": 0}})
         run = Run(seq, *METHOD_TABLE[name].embed(cfg, seq))
         scores = METHOD_TABLE[name].scores(cfg, run, 0)
         assert np.array_equal(scores, reconstruct(run.extras["model"], adj))

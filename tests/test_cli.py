@@ -4,6 +4,7 @@ Everything runs in-process through main(argv); exit code 2 is a config
 problem, 1 a runtime failure, 0 success.
 """
 
+import ast
 import json
 import math
 import os
@@ -14,11 +15,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dynembed
 from dynembed.cli import main
 from dynembed.graphs import load_snapshots
+from dynembed.pipeline import _blas
 from dynembed.sbm import load_labels, load_migrations
 
 TINY_SNAPSHOTS = "1 2\n0 0 1 1.0\n"
@@ -293,7 +296,7 @@ def test_manifest_identical_across_outdirs(tmp_path):
     man_b = (tmp_path / "b" / "manifest.json").read_bytes()
     assert man_a == man_b
     parsed = json.loads(man_a)
-    assert set(parsed) == {"config", "files", "versions"}
+    assert set(parsed) == {"blas", "config", "files", "versions"}
     assert "outdir" not in json.dumps(parsed["config"])
 
 
@@ -310,3 +313,77 @@ def test_cli_import_pulls_in_only_numpy_beyond_the_standard_library():
     out = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, check=True)
     assert set(out.stdout.split()) <= {"dynembed", "numpy"}
+
+
+def _imported_modules(tree):
+    """The absolute module names a module's syntax tree imports, through an
+    import statement or a call of __import__ or importlib.import_module on a
+    string literal, anywhere in it."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+        elif (isinstance(node, ast.Call) and node.args
+              and isinstance(node.args[0], ast.Constant)
+              and (getattr(node.func, "id", None) == "__import__"
+                   or getattr(node.func, "attr", None) == "import_module")):
+            yield node.args[0].value
+
+
+def test_package_imports_only_numpy_and_the_standard_library():
+    # scipy is installed but not declared, so no module may import it, not
+    # even inside a function that runs only on some path
+    allowed = set(sys.stdlib_module_names) | {"dynembed", "numpy"}
+    paths = sorted(Path(dynembed.__file__).resolve().parent.glob("*.py"))
+    assert len(paths) > 10
+    outside = [f"{path.name}: {name}" for path in paths
+               for name in _imported_modules(ast.parse(path.read_text(encoding="utf-8")))
+               if name.split(".")[0] not in allowed]
+    assert outside == []
+
+
+def test_import_guard_sees_every_form_of_import():
+    tree = ast.parse("import scipy.linalg\nfrom scipy import sparse\nfrom . import ae\n"
+                     "def f():\n    import numpy as np\n    importlib.import_module('numba')\n"
+                     "    return __import__('os')\n")
+    assert list(_imported_modules(tree)) == ["scipy.linalg", "scipy", "numpy", "numba", "os"]
+
+
+def _manifest_blas(tmp_path, threads):
+    """The manifest's blas record of one small run in a subprocess with
+    OPENBLAS_NUM_THREADS=threads."""
+    src = str(Path(dynembed.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    outdir = tmp_path / f"threads{threads}"
+    config = _sbm_config(tmp_path, outdir)
+    subprocess.run([sys.executable, "-m", "dynembed.cli", "run", "--config", config],
+                   env=env, capture_output=True, text=True, check=True)
+    return json.loads((outdir / "manifest.json").read_text())["blas"]
+
+
+def test_manifest_records_the_blas_thread_count(tmp_path):
+    # the thread count is what OpenBLAS read from the environment at load
+    one, two = _manifest_blas(tmp_path, 1), _manifest_blas(tmp_path, 2)
+    if _blas()["config"] is None:  # numpy ships no OpenBLAS here
+        assert one == two == {"config": None, "threads": None}
+        return
+    assert one["config"] == two["config"] and one["config"].startswith("OpenBLAS")
+    assert (one["threads"], two["threads"]) == (1, 2)
+
+
+def test_blas_record_is_null_where_the_library_or_a_symbol_is_missing(tmp_path, monkeypatch):
+    shipped = sorted((Path(np.__file__).resolve().parents[1] / "numpy.libs").glob("*"))
+    others = [path for path in shipped if "openblas" not in path.name]
+    libs = tmp_path / "numpy.libs"
+    libs.mkdir()
+    monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+    assert _blas() == {"config": None, "threads": None}  # no library
+    fake = libs / "libfake_openblas.so"
+    fake.write_bytes(b"not a shared object")
+    assert _blas() == {"config": None, "threads": None}  # one that does not load
+    if others:  # one that loads but has neither symbol: a library numpy ships beside OpenBLAS
+        fake.unlink()
+        fake.symlink_to(others[0])
+        assert _blas() == {"config": None, "threads": None}

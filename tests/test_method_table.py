@@ -12,6 +12,7 @@ import importlib
 import importlib.util
 import math
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -138,9 +139,9 @@ def test_ae_run_keeps_only_the_models_its_tasks_read(tmp_path, monkeypatch, meth
 
 @pytest.mark.parametrize("method", PER_SNAPSHOT_AE)
 def test_ae_tasks_need_the_models_the_run_kept(method):
-    # the run keeps the scores of t = 1 and the model of the last t; its
-    # out-of-range static LP spec is left for that task to reject
-    cfg = _cfg(method, {"temporal_lp": {"t": 1}, "static_lp": {"t": LENGTH}})
+    # the run keeps the scores of t = 1 and, for dyngem, a copy of the model
+    # of t = LENGTH - 2, which static LP at the last t branches from
+    cfg = _cfg(method, {"temporal_lp": {"t": 1}, "static_lp": {"t": LENGTH - 1}})
     seq = prepare_data(cfg)[0]
     one_run = pipeline.Run(seq, *embed_series(cfg, seq))
 
@@ -163,6 +164,66 @@ def test_ae_tasks_need_the_models_the_run_kept(method):
         with pytest.raises(pipeline.PipelineError,
                            match=rf"{task}: t={LENGTH} resolves to {LENGTH}, outside \[0, {hi}\]"):
             run(task, LENGTH)
+
+
+@pytest.mark.parametrize("method", PER_SNAPSHOT_AE)
+def test_ae_run_rejects_an_out_of_range_static_lp_t(tmp_path, method):
+    # every run resolves its tasks' t before the embed, and dyngem's embed
+    # resolves static LP's t again to pick the model copy its refit trains
+    # over, both with the task's own range check
+    cfg = _cfg(method, {"temporal_lp": {"t": 1}, "static_lp": {"t": LENGTH}}, tmp_path)
+    error = rf"static_lp: t={LENGTH} resolves to {LENGTH}, outside \[0, {LENGTH - 1}\]"
+    with pytest.raises(pipeline.PipelineError, match=error):
+        run_experiment(cfg)
+    if method == "dyngem":
+        with pytest.raises(pipeline.PipelineError, match=error):
+            embed_series(cfg, prepare_data(cfg)[0])
+
+
+# task -> out-of-range t: past its highest t, which lies RUN_READS[task][0]
+# before the last snapshot, and for temporal LP one counted back to below 0;
+# d2v_ae's runs also try one below its lowest t, lookback
+OUT_OF_RANGE = {"static_lp": [LENGTH], "temporal_lp": [LENGTH - 1, -LENGTH]}
+
+
+@pytest.mark.parametrize("stage", ["embed", "evaluate", "project", "run"])
+@pytest.mark.parametrize("task", sorted(OUT_OF_RANGE))
+@pytest.mark.parametrize("method", ["optsvd", "rerunsvd", "dyngem", "d2v_ae"])
+def test_out_of_range_task_t_fails_before_the_embed(tmp_path, monkeypatch, method, task,
+                                                    stage):
+    lo = LOOKBACK if method == "d2v_ae" else 0
+    hi = LENGTH - 1 - pipeline.RUN_READS[task][0]
+    monkeypatch.setattr(pipeline, "embed_series", lambda *args: pytest.fail("the run embedded"))
+    for t in OUT_OF_RANGE[task] + ([lo - 1] if lo else []):
+        at = t + hi + 1 if t < 0 else t
+        cfg = _cfg(method, {task: {"t": t}}, tmp_path)
+        with pytest.raises(pipeline.PipelineError,
+                           match=rf"^{task}: t={t} resolves to {at}, outside \[{lo}, {hi}\]$"):
+            run_experiment(cfg, stage=stage)
+    assert not [path.name for path in tmp_path.iterdir() if path.name.startswith("emb_t")]
+
+
+@pytest.mark.parametrize("method", [*PER_SNAPSHOT_AE, "d2v_ae"])
+def test_ae_run_drops_its_last_model_once_model_txt_is_written(tmp_path, monkeypatch, method):
+    # the per-snapshot AE families hand their last model to model.txt's
+    # writer and keep no reference to it; d2v_ae's tasks decode with its
+    # one model, so that run keeps it
+    written, alive = [], []
+    save = pipeline.save_mlp_params
+
+    def saving(params, path):
+        written.append(weakref.ref(params))
+        save(params, path)
+
+    def first_task(cfg, run, spec):
+        alive.append(written[0]() is not None)
+        return task(cfg, run, spec)
+
+    task = pipeline.task_reconstruction
+    monkeypatch.setattr(pipeline, "save_mlp_params", saving)
+    monkeypatch.setattr(pipeline, "task_reconstruction", first_task)
+    run_experiment(_cfg(method, {"reconstruction": {}, "temporal_lp": {}}, tmp_path))
+    assert len(written) == 1 and alive == [method == "d2v_ae"]
 
 
 def _embed_and_score_peak(length, node_num=80, units=40, n_batch=16,
