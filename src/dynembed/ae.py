@@ -371,21 +371,19 @@ def fit_snapshot(adj: np.ndarray, cfg: AeConfig, t: int, init: MlpParams | None 
 
 def _snapshot_fold(seq: SnapshotSequence, cfg: AeConfig, warm: bool, align: bool, on_step):
     """One model per snapshot, from fresh weights or, with warm, trained over
-    the previous snapshot's model; returns the series. With align, each
-    embedding is rotated onto the previous aligned one (orthogonal
-    Procrustes), as chain_align does. on_step(t, model, adj) is called once
-    the model of t and its embedding exist. The fold keeps no model: it
-    drops it before a fresh fit, and a warm start steps its arrays, so a
-    caller that keeps a model past its step copies it."""
-    ys = []
-    model = None
+    the previous snapshot's model; returns the series, Procrustes-chained by
+    chain_align with align. on_step(t, model, adj) is called once the model
+    of t and its embedding exist. The fold keeps no model: it drops it
+    before a fresh fit, and a warm start steps its arrays, so a caller that
+    keeps a model past its step copies it."""
+    ys, model = [], None
     for t in range(len(seq)):
         adj = dense_adjacency(seq[t])
         init, model = (model if warm else None), None
         model = fit_snapshot(adj, cfg, t, init)
-        y = encode(model, adj)
-        ys.append(y @ procrustes_rotation(y, ys[-1]) if align and t else y)
+        ys.append(encode(model, adj))
         on_step(t, model, adj)
+    ys = chain_align(ys) if align else ys
     return EmbeddingSeries(y_src=ys, y_tgt=ys)
 
 

@@ -6,7 +6,7 @@ pair (u, v) as Y_src[u] . Y_tgt[v], static AE methods by the decoded
 adjacency rows, and d2v_ae by the decoded prediction of the window ending at
 t-1, so it needs t >= lookback.
 
-Every task, task_<name>(cfg, run, spec), reads the method's one Run. All
+Every task, task_<name>(cfg, run, spec, t), reads the method's one Run. All
 methods but d2v_ae are causal folds, whose state at t has seen nothing after
 t: temporal link prediction scores snapshot t from the run, and static link
 prediction takes one step from the run's state at t-1 onto the train split
@@ -16,14 +16,14 @@ take the epoch's width to n and is the batch SVD of the train split. d2v_ae
 trains on windows from the whole sequence, so it alone retrains on the
 prefix ending at t for both tasks.
 
-Every configured reconstruction, static LP and temporal LP t is resolved
-(_task_t) before the embed, so an out-of-range t fails first. A run keeps
-only the per-step state those tasks read (_kept_steps): the SVD folds one
-factor state. The per-snapshot AE families run through one fold
-(ae._snapshot_fold), which keeps no model; the per-step callback keeps the
-n x n scores that reconstruction and temporal LP read, the model copy
-dynGEM's static LP refit trains over, and the last model until model.txt is
-written from it.
+One plan (plan_tasks) checks each configured task's data, d and t before
+the embed, so a task that cannot run fails first, at every stage; each task
+takes its t from it. A run keeps only the per-step state the tasks read
+(_kept_steps, from the same plan): the SVD folds one factor state. The
+per-snapshot AE families run through one fold (ae._snapshot_fold), which
+keeps no model; the per-step callback keeps the n x n scores that
+reconstruction and temporal LP read, the model copy dynGEM's static LP
+refit trains over, and the last model until model.txt is written from it.
 
 Labels and migration records read from files are checked against the
 sequence and against each other. A run first deletes the outputs an earlier
@@ -150,7 +150,8 @@ class Method:
     scores: Callable  # (cfg, run, t)
     refit: Callable  # (cfg, run, t, g)
     forecast: Callable  # (cfg, run, t)
-    first_t: Callable = lambda cfg: 0  # the first snapshot it can score
+    first_t: Callable = lambda cfg: 0  # the first snapshot it embeds
+    lag: int = 0  # its scores of t read its state at t - lag: it scores from first_t + lag
     outputs: Callable = lambda run: {}  # the run's other files, {name: writer(path)}
 
 
@@ -163,17 +164,42 @@ def _optsvd_refit(cfg, run, t, g):
     return y_src @ y_tgt.T
 
 
-# task -> (how far before the last snapshot its highest t lies, how far
-# before its t it reads the run's state)
-RUN_READS = {"reconstruction": (0, 0), "temporal_lp": (1, 0), "static_lp": (0, 1)}
+# task -> (the data it reads, how far before the last snapshot its highest t
+# lies, how far before its t it reads the run's state, or None: only the series)
+TASK_READS = {"reconstruction": ((), 0, 0), "static_lp": ((), 0, 1), "temporal_lp": ((), 1, 0),
+              "classification": (("labels",), 0, None), "projection": (("labels",), 0, None),
+              "migration_stat": (("labels", "migrations"), 0, None)}
+
+
+def plan_tasks(cfg, seq: SnapshotSequence, labels=None, migrations=None,
+               tasks=TASK_READS) -> dict:
+    """{task: t} for cfg's tasks among `tasks`, each checked: the data it
+    reads is there, projection has d >= 2, and its config t (negative counts
+    back from its highest t) lies from the method's first embedded t, or
+    first scored t if it reads the run, to its highest t."""
+    method, plan = METHOD_TABLE[cfg.method], {}
+    for name in sorted(cfg.tasks.keys() & tasks):
+        (data, back, step), spec_t = TASK_READS[name], cfg.tasks[name]["t"]
+        if any({"labels": labels, "migrations": migrations}[key] is None for key in data):
+            hint = " (generate SBM data or set data.labels)" if data == ("labels",) else ""
+            raise PipelineError(f"{name} needs {' and '.join(data)}{hint}")
+        if name == "projection" and cfg.d < 2:
+            raise PipelineError(f"projection needs d >= 2, got d={cfg.d}")
+        lo, hi = method.first_t(cfg) + (0 if step is None else method.lag), len(seq) - 1 - back
+        if "migrations" in data:  # the migrants entering t, or t + 1; none enter at t = 0
+            ahead = int(cfg.tasks[name]["anticipate"])
+            lo, hi = max(lo, 1 - ahead), hi - ahead
+        t = hi + 1 + spec_t if spec_t < 0 else spec_t
+        if not lo <= t <= hi:
+            raise PipelineError(f"{name}: t={spec_t} resolves to {t}, outside [{lo}, {hi}]")
+        plan[name] = t
+    return plan
 
 
 def _kept_steps(cfg, seq, tasks) -> set:
-    """The steps whose state the configured tasks among `tasks` read from
-    the run: the t of reconstruction and temporal LP, and static LP's t - 1,
-    the step its refit branches from."""
-    return {_task_t(cfg, seq, cfg.tasks[name], name) - RUN_READS[name][1]
-            for name in tasks if name in cfg.tasks}
+    """The steps of the run the configured tasks among `tasks` read: the t of
+    reconstruction and temporal LP, and static LP's t - 1, its refit's base."""
+    return {t - TASK_READS[name][2] for name, t in plan_tasks(cfg, seq, tasks=tasks).items()}
 
 
 def _svd_fold_record(theta) -> Method:
@@ -272,7 +298,7 @@ METHOD_TABLE = {
     "aealign": _ae_record(align=True),
     "dyngem": _ae_record(warm=True),
     "d2v_ae": Method(embed=_d2v_embed, scores=_d2v_scores, refit=_d2v_refit,
-                     forecast=_d2v_forecast, first_t=lambda cfg: cfg.ae.lookback,
+                     forecast=_d2v_forecast, first_t=lambda cfg: cfg.ae.lookback - 1, lag=1,
                      outputs=lambda run: {"model.txt": partial(save_mlp_params,
                                                                run.extras["model"])}),
 }
@@ -285,22 +311,9 @@ def embed_series(cfg: ExperimentConfig, seq: SnapshotSequence):
     families 'scores' (t -> the n x n scores of snapshot t, taken as its
     model was trained), 'inits' (for dyngem, t -> a copy of the model of t
     that static LP's refit of t + 1 trains over, and takes) and 'model', the
-    last model, which their outputs take out of extras for model.txt."""
+    last model, which their outputs take out of extras for model.txt. The
+    steps a run keeps are those plan_tasks resolves for cfg's tasks."""
     return METHOD_TABLE[cfg.method].embed(cfg, seq)
-
-
-def _resolve_t(spec_t: int, lo: int, hi: int, what: str) -> int:
-    """Map a config t (negative = counting back from hi + 1) into [lo, hi]."""
-    t = hi + 1 + spec_t if spec_t < 0 else spec_t
-    if not lo <= t <= hi:
-        raise PipelineError(f"{what}: t={spec_t} resolves to {t}, outside [{lo}, {hi}]")
-    return t
-
-
-def _task_t(cfg: ExperimentConfig, seq: SnapshotSequence, spec: dict, task: str) -> int:
-    """The t of a task in RUN_READS, from the method's first_t to its highest t."""
-    return _resolve_t(spec["t"], METHOD_TABLE[cfg.method].first_t(cfg),
-                      len(seq) - 1 - RUN_READS[task][0], task)
 
 
 def _prefix_run(cfg, seq: SnapshotSequence, t: int, last: GraphSnapshot | None = None) -> Run:
@@ -309,52 +322,36 @@ def _prefix_run(cfg, seq: SnapshotSequence, t: int, last: GraphSnapshot | None =
     return Run(prefix, *embed_series(cfg, prefix))
 
 
-def _require(run: Run, task: str, *data: str) -> None:
-    if any(getattr(run, name) is None for name in data):
-        hint = " (generate SBM data or set data.labels)" if data == ("labels",) else ""
-        raise PipelineError(f"{task} needs {' and '.join(data)}{hint}")
-
-
-def task_reconstruction(cfg, run: Run, spec) -> EvalReport:
-    t = _task_t(cfg, run.seq, spec, "reconstruction")
+def task_reconstruction(cfg, run: Run, spec, t: int) -> EvalReport:
     scores = METHOD_TABLE[cfg.method].scores(cfg, run, t)
     return reconstruction_eval(scores, run.seq[t], spec["k_grid"])
 
 
-def task_static_lp(cfg, run: Run, spec) -> EvalReport:
-    t = _task_t(cfg, run.seq, spec, "static_lp")
+def task_static_lp(cfg, run: Run, spec, t: int) -> EvalReport:
     train, hidden = static_lp_split(run.seq[t], spec["hide_fraction"], Rng(cfg.seed + 101))
     scores = METHOD_TABLE[cfg.method].refit(cfg, run, t, train)
     return static_lp_eval(scores, train, hidden, spec["k_grid"])
 
 
-def task_temporal_lp(cfg, run: Run, spec) -> EvalReport:
-    t = _task_t(cfg, run.seq, spec, "temporal_lp")
+def task_temporal_lp(cfg, run: Run, spec, t: int) -> EvalReport:
     scores = METHOD_TABLE[cfg.method].forecast(cfg, run, t)
     return temporal_lp_eval(scores, run.seq, t, spec["k_grid"], mode=spec["mode"])
 
 
-def task_classification(cfg, run: Run, spec) -> EvalReport:
-    _require(run, "classification", "labels")
-    t = _resolve_t(spec["t"], run.series.t_start, len(run.seq) - 1, "classification")
+def task_classification(cfg, run: Run, spec, t: int) -> EvalReport:
     micro, macro = node_classification(run.series.src_at(t), run.labels[t],
                                        spec["train_frac"], seed=cfg.seed)
     return EvalReport(task="classification", micro_f1=micro, macro_f1=macro)
 
 
-def task_migration_stat(cfg, run: Run, spec) -> EvalReport:
-    _require(run, "migration_stat", "labels", "migrations")
+def task_migration_stat(cfg, run: Run, spec, t: int) -> EvalReport:
     ahead = int(spec["anticipate"])  # 1: against the migrants entering t + 1
-    t = _resolve_t(spec["t"], max(run.series.t_start, 1 - ahead), len(run.seq) - 1 - ahead,
-                   "migration_stat")
     stat = migration_proximity_stat(run.series, run.labels[t], run.migrations[t + ahead], t)
     return EvalReport(task="migration_stat", mode="anticipate" if ahead else "arrival",
                       stat=stat)
 
 
-def task_projection(cfg, run: Run, spec, outdir: Path, files: dict):
-    _require(run, "projection", "labels")
-    t = _resolve_t(spec["t"], run.series.t_start, len(run.seq) - 1, "projection")
+def task_projection(cfg, run: Run, spec, t: int, outdir: Path, files: dict):
     migrated = {node for node, _, _ in run.migrations[t]} if run.migrations else set()
     name = f"projection_t{t}.txt"
     _write(files, outdir, name,
@@ -434,7 +431,7 @@ def run_experiment(cfg: ExperimentConfig, stage: str = "run") -> dict:
     files: dict = {}
 
     seq, labels, migrations = prepare_data(cfg, outdir, files)
-    _kept_steps(cfg, seq, RUN_READS)  # an out-of-range task t fails before the embed
+    plan = plan_tasks(cfg, seq, labels, migrations)  # a task that cannot run fails first
     run = Run(seq, *embed_series(cfg, seq), labels, migrations)
     for path in save_embedding_series(run.series, outdir, prefix="emb"):
         files[Path(path).name] = _sha256(Path(path))
@@ -443,15 +440,15 @@ def run_experiment(cfg: ExperimentConfig, stage: str = "run") -> dict:
 
     reports = {}
     digest = config_digest(cfg)
-    for name in sorted(cfg.tasks):
+    for name, t in sorted(plan.items()):
         if stage not in ("run", "project" if name == "projection" else "evaluate"):
             continue
         # looked up by name at each call, where bench/tracing.py wraps it
         task = globals()[f"task_{name}"]
         if name == "projection":
-            task(cfg, run, cfg.tasks[name], outdir, files)
+            task(cfg, run, cfg.tasks[name], t, outdir, files)
             continue
-        report = task(cfg, run, cfg.tasks[name])
+        report = task(cfg, run, cfg.tasks[name], t)
         report.method, report.seed, report.config_digest = cfg.method, cfg.seed, digest
         reports[name] = report
         _write(files, outdir, f"report_{name}.json", lambda p, r=report: save_report(r, p))

@@ -115,6 +115,10 @@ def test_config_and_pipeline_know_the_same_names():
     assert set(METHODS) == set(pipeline.METHOD_TABLE)
     for name in TASKS:
         assert callable(getattr(pipeline, f"task_{name}"))
+    # a task the plan does not know would run without its pre-embed check
+    task_functions = {name.removeprefix("task_") for name in vars(pipeline)
+                      if name.startswith("task_")}
+    assert set(TASKS) == set(pipeline.TASK_READS) == task_functions
 
 
 # --- golden resolved form -------------------------------------------------------

@@ -88,7 +88,7 @@ def test_static_lp_needs_the_state_the_run_kept(kept):
     run = pipeline.Run(seq, *embed_series(cfg, seq))
     spec = _cfg("rerunsvd", {"static_lp": {"t": 4}}).tasks["static_lp"]
     with pytest.raises(pipeline.PipelineError, match="kept no factor state for t=3"):
-        pipeline.task_static_lp(cfg, run, spec)
+        pipeline.task_static_lp(cfg, run, spec, 4)
 
 
 PER_SNAPSHOT_AE = ["ae_static", "aealign", "dyngem"]
@@ -147,7 +147,7 @@ def test_ae_tasks_need_the_models_the_run_kept(method):
 
     def run(task, t):
         spec = _cfg(method, {task: {"t": t}}).tasks[task]
-        return getattr(pipeline, f"task_{task}")(cfg, one_run, spec)
+        return getattr(pipeline, f"task_{task}")(cfg, one_run, spec, t)
 
     for task in ("reconstruction", "temporal_lp"):
         with pytest.raises(pipeline.PipelineError, match="kept no scores for t=2"):
@@ -158,12 +158,12 @@ def test_ae_tasks_need_the_models_the_run_kept(method):
             run("static_lp", 3)
     else:
         run("static_lp", 3)
-    # an out-of-range t is the task's own error, before any model is read
+    # an out-of-range t is the task's own error, from the plan its t comes from
     for task, hi in (("reconstruction", LENGTH - 1), ("temporal_lp", LENGTH - 2),
                      ("static_lp", LENGTH - 1)):
         with pytest.raises(pipeline.PipelineError,
                            match=rf"{task}: t={LENGTH} resolves to {LENGTH}, outside \[0, {hi}\]"):
-            run(task, LENGTH)
+            pipeline.plan_tasks(_cfg(method, {task: {"t": LENGTH}}), seq)
 
 
 @pytest.mark.parametrize("method", PER_SNAPSHOT_AE)
@@ -180,10 +180,19 @@ def test_ae_run_rejects_an_out_of_range_static_lp_t(tmp_path, method):
             embed_series(cfg, prepare_data(cfg)[0])
 
 
-# task -> out-of-range t: past its highest t, which lies RUN_READS[task][0]
-# before the last snapshot, and for temporal LP one counted back to below 0;
-# d2v_ae's runs also try one below its lowest t, lookback
-OUT_OF_RANGE = {"static_lp": [LENGTH], "temporal_lp": [LENGTH - 1, -LENGTH]}
+# case -> (task, its other fields, its highest t, its lowest t for the causal
+# methods and for d2v_ae). d2v_ae embeds from t = lookback - 1 and scores
+# from t = lookback, where its window ending at t - 1 starts; the migrants
+# of arrival enter at t >= 1, and anticipation reads those of t + 1.
+OUT_OF_RANGE = {
+    "static_lp": ("static_lp", {}, LENGTH - 1, 0, LOOKBACK),
+    "temporal_lp": ("temporal_lp", {}, LENGTH - 2, 0, LOOKBACK),
+    "classification": ("classification", {}, LENGTH - 1, 0, LOOKBACK - 1),
+    "projection": ("projection", {}, LENGTH - 1, 0, LOOKBACK - 1),
+    "migration_stat_arrival": ("migration_stat", {}, LENGTH - 1, 1, LOOKBACK - 1),
+    "migration_stat_anticipate": ("migration_stat", {"anticipate": True}, LENGTH - 2, 0,
+                                  LOOKBACK - 1),
+}
 
 
 @pytest.mark.parametrize("stage", ["embed", "evaluate", "project", "run"])
@@ -191,16 +200,27 @@ OUT_OF_RANGE = {"static_lp": [LENGTH], "temporal_lp": [LENGTH - 1, -LENGTH]}
 @pytest.mark.parametrize("method", ["optsvd", "rerunsvd", "dyngem", "d2v_ae"])
 def test_out_of_range_task_t_fails_before_the_embed(tmp_path, monkeypatch, method, task,
                                                     stage):
-    lo = LOOKBACK if method == "d2v_ae" else 0
-    hi = LENGTH - 1 - pipeline.RUN_READS[task][0]
+    # each case tries one t past its highest t, one counted back to below
+    # its lowest, and its lowest t - 1 where that is not negative
+    name, fields, hi, lo, d2v_lo = OUT_OF_RANGE[task]
+    lo = d2v_lo if method == "d2v_ae" else lo
     monkeypatch.setattr(pipeline, "embed_series", lambda *args: pytest.fail("the run embedded"))
-    for t in OUT_OF_RANGE[task] + ([lo - 1] if lo else []):
+    for t in [hi + 1, lo - hi - 2] + ([lo - 1] if lo else []):
         at = t + hi + 1 if t < 0 else t
-        cfg = _cfg(method, {task: {"t": t}}, tmp_path)
+        cfg = _cfg(method, {name: {**fields, "t": t}}, tmp_path)
         with pytest.raises(pipeline.PipelineError,
-                           match=rf"^{task}: t={t} resolves to {at}, outside \[{lo}, {hi}\]$"):
+                           match=rf"^{name}: t={t} resolves to {at}, outside \[{lo}, {hi}\]$"):
             run_experiment(cfg, stage=stage)
     assert not [path.name for path in tmp_path.iterdir() if path.name.startswith("emb_t")]
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_first_t_is_where_the_series_starts(method):
+    # the plan bounds the series-reading tasks' t by the method's first_t
+    # before the embed; the series then starts there
+    cfg = _cfg(method)
+    series, _ = embed_series(cfg, prepare_data(cfg)[0])
+    assert pipeline.METHOD_TABLE[method].first_t(cfg) == series.t_start
 
 
 @pytest.mark.parametrize("method", [*PER_SNAPSHOT_AE, "d2v_ae"])
@@ -215,9 +235,9 @@ def test_ae_run_drops_its_last_model_once_model_txt_is_written(tmp_path, monkeyp
         written.append(weakref.ref(params))
         save(params, path)
 
-    def first_task(cfg, run, spec):
+    def first_task(cfg, run, spec, t):
         alive.append(written[0]() is not None)
-        return task(cfg, run, spec)
+        return task(cfg, run, spec, t)
 
     task = pipeline.task_reconstruction
     monkeypatch.setattr(pipeline, "save_mlp_params", saving)
@@ -242,13 +262,14 @@ def _embed_and_score_peak(length, node_num=80, units=40, n_batch=16,
         "tasks": {name: {} for name in tasks},
     })
     seq = prepare_data(cfg)[0]
+    plan = pipeline.plan_tasks(cfg, seq)
     tracemalloc.start()
     try:
         run = pipeline.Run(seq, *embed_series(cfg, seq))
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         for name in tasks:
-            getattr(pipeline, f"task_{name}")(cfg, run, cfg.tasks[name])
+            getattr(pipeline, f"task_{name}")(cfg, run, cfg.tasks[name], plan[name])
         task_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,9 +1,11 @@
 """Pipeline data checks, task reports and output-directory hygiene."""
 
 import json
+import re
 
 import pytest
 
+from dynembed import pipeline
 from dynembed.cli import main
 from dynembed.config import from_dict
 from dynembed.evaluation import migration_proximity_stat
@@ -79,20 +81,57 @@ def test_repeated_migration_record_is_rejected(tmp_path):
         prepare_data(_file_config(tmp_path, migrations=MIGRATIONS * 2))
 
 
+def _no_embed(monkeypatch):
+    monkeypatch.setattr(pipeline, "embed_series", lambda *args: pytest.fail("the run embedded"))
+
+
+def _embeddings(outdir):
+    return [path.name for path in outdir.iterdir() if path.name.startswith("emb_t")]
+
+
 @pytest.mark.parametrize("task, labels, message", [
     ("classification", None,
      "classification needs labels (generate SBM data or set data.labels)"),
     ("migration_stat", None, "migration_stat needs labels and migrations"),
     ("projection", None, "projection needs labels (generate SBM data or set data.labels)"),
     ("classification", "0 0 0\n0 1 1\n0 2 0\n", "labels cover 1 snapshots, sequence has 2"),
+    # _file_config's d = 1: PCA has no second direction to project onto
+    ("projection", LABELS, "projection needs d >= 2, got d=1"),
 ])
-def test_run_without_the_data_a_task_reads_fails(tmp_path, capsys, task, labels, message):
+def test_run_without_the_data_a_task_reads_fails(tmp_path, monkeypatch, capsys, task, labels,
+                                                 message):
+    _no_embed(monkeypatch)
     cfg = _file_config(tmp_path, labels=labels)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({**cfg.resolved(), "outdir": str(tmp_path / "out"),
                                   "tasks": {task: {}}}))
     assert main(["run", "--config", str(config)]) == 1
     assert capsys.readouterr().err == f"error: PipelineError: {message}\n"
+    assert not _embeddings(tmp_path / "out")
+
+
+# case -> (the files left out of _file_config's, the task that cannot run,
+# its error); every case's d is _file_config's 1
+MISSING = {
+    "no_labels": ({"labels": None}, "classification",
+                  "classification needs labels (generate SBM data or set data.labels)"),
+    "no_migrations": ({"migrations": None}, "migration_stat",
+                      "migration_stat needs labels and migrations"),
+    "d_1": ({}, "projection", "projection needs d >= 2, got d=1"),
+}
+
+
+@pytest.mark.parametrize("stage", ["embed", "evaluate", "project", "run"])
+@pytest.mark.parametrize("case", sorted(MISSING))
+def test_a_task_that_cannot_run_fails_before_the_embed_at_every_stage(tmp_path, monkeypatch,
+                                                                      case, stage):
+    files, task, message = MISSING[case]
+    _no_embed(monkeypatch)
+    cfg = from_dict({**_file_config(tmp_path, **files).resolved(),
+                     "outdir": str(tmp_path / "out"), "tasks": {task: {}}})
+    with pytest.raises(PipelineError, match=f"^{re.escape(message)}$"):
+        run_experiment(cfg, stage=stage)
+    assert not _embeddings(tmp_path / "out")
 
 
 # --- task reports -------------------------------------------------------------
