@@ -388,6 +388,22 @@ def node_classification(emb: np.ndarray, labels, train_frac: float, seed: int = 
     return _f1_scores(y_te, y_pred, classes)
 
 
+def centroid_members(labels_t, migrations_t, t: int) -> dict:
+    """{community: its non-migrating members at t} for the origin and
+    destination communities of the records migrations_t. Raises EvalError
+    when there is no record, or a community has no such member."""
+    if not migrations_t:
+        raise EvalError("no migrated nodes at this step")
+    labels_t = np.asarray(labels_t, dtype=np.int64)
+    moved = {int(node) for node, _, _ in migrations_t}
+    members = {}
+    for c in {int(old) for _, old, _ in migrations_t} | {int(new) for _, _, new in migrations_t}:
+        members[c] = [i for i in np.flatnonzero(labels_t == c) if i not in moved]
+        if not members[c]:
+            raise EvalError(f"community {c} has no non-migrated members at t={t}")
+    return members
+
+
 def migration_proximity_stat(series: EmbeddingSeries, labels_t: np.ndarray,
                              migrations_t, t: int) -> float:
     """Fraction of migrating nodes embedded strictly closer to their
@@ -400,17 +416,9 @@ def migration_proximity_stat(series: EmbeddingSeries, labels_t: np.ndarray,
     members at t; ties (for instance all-zero embeddings) count as
     failures under the strict inequality.
     """
-    if not migrations_t:
-        raise EvalError("no migrated nodes at this step")
     y = series.src_at(t)
-    labels_t = np.asarray(labels_t, dtype=np.int64)
-    moved = {int(node) for node, _, _ in migrations_t}
-    centroids = {}
-    for c in {int(old) for _, old, _ in migrations_t} | {int(new) for _, _, new in migrations_t}:
-        members = [i for i in np.flatnonzero(labels_t == c) if i not in moved]
-        if not members:
-            raise EvalError(f"community {c} has no non-migrated members at t={t}")
-        centroids[c] = y[members].mean(axis=0)
+    centroids = {c: y[members].mean(axis=0)
+                 for c, members in centroid_members(labels_t, migrations_t, t).items()}
     closer = 0
     for node, old, new in migrations_t:
         d_new = float(np.linalg.norm(y[int(node)] - centroids[int(new)]))

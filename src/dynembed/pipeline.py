@@ -6,31 +6,32 @@ pair (u, v) as Y_src[u] . Y_tgt[v], static AE methods by the decoded
 adjacency rows, and d2v_ae by the decoded prediction of the window ending at
 t-1, so it needs t >= lookback.
 
-Every task, task_<name>(cfg, run, spec, t), reads the method's one Run. All
-methods but d2v_ae are causal folds, whose state at t has seen nothing after
-t: temporal link prediction scores snapshot t from the run, and static link
-prediction takes one step from the run's state at t-1 onto the train split
-of G_t (at t = 0, a fresh start). For the SVD folds that step is usually a
-batch step: the hidden edges touch almost every row, so the update would
-take the epoch's width to n and is the batch SVD of the train split. d2v_ae
-trains on windows from the whole sequence, so it alone retrains on the
-prefix ending at t for both tasks.
+Every task, task_<name>(cfg, run, spec, t), reads the method's one Run and
+returns a report or {name: writer(run, path)}. All methods but d2v_ae are
+causal folds, whose state at t has seen nothing after t: temporal link
+prediction scores snapshot t from the run, and static link prediction takes
+one step from the run's state at t-1 onto the train split of G_t (at t = 0, a
+fresh start). For the SVD folds that step is usually a batch step: the hidden
+edges touch almost every row, so the update would take the epoch's width to n
+and is the batch SVD of the train split. d2v_ae trains on windows from the
+whole sequence, so it alone retrains on the prefix ending at t for both tasks.
 
-One plan (plan_tasks) checks each configured task's data, d and t before
-the embed, so a task that cannot run fails first, at every stage; each task
-takes its t from it. A run keeps only the per-step state the tasks read
-(_kept_steps, from the same plan): the SVD folds one factor state. The
-per-snapshot AE families run through one fold (ae._snapshot_fold), which
-keeps no model; the per-step callback keeps the n x n scores that
-reconstruction and temporal LP read, the model copy dynGEM's static LP
-refit trains over, and the last model until model.txt is written from it.
+One plan (plan_tasks) checks each configured task's data, d and t (and
+that migration_stat's step can be scored) before the embed, so a task that
+cannot run fails first, at every stage; each task takes its t from it. A
+run keeps only the per-step state the tasks read (_kept_steps, from the
+same plan): the SVD folds one factor state. The per-snapshot AE families
+run through one fold (ae._snapshot_fold), which keeps no model; the
+per-step callback keeps the n x n scores that reconstruction and temporal
+LP read, the model copy dynGEM's static LP refit trains over, and the last
+model until model.txt is written from it.
 
 Labels and migration records read from files are checked against the
 sequence and against each other. A run first deletes the outputs an earlier
-run left in its outdir. The manifest records the resolved config, package
-versions, the build config and thread count of the OpenBLAS numpy ships,
-and a sha256 digest per output file; it contains no timestamps, so
-identical runs produce identical bytes.
+run left in its outdir (OWNED_OUTPUT, from the two tables). The manifest
+records the resolved config, package versions, the build config and thread
+count of the OpenBLAS numpy ships, and a sha256 digest per output file; it
+contains no timestamps, so identical runs produce identical bytes.
 """
 
 import ctypes
@@ -38,8 +39,7 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -49,9 +49,9 @@ from . import __version__, svd_embed
 from .ae import _snapshot_fold, d2v_ae_series, fit_snapshot, reconstruct, save_mlp_params, \
     window_inputs
 from .config import ExperimentConfig
-from .evaluation import EvalReport, export_projection, migration_proximity_stat, \
-    node_classification, reconstruction_eval, save_report, static_lp_eval, \
-    static_lp_split, temporal_lp_eval
+from .evaluation import EvalReport, centroid_members, export_projection, \
+    migration_proximity_stat, node_classification, reconstruction_eval, save_report, \
+    static_lp_eval, static_lp_split, temporal_lp_eval
 from .graphs import GraphSnapshot, SnapshotSequence, dense_adjacency, load_snapshots, \
     save_snapshots
 from .rng import Rng
@@ -62,10 +62,6 @@ from .svd_embed import optimal_svd_series, rerun_svd_series, rerun_svd_step, \
     save_restart_log
 
 
-# Names of the files a run writes, other than the generated data.
-OWNED_OUTPUT = re.compile(
-    r"emb_t\d+\.(src|tgt)|report_[a-z_]+\.json|projection_t\d+\.txt"
-    r"|restart_log\.txt|model\.txt|manifest\.json")
 # Names of the data files a run generates from SBM parameters.
 DATA_FILES = ("snapshots.txt", "labels.txt", "migrations.txt")
 
@@ -152,7 +148,7 @@ class Method:
     forecast: Callable  # (cfg, run, t)
     first_t: Callable = lambda cfg: 0  # the first snapshot it embeds
     lag: int = 0  # its scores of t read its state at t - lag: it scores from first_t + lag
-    outputs: Callable = lambda run: {}  # the run's other files, {name: writer(path)}
+    outputs: dict = field(default_factory=dict)  # other files, {name: writer(run, path)}
 
 
 def _svd_scores(cfg, run, t):
@@ -174,9 +170,10 @@ TASK_READS = {"reconstruction": ((), 0, 0), "static_lp": ((), 0, 1), "temporal_l
 def plan_tasks(cfg, seq: SnapshotSequence, labels=None, migrations=None,
                tasks=TASK_READS) -> dict:
     """{task: t} for cfg's tasks among `tasks`, each checked: the data it
-    reads is there, projection has d >= 2, and its config t (negative counts
+    reads is there, projection has d >= 2, its config t (negative counts
     back from its highest t) lies from the method's first embedded t, or
-    first scored t if it reads the run, to its highest t."""
+    first scored t if it reads the run, to its highest t, and migration_stat's
+    step can be scored (evaluation.centroid_members)."""
     method, plan = METHOD_TABLE[cfg.method], {}
     for name in sorted(cfg.tasks.keys() & tasks):
         (data, back, step), spec_t = TASK_READS[name], cfg.tasks[name]["t"]
@@ -192,6 +189,8 @@ def plan_tasks(cfg, seq: SnapshotSequence, labels=None, migrations=None,
         t = hi + 1 + spec_t if spec_t < 0 else spec_t
         if not lo <= t <= hi:
             raise PipelineError(f"{name}: t={spec_t} resolves to {t}, outside [{lo}, {hi}]")
+        if "migrations" in data:  # the step has migrants, and a centroid for each community
+            centroid_members(labels[t], migrations[t + ahead], t)
         plan[name] = t
     return plan
 
@@ -221,8 +220,8 @@ def _svd_fold_record(theta) -> Method:
         return y_src @ y_tgt.T
 
     return Method(embed=embed, scores=_svd_scores, refit=refit, forecast=_svd_scores,
-                  outputs=lambda run: {"restart_log.txt": partial(
-                      save_restart_log, run.extras["restart_log"])})
+                  outputs={"restart_log.txt": lambda run, p: save_restart_log(
+                      run.extras["restart_log"], p)})
 
 
 def _ae_scores(cfg, run, t):
@@ -263,8 +262,8 @@ def _ae_record(warm: bool = False, align: bool = False) -> Method:
         return reconstruct(fit_snapshot(adj, cfg.ae, t, init), adj)
 
     return Method(embed=embed, scores=_ae_scores, refit=refit, forecast=_ae_scores,
-                  outputs=lambda run: {"model.txt": partial(save_mlp_params,
-                                                            run.extras.pop("model"))})
+                  outputs={"model.txt": lambda run, p: save_mlp_params(
+                      run.extras.pop("model"), p)})
 
 
 def _d2v_embed(cfg, seq):
@@ -299,9 +298,15 @@ METHOD_TABLE = {
     "dyngem": _ae_record(warm=True),
     "d2v_ae": Method(embed=_d2v_embed, scores=_d2v_scores, refit=_d2v_refit,
                      forecast=_d2v_forecast, first_t=lambda cfg: cfg.ae.lookback - 1, lag=1,
-                     outputs=lambda run: {"model.txt": partial(save_mlp_params,
-                                                               run.extras["model"])}),
+                     outputs={"model.txt": lambda run, p: save_mlp_params(
+                         run.extras["model"], p)}),
 }
+
+# Names of the files a run writes, other than the generated data.
+OWNED_OUTPUT = re.compile("|".join(
+    [r"emb_t\d+\.(src|tgt)", r"projection_t\d+\.txt", r"manifest\.json"]
+    + [re.escape(f"report_{name}.json") for name in TASK_READS if name != "projection"]
+    + [re.escape(n) for n in sorted({n for m in METHOD_TABLE.values() for n in m.outputs})]))
 
 
 def embed_series(cfg: ExperimentConfig, seq: SnapshotSequence):
@@ -351,12 +356,10 @@ def task_migration_stat(cfg, run: Run, spec, t: int) -> EvalReport:
                       stat=stat)
 
 
-def task_projection(cfg, run: Run, spec, t: int, outdir: Path, files: dict):
+def task_projection(cfg, run: Run, spec, t: int) -> dict:
     migrated = {node for node, _, _ in run.migrations[t]} if run.migrations else set()
-    name = f"projection_t{t}.txt"
-    _write(files, outdir, name,
-           lambda p: export_projection(run.series, t, run.labels[t], migrated, p))
-    return name
+    return {f"projection_t{t}.txt":
+            lambda run, p: export_projection(run.series, t, run.labels[t], migrated, p)}
 
 
 def _clear_outputs(outdir: Path, cfg: ExperimentConfig) -> None:
@@ -407,6 +410,11 @@ def _write(files: dict | None, outdir: Path, name: str, writer) -> Path:
     return path
 
 
+def _write_outputs(files: dict, outdir: Path, run: Run, writers: dict) -> None:
+    for name, writer in writers.items():
+        _write(files, outdir, name, lambda p: writer(run, p))
+
+
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -435,8 +443,7 @@ def run_experiment(cfg: ExperimentConfig, stage: str = "run") -> dict:
     run = Run(seq, *embed_series(cfg, seq), labels, migrations)
     for path in save_embedding_series(run.series, outdir, prefix="emb"):
         files[Path(path).name] = _sha256(Path(path))
-    # no writer outlives the comprehension, so a model handed to one goes once written
-    [_write(files, outdir, name, w) for name, w in METHOD_TABLE[cfg.method].outputs(run).items()]
+    _write_outputs(files, outdir, run, METHOD_TABLE[cfg.method].outputs)
 
     reports = {}
     digest = config_digest(cfg)
@@ -444,14 +451,12 @@ def run_experiment(cfg: ExperimentConfig, stage: str = "run") -> dict:
         if stage not in ("run", "project" if name == "projection" else "evaluate"):
             continue
         # looked up by name at each call, where bench/tracing.py wraps it
-        task = globals()[f"task_{name}"]
-        if name == "projection":
-            task(cfg, run, cfg.tasks[name], t, outdir, files)
-            continue
-        report = task(cfg, run, cfg.tasks[name], t)
-        report.method, report.seed, report.config_digest = cfg.method, cfg.seed, digest
-        reports[name] = report
-        _write(files, outdir, f"report_{name}.json", lambda p, r=report: save_report(r, p))
+        result = globals()[f"task_{name}"](cfg, run, cfg.tasks[name], t)
+        if isinstance(result, EvalReport):
+            result.method, result.seed, result.config_digest = cfg.method, cfg.seed, digest
+            reports[name] = result
+            result = {f"report_{name}.json": lambda run, p, r=result: save_report(r, p)}
+        _write_outputs(files, outdir, run, result)
 
     if stage == "run":
         manifest = {

@@ -252,6 +252,39 @@ def test_ranking_report_matches_reference_bytes_on_long_lists():
     assert got.to_json() == want.to_json()
 
 
+@st.composite
+def _scaled_report_case(draw):
+    """(scores, 2^k scores, truth, train, k grid) on up to 16 nodes. Scores
+    come from a few magnitudes in [2^-30, 2^30], so that ties are common,
+    and |k| <= 990 keeps every nonzero score a normal float: the scaling is
+    exact and keeps every key's order and every tie."""
+    n = draw(st.integers(min_value=2, max_value=16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = np.ldexp(rng.choice([0.0, 0.5, 0.75, 1.0], size=4), rng.integers(-30, 31, size=4))
+    scores = rng.choice(values, size=(n, n)) * rng.choice([-1.0, 1.0], size=(n, n))
+    k = draw(st.integers(-990, 990))
+    scaled = np.ldexp(scores, k)
+    assert np.array_equal(np.ldexp(scaled, -k), scores)  # nothing rounded or flushed
+    truth, train = ({(int(u), int(v)) for u, v in np.argwhere(rng.random((n, n)) < p)}
+                    for p in (draw(st.sampled_from([0.05, 0.3])), 0.3))
+    k_grid = draw(st.lists(st.integers(1, n * n), min_size=1, max_size=3))
+    return scores, scaled, truth, train, k_grid
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_scaled_report_case())
+def test_ranking_reports_are_invariant_to_scaling_scores_by_a_power_of_two(case):
+    scores, scaled, truth, train, k_grid = case
+    n = scores.shape[0]
+    g, g_train = _graph(n, truth), _graph(n, train)
+    seq = SnapshotSequence([g_train, g])
+    for report in (lambda s: reconstruction_eval(s, g, k_grid),
+                   lambda s: static_lp_eval(s, g_train, _graph(n, truth - train), k_grid),
+                   lambda s: temporal_lp_eval(s, seq, 0, k_grid, mode="all"),
+                   lambda s: temporal_lp_eval(s, seq, 0, k_grid, mode="new")):
+        assert report(scaled).to_json() == report(scores).to_json()
+
+
 def test_static_lp_report_matches_reference_bytes_at_scale():
     # SVD scores of an SBM train split in which node 0 lost every edge: its
     # score row and column hold only rounding noise around 0

@@ -8,9 +8,9 @@ import pytest
 from dynembed import pipeline
 from dynembed.cli import main
 from dynembed.config import from_dict
-from dynembed.evaluation import migration_proximity_stat
-from dynembed.pipeline import PipelineError, config_digest, embed_series, prepare_data, \
-    run_experiment
+from dynembed.evaluation import EvalError, migration_proximity_stat
+from dynembed.pipeline import DATA_FILES, METHOD_TABLE, OWNED_OUTPUT, TASK_READS, PipelineError, \
+    Run, config_digest, embed_series, plan_tasks, prepare_data, run_experiment
 from dynembed.series import load_embedding_series
 
 # 2 snapshots over 3 nodes; node 2 moves from community 0 to 1 at t=1
@@ -134,6 +134,37 @@ def test_a_task_that_cannot_run_fails_before_the_embed_at_every_stage(tmp_path, 
     assert not _embeddings(tmp_path / "out")
 
 
+# 3 snapshots of a 4-cycle; node 1 moves 0 -> 1 at t=1, and node 0 follows at
+# t=2 in WITH_LAST, where community 0 is left with no non-migrated member
+CYCLE = "3 4\n" + "".join(f"{t} {u} {(u + 1) % 4} 1\n" for t in range(3) for u in range(4))
+MOVES = {"no migrants": ("0 0 1 1\n0 1 1 1\n0 1 1 1", "1 1 0 1\n",
+                         "no migrated nodes at this step"),
+         "empty origin": ("0 0 1 1\n0 1 1 1\n1 1 1 1", "1 1 0 1\n2 0 0 1\n",
+                          "community 0 has no non-migrated members at t={t}")}
+
+
+@pytest.mark.parametrize("stage", ["embed", "evaluate", "project", "run"])
+@pytest.mark.parametrize("case", sorted(MOVES))
+@pytest.mark.parametrize("t, anticipate", [(2, False), (1, True)])
+def test_an_unscorable_migration_step_fails_before_the_embed_at_every_stage(
+        tmp_path, monkeypatch, case, t, anticipate, stage):
+    # at t=1 with anticipate, the labels of t=1 meet the migrants of t=2
+    labels, migrations, message = MOVES[case]
+    data = {"snapshots": CYCLE, "migrations": migrations,
+            "labels": "".join(f"{s} {u} {c}\n" for s, row in enumerate(labels.split("\n"))
+                              for u, c in enumerate(row.split()))}
+    for key, text in data.items():
+        (tmp_path / f"{key}.txt").write_text(text)
+        data[key] = str(tmp_path / f"{key}.txt")
+    cfg = from_dict({"outdir": str(tmp_path / "out"), "data": data,
+                     "method": {"name": "optsvd", "d": 1},
+                     "tasks": {"migration_stat": {"t": t, "anticipate": anticipate}}})
+    _no_embed(monkeypatch)
+    with pytest.raises(EvalError, match=f"^{re.escape(message.format(t=t))}$"):
+        run_experiment(cfg, stage=stage)
+    assert not _embeddings(tmp_path / "out")
+
+
 # --- task reports -------------------------------------------------------------
 
 
@@ -198,21 +229,52 @@ def test_rerun_into_same_outdir_leaves_no_stale_embeddings(tmp_path):
     assert owned == set(manifest["files"])
 
 
-def test_rerun_with_other_method_drops_its_outputs(tmp_path):
+ALL_TASKS = {name: {} for name in TASK_READS}
+
+
+@pytest.mark.parametrize("method", sorted(m for m, record in METHOD_TABLE.items()
+                                          if record.outputs))
+def test_rerun_with_other_method_drops_its_outputs(tmp_path, method):
     out = tmp_path / "out"
+    written = run_experiment(_sbm_tasks(out, method, ALL_TASKS))["files"]
+    assert set(METHOD_TABLE[method].outputs) <= set(written)
+    assert "projection_t4.txt" in written and "report_migration_stat.json" in written
+    # a shorter optsvd run with no task: every file the first run wrote goes
+    files = run_experiment(_sbm_tasks(out, "optsvd", {}, length=3), stage="embed")["files"]
+    assert {p.name for p in out.iterdir()} == set(files)
+    assert (out / "emb_t2.src").exists() and not (out / "emb_t3.src").exists()
+
+
+@pytest.mark.parametrize("method", sorted(METHOD_TABLE))
+def test_every_file_a_run_writes_is_an_owned_output(tmp_path, method):
+    run_experiment(_sbm_tasks(tmp_path, method, ALL_TASKS))
+    files = json.loads((tmp_path / "manifest.json").read_text())["files"]
+    assert set(METHOD_TABLE[method].outputs) <= set(files)
+    for name in set(files) - set(DATA_FILES):
+        assert OWNED_OUTPUT.fullmatch(name), name
+
+
+@pytest.mark.parametrize("name", ["report_summary.json", "report_by_hand.json",
+                                  "report_projection.json"])
+def test_a_report_name_no_task_writes_is_kept(tmp_path, name):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / name).write_text("{}\n")
     run_experiment(_sbm_run(out, 3))
-    assert (out / "restart_log.txt").exists()
-    cfg = from_dict({
-        "seed": 1, "outdir": str(out),
-        "data": {"sbm": {"node_num": 30, "community_num": 2, "length": 3,
-                         "node_change_num": 1}},
-        "method": {"name": "optsvd", "d": 4},
-    })
-    run_experiment(cfg, stage="embed")
-    names = {p.name for p in out.iterdir()}
-    assert not names & {"restart_log.txt", "manifest.json", "report_classification.json",
-                        "projection_t2.txt"}
-    assert (out / "emb_t2.src").exists()
+    assert (out / name).read_text() == "{}\n"
+
+
+def test_projection_task_returns_its_writer_and_writes_nothing(tmp_path):
+    cfg = _sbm_run(tmp_path / "out", 3)
+    seq, labels, migrations = prepare_data(cfg)
+    run = Run(seq, *embed_series(cfg, seq), labels, migrations)
+    t = plan_tasks(cfg, seq, labels, migrations)["projection"]
+    files = pipeline.task_projection(cfg, run, cfg.tasks["projection"], t)
+    assert list(files) == ["projection_t2.txt"] and not list(tmp_path.iterdir())
+    files["projection_t2.txt"](run, tmp_path / "projection_t2.txt")
+    run_experiment(cfg)
+    assert (tmp_path / "projection_t2.txt").read_bytes() == \
+        (tmp_path / "out" / "projection_t2.txt").read_bytes()
 
 
 def test_files_the_run_does_not_own_are_kept(tmp_path):

@@ -18,6 +18,13 @@ is a batch step, exact, and no restart can fire. Criterion 2's fixture
 (n = 200, d = 8) with 10 migrants per step is where a restart fires at
 theta = 0.1; with one migrant per step the bound stays positive and no
 restart fires at theta = 1.
+
+Metamorphic relations: scaling every weight by 2^k, k even, scales the
+fold's losses and bounds by exactly 4^k and its embeddings by exactly
+2^(k/2), with the same restarts. Transposing every snapshot is not a
+relation of the Ritz fold: its basis tracks the row space, so the losses of
+the transposed sequence differ (by up to 1.1e-4 relative on criterion 2's
+fixture). Do not test for transposition invariance.
 """
 
 import math
@@ -531,6 +538,23 @@ def test_certificate_is_at_most_the_optimum(case, scale, theta):
         if r == seq.n:  # the basis is all of R^n: every step is exact
             assert e.bound == e.cur_loss
             assert abs(e.cur_loss - opt) <= LOSS_RTOL * norm_sq
+
+
+@settings(max_examples=150, deadline=None)
+@given(ritz_cases(), st.sampled_from([-40, 40]) | st.integers(-20, 20).map(lambda h: 2 * h),
+       st.sampled_from([math.inf, 0.05]))
+def test_scaling_every_weight_by_a_power_of_two_scales_the_fold_exactly(case, k, theta):
+    # A -> 2^k A scales every singular value by 2^k, so the losses and the
+    # bounds by 4^k and the embeddings, U sqrt(S) and V sqrt(S), by 2^(k/2):
+    # every step of the fold is exact under the scaling, bit for bit
+    seq, d = case
+    series, log, _ = rerun_svd_series(seq, d, theta)
+    got_series, got_log, _ = rerun_svd_series(_scaled(seq, 2.0 ** k), d, theta)
+    assert [e.restarted for e in got_log] == [e.restarted for e in log]
+    assert [(e.cur_loss, e.bound) for e in got_log] == \
+        [(math.ldexp(e.cur_loss, 2 * k), math.ldexp(e.bound, 2 * k)) for e in log]
+    for got, want in zip(got_series.y_src + got_series.y_tgt, series.y_src + series.y_tgt):
+        assert got.tobytes() == np.ldexp(want, k // 2).tobytes()
 
 
 def test_tail_is_the_restart_snapshots_spectrum(drift_sbm_50):
